@@ -23,19 +23,10 @@ from .model import (
 )
 from .report import build_report, canonical_json, emit_csv, emit_json, emit_plot_data
 from .resampling import generate_score_matrix, write_matrix_csv
-from .scoring import ScoringError, compute_scores, official_ranking
+from .scoring import MECHANISMS, ScoringError, compute_scores, official_ranking
 from .sensitivity import aggregate_json_obj, leave_one_out_analysis, write_flags_csv
 
 __all__ = ["main", "run_cli"]
-
-MECHANISM_CHOICES = (
-    "solved_count",
-    "optimal_count",
-    "par_k",
-    "ipc_quality",
-    "ipc_agile",
-    "mean_metric",
-)
 
 
 def _positive_int(text: str) -> int:
@@ -67,7 +58,7 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mechanism",
         required=True,
-        choices=MECHANISM_CHOICES,
+        choices=tuple(MECHANISMS),
         help="scoring mechanism",
     )
     parser.add_argument(

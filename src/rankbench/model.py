@@ -25,7 +25,6 @@ __all__ = [
     "Dataset",
     "DuplicateEntryError",
     "Mechanism",
-    "MECHANISM_IDS",
     "ParseError",
     "ReferenceEntry",
     "RunKey",
@@ -40,10 +39,6 @@ __all__ = [
 RESULTS_CSV_HEADER = ["solver", "instance", "seed", "status", "cpu_time", "quality"]
 
 DEFAULT_STRATUM = "default"
-
-MECHANISM_IDS = frozenset(
-    {"solved_count", "optimal_count", "par_k", "ipc_quality", "ipc_agile", "mean_metric"}
-)
 
 TIEBREAK_KEYS = ("total_time",)
 
@@ -434,6 +429,9 @@ def _load_json(path: Path) -> tuple[list, float, dict, dict[RunKey, ReferenceEnt
         if not isinstance(row, dict):
             raise ParseError(f"{path}: results[{i}] must be an object")
         where = f"{path}: results[{i}]"
+        # int() would silently truncate these and could merge distinct runs.
+        if isinstance(row.get("seed"), (bool, float)):
+            raise ParseError(f"{where}: seed {row['seed']!r} is not an integer")
         normalized = {
             "solver": row.get("solver"),
             "instance": row.get("instance"),

@@ -27,7 +27,6 @@ __all__ = [
     "fractional_ranks",
     "inversion_count",
     "mean_rank_iqr",
-    "mean_score_iqr",
     "robust_ranking",
     "select_winner",
     "tied_pair_count",
@@ -249,13 +248,4 @@ def mean_rank_iqr(m: ScoreMatrix, subset=None) -> float:
     spans = [
         _column_iqr(m.rank_column(s)) for s in m.solver_order if s in chosen
     ]
-    return float(np.mean(spans))
-
-
-def mean_score_iqr(m: ScoreMatrix, subset=None) -> float:
-    """Score-unit variant of :func:`mean_rank_iqr`, kept as a diagnostic."""
-    chosen = _resolve_subset(m.solver_order, subset)
-    if not chosen:
-        raise ValueError("subset must be non-empty")
-    spans = [_column_iqr(m.column(s)) for s in m.solver_order if s in chosen]
     return float(np.mean(spans))

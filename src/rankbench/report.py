@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +25,9 @@ from .ranking import (
     tied_pair_count,
 )
 from .resampling import ScoreMatrix
-from .scoring import OfficialRanking, _as_mechanism, compute_scores, official_ranking
+from .scoring import OfficialRanking, compute_scores, official_ranking, resolve_mechanism
 from .sensitivity import FLAG_NAMES, SensitivityReport
-from .stats import nearest_rank_quantile, percentile_ci
+from .stats import holm_steps, nearest_rank_quantile, percentile_ci
 
 __all__ = [
     "AnalysisReport",
@@ -35,7 +35,6 @@ __all__ = [
     "emit_csv",
     "emit_json",
     "emit_plot_data",
-    "parse_report",
     "report_json_obj",
 ]
 
@@ -63,25 +62,18 @@ class AnalysisReport:
     sensitivity: dict | None
 
 
-def _holm_steps(p_values: dict[str, float], alpha: float) -> list[dict]:
-    """Per-test rows in Holm order: ascending p, stable on input order."""
-    items = sorted(enumerate(p_values.items()), key=lambda t: t[1][1])
-    m = len(items)
-    rows = []
-    stopped = False
-    for step, (_, (solver, p)) in enumerate(items, start=1):
-        threshold = alpha / (m + 1 - step)
-        if not stopped and p >= threshold:
-            stopped = True
-        rows.append(
-            {
-                "solver": solver,
-                "p_value": p,
-                "threshold": threshold,
-                "rejected": not stopped,
-            }
-        )
-    return rows
+def _holm_rows(p_values: dict[str, float], alpha: float) -> list[dict]:
+    """One grouping round's tests in Holm order, keyed by solver."""
+    solvers = list(p_values)
+    return [
+        {
+            "solver": solvers[step.index],
+            "p_value": step.p_value,
+            "threshold": step.threshold,
+            "rejected": step.rejected,
+        }
+        for step in holm_steps(list(p_values.values()), alpha)
+    ]
 
 
 def _sensitivity_obj(extras: SensitivityReport) -> dict:
@@ -124,7 +116,7 @@ def build_report(
     The matrix must have been generated under the same config; a seed,
     stratification or mechanism mismatch is an error.
     """
-    mech = _as_mechanism(cfg.mechanism)
+    mech = resolve_mechanism(cfg.mechanism)
     expected = {
         "master_seed": cfg.master_seed,
         "stratified": cfg.stratified,
@@ -201,7 +193,7 @@ def build_report(
             {
                 "winner": record.winner,
                 "members": list(record.members),
-                "tests": _holm_steps(record.p_values, cfg.alpha),
+                "tests": _holm_rows(record.p_values, cfg.alpha),
             }
             for record in robust.iteration_log
         ],
@@ -222,11 +214,6 @@ def report_json_obj(r: AnalysisReport) -> dict:
         "diagnostics": r.diagnostics,
         "sensitivity": r.sensitivity,
     }
-
-
-def parse_report(obj: dict) -> AnalysisReport:
-    """Inverse of :func:`report_json_obj`."""
-    return AnalysisReport(**{f.name: obj[f.name] for f in fields(AnalysisReport)})
 
 
 def canonical_json(obj) -> str:

@@ -26,13 +26,11 @@ import numpy as np
 
 from .model import AnalysisConfig, Dataset
 from .scoring import (
-    _MEAN,
-    _MECHANISM_KINDS,
-    _NEG_MEAN,
-    RunMultiset,
     ScoringError,
-    _as_mechanism,
+    aggregate_from_counts,
     find_missing_entry,
+    min_ranks_rows,
+    resolve_mechanism,
     run_contributions,
     tiebreak_run_matrices,
 )
@@ -79,18 +77,18 @@ def _bounded_indices(words: np.ndarray, n: int) -> np.ndarray:
     return ((hi * n64 + ((lo * n64) >> _U32)) >> _U32).astype(np.int64)
 
 
-def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> RunMultiset:
-    """|R| entries drawn i.i.d. uniformly over R, with replacement."""
+def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
+    """|R| run indices drawn i.i.d. uniformly over R, with replacement."""
     n = len(d.runs)
     if n < 1:
         raise ValueError("dataset has no runs to resample")
-    return RunMultiset(_bounded_indices(rng.words(n), n))
+    return _bounded_indices(rng.words(n), n)
 
 
-def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> RunMultiset:
+def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     """Per-stratum resampling: each stratum contributes exactly as many
-    entries as it has runs, drawn with replacement within the stratum;
-    entries are concatenated in stratum order."""
+    run indices as it has runs, drawn with replacement within the stratum;
+    indices are concatenated in stratum order."""
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
     parts = []
@@ -98,13 +96,13 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> RunMultiset:
         members = d.stratum_members[label]
         m = len(members)
         parts.append(members[_bounded_indices(rng.words(m), m)])
-    return RunMultiset(np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 def _draw_entries(d: Dataset, stratified: bool, master_seed: int, index: int) -> np.ndarray:
     stream = ReplicateStream(master_seed, index)
     draw = draw_stratified_replicate if stratified else draw_uniform_replicate
-    return draw(d, stream).entries
+    return draw(d, stream)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,31 +133,6 @@ class ScoreMatrix:
         return self.replicate_ranks[:, self.solver_idx(solver)]
 
 
-def min_ranks_rows(scores: np.ndarray, chain: list[np.ndarray]) -> np.ndarray:
-    """Row-wise competition min-ranks of a (k x S) score matrix.
-
-    ``chain`` holds tiebreak key arrays, each (S,) or (k x S), ascending
-    is better; ranks depend only on equality classes of (score, chain),
-    never on solver ids.
-    """
-    k, s = scores.shape
-    neg = -scores
-    keys = [np.broadcast_to(vec, (k, s)) for vec in reversed(chain)]
-    order = np.lexsort((*keys, neg), axis=1)
-
-    new_block = np.zeros((k, s), dtype=bool)
-    new_block[:, 0] = True
-    for arr in (neg, *(np.broadcast_to(vec, (k, s)) for vec in chain)):
-        in_order = np.take_along_axis(arr, order, axis=1)
-        new_block[:, 1:] |= in_order[:, 1:] != in_order[:, :-1]
-
-    positions = np.broadcast_to(np.arange(s), (k, s))
-    block_start = np.maximum.accumulate(np.where(new_block, positions, 0), axis=1)
-    ranks = np.empty((k, s), dtype=np.int32)
-    np.put_along_axis(ranks, order, (block_start + 1).astype(np.int32), axis=1)
-    return ranks
-
-
 def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> ScoreMatrix:
     """Score ``cfg.replicates_k`` bootstrap replicates of the competition.
 
@@ -167,7 +140,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     output is bit-identical for a fixed config regardless of ``threads``.
     Scoring failures report the smallest failing replicate index.
     """
-    mech = _as_mechanism(cfg.mechanism)
+    mech = resolve_mechanism(cfg.mechanism)
     n = len(d.runs)
     if n < 1:
         raise ValueError("dataset has no runs to resample")
@@ -220,23 +193,6 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
             "mechanism": mech.id,
         },
     )
-
-
-def aggregate_from_counts(
-    clean_contributions: np.ndarray, counts: np.ndarray, mechanism, size: int
-) -> np.ndarray:
-    """Multiset scores from selection counts (NaN already zeroed).
-
-    ``counts`` is (|R|,) or (rows, |R|); the result transposes contribution
-    rows into the trailing axis.
-    """
-    totals = counts @ clean_contributions.T
-    kind = _MECHANISM_KINDS[mechanism.name]
-    if kind == _NEG_MEAN:
-        return -totals / size
-    if kind == _MEAN:
-        return totals / size
-    return totals
 
 
 def write_matrix_csv(m: ScoreMatrix, path: str | Path) -> None:

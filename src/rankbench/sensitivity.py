@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -19,32 +18,25 @@ import numpy as np
 from .model import AnalysisConfig, Dataset
 from .scoring import (
     OfficialRanking,
-    ScoreVector,
     ScoringError,
-    _as_mechanism,
     aggregate_contributions,
     find_missing_entry,
-    official_ranking,
+    ranking_rows,
+    resolve_mechanism,
     run_contributions,
+    tiebreak_run_matrices,
 )
 
 __all__ = [
     "InstanceFlags",
-    "RankingChange",
     "SensitivityReport",
     "aggregate_json_obj",
-    "compare_rankings",
     "leave_one_out_analysis",
+    "prefix_changes",
     "write_flags_csv",
 ]
 
 FLAG_NAMES = ("any_change", "top10_comp", "top10_order", "top3_comp", "top3_order")
-
-
-class RankingChange(Enum):
-    UNCHANGED = "unchanged"
-    COMP_CHANGED = "comp_changed"
-    ORDER_CHANGED = "order_changed"
 
 
 @dataclass(frozen=True)
@@ -75,106 +67,86 @@ class SensitivityReport:
     depths: dict[str, int]
 
 
-def compare_rankings(
-    base: OfficialRanking, variant: OfficialRanking, depth: int
-) -> RankingChange:
-    """Classify how the first ``depth`` listed solvers moved.
+def prefix_changes(
+    base: np.ndarray, listings: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classify how the first ``depth`` listed solvers moved in each row.
 
-    The prefixes are taken from the tie-broken listings; a set difference
-    is a composition change, a reordering of the same set an order change.
+    ``base`` is one listing of solver indices and ``listings`` a (rows x S)
+    array of them.  A set difference between the prefixes is a composition
+    change, a reordering of the same set an order change; the two returned
+    bool arrays are never both true.
     """
-    if set(base.order) != set(variant.order):
-        raise ValueError("rankings cover different solver sets")
-    if not 1 <= depth <= len(base.order):
-        raise ValueError(f"depth {depth} out of range [1, {len(base.order)}]")
-    base_top = base.top(depth)
-    variant_top = variant.top(depth)
-    if set(base_top) != set(variant_top):
-        return RankingChange.COMP_CHANGED
-    if base_top != variant_top:
-        return RankingChange.ORDER_CHANGED
-    return RankingChange.UNCHANGED
-
-
-def _instance_run_indices(d: Dataset) -> dict[str, np.ndarray]:
-    groups: dict[str, list[int]] = {instance: [] for instance in d.instances}
-    for idx, rk in enumerate(d.runs):
-        groups[rk.instance_id].append(idx)
-    return {inst: np.array(idxs, dtype=np.int64) for inst, idxs in groups.items()}
+    top = listings[:, :depth]
+    comp = (np.sort(top, axis=1) != np.sort(base[:depth])).any(axis=1)
+    moved = (top != base[:depth]).any(axis=1)
+    return comp, moved & ~comp
 
 
 def leave_one_out_analysis(
-    d: Dataset, cfg: AnalysisConfig, threads: int = 1, any_change_on: str = "listing"
+    d: Dataset, cfg: AnalysisConfig, threads: int = 1
 ) -> SensitivityReport:
-    """Remove each instance in turn and compare the re-scored ranking.
+    """Remove each instance in turn and compare the re-scored listing.
 
-    ``any_change_on`` selects what the full-ranking comparison looks at:
-    the tie-broken listing order (default) or just the rank numbers.
+    Row 0 scores every run (the baseline); row ``j + 1`` drops instance
+    ``j``.  Each row is summed over its kept runs exactly as the official
+    scores are, and all rows are ranked in one call.
     """
-    if any_change_on not in ("listing", "ranks"):
-        raise ValueError(f"any_change_on must be 'listing' or 'ranks', got {any_change_on!r}")
     if len(d.instances) < 2:
         raise ValueError("leave-one-out analysis needs at least 2 instances")
 
-    mech = _as_mechanism(cfg.mechanism)
+    mech = resolve_mechanism(cfg.mechanism)
     contributions = run_contributions(d, mech)
-    by_instance = _instance_run_indices(d)
-    all_indices = np.arange(len(d.runs), dtype=np.int64)
-
-    baseline = _ranking_for(d, cfg, mech, contributions, all_indices)
-    depth10 = min(10, len(d.solvers))
-    depth3 = min(3, len(d.solvers))
-
-    def flags_for(instance: str) -> InstanceFlags:
-        kept = np.setdiff1d(all_indices, by_instance[instance], assume_unique=True)
-        variant = _ranking_for(d, cfg, mech, contributions, kept)
-        if any_change_on == "listing":
-            changed = variant.order != baseline.order
-        else:
-            changed = variant.ranks != baseline.ranks
-        at10 = compare_rankings(baseline, variant, depth10)
-        at3 = compare_rankings(baseline, variant, depth3)
-        return InstanceFlags(
-            any_change=changed,
-            top10_comp=at10 is RankingChange.COMP_CHANGED,
-            top10_order=at10 is RankingChange.ORDER_CHANGED,
-            top3_comp=at3 is RankingChange.COMP_CHANGED,
-            top3_order=at3 is RankingChange.ORDER_CHANGED,
-        )
-
-    instances = list(d.instances)
-    if threads > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_instance = list(pool.map(flags_for, instances))
-    else:
-        per_instance = [flags_for(inst) for inst in instances]
-
-    flags = dict(zip(instances, per_instance))
-    counts = {
-        name: sum(1 for f in flags.values() if getattr(f, name)) for name in FLAG_NAMES
-    }
-    return SensitivityReport(
-        baseline=baseline,
-        flags=flags,
-        counts=counts,
-        depths={"top10": depth10, "top3": depth3},
-    )
-
-
-def _ranking_for(
-    d: Dataset,
-    cfg: AnalysisConfig,
-    mech,
-    contributions: np.ndarray,
-    entries: np.ndarray,
-) -> OfficialRanking:
-    """Official ranking of the dataset restricted to the given run entries."""
-    message = find_missing_entry(d, mech, contributions, entries)
+    everything = np.arange(len(d.runs), dtype=np.int64)
+    # Every kept set is a subset of these runs, so one check covers them all.
+    message = find_missing_entry(d, mech, contributions, everything)
     if message is not None:
         raise ScoringError(message)
-    values = aggregate_contributions(contributions, entries, mech)
-    sv = ScoreVector({s: float(v) for s, v in zip(d.solvers, values)})
-    return official_ranking(sv, d, cfg.tiebreak, restrict_to=entries)
+    chain_mats = tiebreak_run_matrices(d, cfg.tiebreak)
+    position = {instance: j for j, instance in enumerate(d.instances)}
+    run_instance = np.array([position[rk.instance_id] for rk in d.runs], dtype=np.int64)
+
+    shape = (len(d.instances) + 1, len(d.solvers))
+    scores = np.empty(shape, dtype=np.float64)
+    chains = [np.empty(shape, dtype=np.float64) for _ in chain_mats]
+
+    def fill(row: int) -> None:
+        kept = everything if row == 0 else everything[run_instance != row - 1]
+        scores[row] = aggregate_contributions(contributions, kept, mech)
+        for spent, out in zip(chain_mats, chains):
+            out[row] = spent[:, kept].sum(axis=1)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, range(shape[0])))
+    else:
+        for row in range(shape[0]):
+            fill(row)
+
+    listings, ranks = ranking_rows(d.solvers, scores, chains)
+    base, variants = listings[0], listings[1:]
+    depth10 = min(10, len(d.solvers))
+    depth3 = min(3, len(d.solvers))
+    columns = dict(
+        zip(
+            FLAG_NAMES,
+            (
+                (variants != base).any(axis=1),
+                *prefix_changes(base, variants, depth10),
+                *prefix_changes(base, variants, depth3),
+            ),
+        )
+    )
+    flags = {
+        instance: InstanceFlags(**{name: bool(col[j]) for name, col in columns.items()})
+        for j, instance in enumerate(d.instances)
+    }
+    return SensitivityReport(
+        baseline=OfficialRanking.from_row(d.solvers, base, ranks[0]),
+        flags=flags,
+        counts={name: int(col.sum()) for name, col in columns.items()},
+        depths={"top10": depth10, "top3": depth3},
+    )
 
 
 def write_flags_csv(report: SensitivityReport, path: str | Path) -> None:

@@ -19,9 +19,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ConfidenceInterval",
+    "HolmStep",
     "TestOutcome",
     "bootstrap_p",
     "holm_bonferroni",
+    "holm_steps",
     "nearest_rank_index",
     "nearest_rank_quantile",
     "percentile_ci",
@@ -90,8 +92,18 @@ def bootstrap_p(m: "ScoreMatrix", s1: str, s2: str, alpha: float = 0.05) -> Test
     return TestOutcome(p_value=p, rejected=p < alpha)
 
 
-def holm_bonferroni(p_values: Sequence[float], alpha: float) -> set[int]:
-    """Step-down Holm correction; returns indices of rejected hypotheses.
+@dataclass(frozen=True)
+class HolmStep:
+    """One test of a Holm walk: its input position, p-value, threshold and verdict."""
+
+    index: int
+    p_value: float
+    threshold: float
+    rejected: bool
+
+
+def holm_steps(p_values: Sequence[float], alpha: float) -> list[HolmStep]:
+    """Step-down Holm correction, one row per test in Holm order.
 
     Sort the m p-values ascending (stable) and walk i = 1..m comparing
     against alpha / (m + 1 - i).  The walk stops at the first index whose
@@ -99,16 +111,22 @@ def holm_bonferroni(p_values: Sequence[float], alpha: float) -> set[int]:
     rejected.  If the first comparison fails nothing is rejected; if none
     fails everything is.
     """
-    m = len(p_values)
-    if m < 1:
-        raise ValueError("holm_bonferroni requires at least one p-value")
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-values must lie in [0, 1], got {p}")
+    m = len(p_values)
     order = sorted(range(m), key=lambda j: p_values[j])
-    rejected: set[int] = set()
+    steps = []
+    stopped = False
     for step, j in enumerate(order, start=1):
-        if p_values[j] >= alpha / (m + 1 - step):
-            break
-        rejected.add(j)
-    return rejected
+        threshold = alpha / (m + 1 - step)
+        stopped = stopped or p_values[j] >= threshold
+        steps.append(HolmStep(j, p_values[j], threshold, not stopped))
+    return steps
+
+
+def holm_bonferroni(p_values: Sequence[float], alpha: float) -> set[int]:
+    """Indices of the hypotheses :func:`holm_steps` rejects."""
+    if len(p_values) < 1:
+        raise ValueError("holm_bonferroni requires at least one p-value")
+    return {step.index for step in holm_steps(p_values, alpha) if step.rejected}

@@ -90,7 +90,8 @@ def matrix_from_columns(**columns):
     """Hand-built ScoreMatrix with rank-1 placeholders for rank columns."""
     import numpy as np
 
-    from rankbench.resampling import ScoreMatrix, min_ranks_rows
+    from rankbench.resampling import ScoreMatrix
+    from rankbench.scoring import min_ranks_rows
 
     names = tuple(columns)
     scores = np.column_stack(
@@ -205,8 +206,8 @@ def brute_contribution(d: Dataset, mech: Mechanism, solver: str, rk: RunKey) -> 
         if not (ok and within):
             return 0.0
         ref = max(d.reference[rk].reference_time, 1.0)
-        raw = 1.0 / (1.0 + math.log10(max(rec.cpu_time, 1.0) / ref))
-        return min(max(raw, 0.0), 1.0)
+        ratio = max(rec.cpu_time, 1.0) / ref
+        return 1.0 / (1.0 + math.log10(max(ratio, 1.0)))
     return rec.quality  # mean_metric
 
 

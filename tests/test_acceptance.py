@@ -191,7 +191,7 @@ def test_criterion_07_stratification_preserves_counts():
     ordinal = {label: i for i, label in enumerate(d.stratum_order)}
     per_run = np.array([ordinal[d.strata[rk.instance_id]] for rk in d.runs])
     for index in range(10_000):
-        entries = draw_stratified_replicate(d, ReplicateStream(3, index)).entries
+        entries = draw_stratified_replicate(d, ReplicateStream(3, index))
         counts = np.bincount(per_run[entries], minlength=14)
         assert counts.min() == counts.max() == 20, f"replicate {index}"
 

@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, outputs, determinism, env fallbacks."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rankbench
 from rankbench.cli import run_cli
 
 SOLVE_TABLE = {
@@ -238,6 +241,20 @@ class TestThreadsEnv:
         monkeypatch.setenv("RANKBENCH_THREADS", "0")
         assert run_cli(analyze_args(runs_csv, tmp_path / "r.json")) == 1
         assert "RANKBENCH_THREADS" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_no_arguments_is_usage_error(self):
+        # the child imports the same package as this interpreter
+        src = str(Path(rankbench.__file__).resolve().parent.parent)
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankbench"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
 
 
 class TestInstalledScript:

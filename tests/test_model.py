@@ -210,6 +210,21 @@ class TestJsonDataset:
         with pytest.raises(ParseError, match="results"):
             load_dataset(write_json(tmp_path, {"cutoff_seconds": 1}))
 
+    @staticmethod
+    def seeded_results(seed):
+        row = {"solver": "A", "instance": "i1", "status": "solved", "cpu_time": 1.0}
+        return {"results": [{**row, "seed": 1}, {**row, "seed": seed}]}
+
+    def test_bool_seed_rejected(self, tmp_path):
+        path = write_json(tmp_path, self.seeded_results(True))
+        with pytest.raises(ParseError, match=r"results\[1\]: seed True"):
+            load_dataset(path)
+
+    def test_float_seed_rejected(self, tmp_path):
+        path = write_json(tmp_path, self.seeded_results(1.7))
+        with pytest.raises(ParseError, match=r"results\[1\]: seed 1.7"):
+            load_dataset(path)
+
 
 class TestRunKey:
     def test_label_round_trip(self):

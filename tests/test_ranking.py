@@ -13,13 +13,12 @@ from rankbench.ranking import (
     fractional_ranks,
     inversion_count,
     mean_rank_iqr,
-    mean_score_iqr,
     robust_ranking,
     select_winner,
     tied_pair_count,
 )
-from rankbench.resampling import ScoreMatrix, min_ranks_rows
-from rankbench.scoring import OfficialRanking
+from rankbench.resampling import ScoreMatrix
+from rankbench.scoring import OfficialRanking, min_ranks_rows
 
 from helpers import matrix_from_columns, oracle_robust_partition
 
@@ -355,7 +354,3 @@ class TestMeanRankIqr:
         with pytest.raises(ValueError, match="non-empty"):
             mean_rank_iqr(self.constant_rank_matrix(), set())
 
-    def test_score_iqr_diagnostic(self):
-        m = matrix_from_columns(a=[1, 1, 5, 5], b=[2, 2, 2, 2])
-        assert mean_score_iqr(m, {"a"}) == 4.0
-        assert mean_score_iqr(m, {"b"}) == 0.0

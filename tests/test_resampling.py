@@ -85,12 +85,12 @@ class TestDrawUniform:
         d = success_table_dataset({"A": [True] * 9, "B": [False] * 9})
         rs = draw_uniform_replicate(d, ReplicateStream(0, 0))
         assert len(rs) == 9
-        assert rs.entries.min() >= 0 and rs.entries.max() < 9
+        assert rs.min() >= 0 and rs.max() < 9
 
     def test_single_run_is_forced(self):
         d = success_table_dataset({"A": [True], "B": [True]})
         rs = draw_uniform_replicate(d, ReplicateStream(5, 123))
-        assert rs.entries.tolist() == [0]
+        assert rs.tolist() == [0]
 
     def test_empty_dataset_rejected(self):
         d = build_dataset(["A", "B"], [], lambda s, rk: record(True))
@@ -102,7 +102,7 @@ class TestDrawUniform:
         d = success_table_dataset({"A": [True] * n, "B": [False] * n})
         total = 0
         for i in range(draws):
-            entries = draw_uniform_replicate(d, ReplicateStream(99, i)).entries
+            entries = draw_uniform_replicate(d, ReplicateStream(99, i))
             total += int(np.count_nonzero(np.bincount(entries, minlength=n)))
         mean_distinct = total / draws
         expected = n * (1.0 - (1.0 - 1.0 / n) ** n)  # ~3160.7
@@ -117,7 +117,7 @@ class TestDrawStratified:
         for i in range(200):
             rs = draw_stratified_replicate(d, ReplicateStream(4, i))
             assert len(rs) == 6
-            drawn = rs.entries.tolist()
+            drawn = rs.tolist()
             # concatenated in stratum order: A block, then B, then C
             blocks = {"A": drawn[:1], "B": drawn[1:3], "C": drawn[3:]}
             for label, block in blocks.items():
@@ -133,7 +133,7 @@ class TestDrawStratified:
         d = three_stratum_dataset()
         for i in range(50):
             rs = draw_stratified_replicate(d, ReplicateStream(1, i))
-            assert rs.entries[0] == 0  # stratum A has only run a1@0
+            assert rs[0] == 0  # stratum A has only run a1@0
 
 
 class TestGenerateScoreMatrix:
@@ -164,11 +164,11 @@ class TestGenerateScoreMatrix:
         cfg = config(replicates_k=40, master_seed=5)
         m = generate_score_matrix(d, cfg)
         # each row must equal a directly drawn and scored replicate
-        from rankbench.scoring import RunMultiset, compute_scores
+        from rankbench.scoring import compute_scores
 
         for i in (0, 7, 39):
-            entries = draw_uniform_replicate(d, ReplicateStream(5, i)).entries
-            want = compute_scores(d, "solved_count", RunMultiset(entries))
+            entries = draw_uniform_replicate(d, ReplicateStream(5, i))
+            want = compute_scores(d, "solved_count", entries)
             assert m.scores[i].tolist() == [want.scores["A"], want.scores["B"]]
 
     def test_thread_counts_do_not_change_output(self):
@@ -210,7 +210,7 @@ class TestGenerateScoreMatrix:
             m = generate_score_matrix(d, cfg)
             mats = tiebreak_run_matrices(d, tiebreak)
             for i in range(m.k):
-                entries = draw_uniform_replicate(d, ReplicateStream(9, i)).entries
+                entries = draw_uniform_replicate(d, ReplicateStream(9, i))
                 counts = np.bincount(entries, minlength=len(d.runs)).astype(np.float64)
                 keys = []
                 for col in range(3):
@@ -231,7 +231,7 @@ class TestGenerateScoreMatrix:
         expected = next(
             i
             for i in range(30)
-            if 1 in draw_uniform_replicate(d, ReplicateStream(2, i)).entries.tolist()
+            if 1 in draw_uniform_replicate(d, ReplicateStream(2, i)).tolist()
         )
         with pytest.raises(ScoringError, match=rf"replicate {expected}: .*bad@0"):
             generate_score_matrix(d, cfg)

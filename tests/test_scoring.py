@@ -8,14 +8,12 @@ import pytest
 
 from rankbench.model import Mechanism, ReferenceEntry, RunKey, RunRecord, RunStatus
 from rankbench.scoring import (
-    RunMultiset,
     ScoringError,
     UnknownMechanismError,
     compute_scores,
-    full_multiset,
     official_ranking,
     run_contributions,
-    tiebreak_vectors,
+    tiebreak_run_matrices,
 )
 
 from helpers import (
@@ -161,6 +159,8 @@ class TestIpcAgile:
 
     def test_faster_than_reference_clamps_to_one(self):
         assert compute_scores(self.make(5.0, 50.0), "ipc_agile").scores["A"] == 1.0
+        # more than 10x faster: log10 of the raw ratio is below -1
+        assert compute_scores(self.make(1.0, 100.0), "ipc_agile").scores["A"] == 1.0
 
     def test_sub_second_times_floor_at_one(self):
         # both sides floored to 1s: ratio 1, score 1
@@ -219,25 +219,24 @@ class TestMultisets:
 
     def test_full_multiset_is_identity(self):
         d = self.dataset()
-        rs = full_multiset(d)
-        assert list(rs.entries) == [0, 1, 2]
+        rs = np.arange(len(d.runs))
         assert compute_scores(d, "solved_count", rs).scores == \
             compute_scores(d, "solved_count").scores
 
     def test_repeats_count(self):
         d = self.dataset()
-        rs = RunMultiset(np.array([1, 1, 1]))
+        rs = np.array([1, 1, 1])
         assert compute_scores(d, "solved_count", rs).scores == {"A": 3.0, "B": 0.0}
 
     def test_empty_multiset_scores_zero(self):
         d = self.dataset()
-        rs = RunMultiset(np.array([], dtype=np.int64))
+        rs = np.array([], dtype=np.int64)
         assert compute_scores(d, "solved_count", rs).scores == {"A": 0.0, "B": 0.0}
 
     def test_out_of_range_entry(self):
         d = self.dataset()
         with pytest.raises(ValueError, match="out of range"):
-            compute_scores(d, "solved_count", RunMultiset(np.array([7])))
+            compute_scores(d, "solved_count", np.array([7]))
 
     def test_error_names_first_offender_in_multiset_order(self):
         d = build_dataset(
@@ -250,7 +249,7 @@ class TestMultisets:
             cutoff=10.0,
         )
         # entry 0 selects the bad run i2; solver order breaks the tie
-        rs = RunMultiset(np.array([1, 0]))
+        rs = np.array([1, 0])
         with pytest.raises(ScoringError, match="solver 'A' on run i2@0"):
             compute_scores(d, "mean_metric", rs)
 
@@ -288,7 +287,7 @@ class TestAgainstBruteForce:
                 Mechanism("mean_metric"),
             ):
                 entries = [rng.randrange(n_runs) for _ in range(rng.randint(1, 12))]
-                got = compute_scores(d, mech, RunMultiset(np.array(entries))).scores
+                got = compute_scores(d, mech, np.array(entries)).scores
                 want = brute_scores(d, mech, entries)
                 for s in solvers:
                     assert got[s] == pytest.approx(want[s], rel=1e-12, abs=1e-12)
@@ -331,7 +330,8 @@ class TestOfficialRanking:
             cutoff=100.0,
         )
         # A's i2 run is successful but over cutoff: ignored by the total
-        assert tiebreak_vectors(d, ("total_time",))[0].tolist() == [10.0, 10.0]
+        totals = tiebreak_run_matrices(d, ("total_time",))[0].sum(axis=1)
+        assert totals.tolist() == [10.0, 10.0]
 
     def test_unknown_tiebreak_key(self):
         d = success_table_dataset({"A": [True], "B": [True]})

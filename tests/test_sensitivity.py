@@ -2,16 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rankbench.model import Mechanism
-from rankbench.scoring import OfficialRanking, ScoringError, official_ranking
+from rankbench.scoring import ScoringError, official_ranking
 from rankbench.sensitivity import (
     FLAG_NAMES,
-    RankingChange,
     aggregate_json_obj,
-    compare_rankings,
     leave_one_out_analysis,
+    prefix_changes,
     write_flags_csv,
 )
 
@@ -26,38 +26,24 @@ from helpers import (
 )
 
 
-def listing(*order) -> OfficialRanking:
-    return OfficialRanking(
-        order=tuple(order), ranks={s: i for i, s in enumerate(order, start=1)}
-    )
+def compare(base, variant, depth):
+    """(comp, order) of one variant listing of solver indices."""
+    comp, order = prefix_changes(np.array(base), np.array([variant]), depth)
+    return bool(comp[0]), bool(order[0])
 
 
 class TestCompareRankings:
     def test_identical_is_unchanged(self):
-        base = listing("a", "b", "c")
-        assert compare_rankings(base, base, 2) is RankingChange.UNCHANGED
+        assert compare([0, 1, 2], [0, 1, 2], 2) == (False, False)
 
     def test_prefix_set_difference_is_comp(self):
-        got = compare_rankings(listing("a", "b", "c"), listing("a", "c", "b"), 2)
-        assert got is RankingChange.COMP_CHANGED
+        assert compare([0, 1, 2], [0, 2, 1], 2) == (True, False)
 
     def test_same_set_reordered_is_order(self):
-        got = compare_rankings(listing("a", "b", "c"), listing("b", "a", "c"), 2)
-        assert got is RankingChange.ORDER_CHANGED
+        assert compare([0, 1, 2], [1, 0, 2], 2) == (False, True)
 
     def test_change_below_depth_is_invisible(self):
-        got = compare_rankings(listing("a", "b", "c"), listing("a", "c", "b"), 1)
-        assert got is RankingChange.UNCHANGED
-
-    def test_depth_bounds(self):
-        base = listing("a", "b")
-        for bad in (0, 3):
-            with pytest.raises(ValueError, match="depth"):
-                compare_rankings(base, base, bad)
-
-    def test_universe_mismatch(self):
-        with pytest.raises(ValueError, match="different solver sets"):
-            compare_rankings(listing("a", "b"), listing("a", "c"), 1)
+        assert compare([0, 1, 2], [0, 2, 1], 1) == (False, False)
 
 
 class TestLeaveOneOut:
@@ -160,18 +146,6 @@ class TestLeaveOneOut:
         assert rep.baseline.order == direct.order
         assert rep.baseline.ranks == direct.ranks
 
-    def test_rank_basis_sees_new_ties(self):
-        # dropping i0 ties b with a: the listing is unchanged, the ranks not
-        d = quality_table_dataset({"a": [10.0, 10.0], "b": [9.0, 10.0]})
-        by_listing = leave_one_out_analysis(d, config("mean_metric"))
-        by_ranks = leave_one_out_analysis(
-            d, config("mean_metric"), any_change_on="ranks"
-        )
-        assert by_listing.flags["i0"].any_change is False
-        assert by_ranks.flags["i0"].any_change is True
-        assert by_listing.flags["i1"].any_change is False
-        assert by_ranks.flags["i1"].any_change is False
-
     def test_tiebreak_chain_recomputed_on_kept_runs(self):
         # equal solved counts; the time tiebreak flips when i1 is dropped
         d = success_table_dataset(
@@ -196,11 +170,6 @@ class TestLeaveOneOut:
         d = quality_table_dataset({"a": [1.0], "b": [2.0]})
         with pytest.raises(ValueError, match="at least 2 instances"):
             leave_one_out_analysis(d, config("mean_metric"))
-
-    def test_bad_basis_rejected(self):
-        d = quality_table_dataset({"a": [1.0, 2.0], "b": [2.0, 1.0]})
-        with pytest.raises(ValueError, match="any_change_on"):
-            leave_one_out_analysis(d, config("mean_metric"), any_change_on="both")
 
     def test_uncomputable_entries_surface_as_scoring_error(self):
         d = build_dataset(
