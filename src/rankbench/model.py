@@ -1,8 +1,9 @@
 """Competition data model, ingestion and validation.
 
 A competition is a set of solvers, a set of runs (instance, seed), and a
-total table of per-(solver, run) results.  Datasets are immutable after
-construction and safe for concurrent reads.
+total table of per-(solver, run) results, held as (solvers x runs)
+arrays.  Datasets are immutable after construction and safe for
+concurrent reads.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +81,12 @@ class RunStatus(str, Enum):
         return self in (RunStatus.SOLVED, RunStatus.SOLVED_OPTIMAL)
 
 
+# A status is stored as its position in declaration order.
+_STATUSES = tuple(RunStatus)
+_STATUS_CODES = {status.value: code for code, status in enumerate(_STATUSES)}
+_SUCCESS = np.array([status.is_success for status in _STATUSES])
+
+
 class RunKey(NamedTuple):
     """A single run: a benchmark instance paired with a pseudo-random seed."""
 
@@ -136,109 +145,117 @@ class Mechanism:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable competition dataset.
+    """Immutable competition dataset: a total (solvers x runs) table of
+    arrays, row ``i`` for ``solvers[i]`` and column ``j`` for ``runs[j]``.
 
-    ``results`` is a total table: exactly one record for every pair in
-    ``solvers`` x ``runs``.  ``cutoff`` is the per-run CPU-time limit in
-    seconds; ``math.inf`` means no limit was configured.  Construction does
-    not reject invalid data -- use :func:`validate_dataset` to inspect a
-    programmatically built dataset.
+    - ``status``: int8 codes into ``tuple(RunStatus)`` (0 is ``solved``);
+    - ``cpu_time``: float64 seconds;
+    - ``quality``: float64, NaN where the run reported no quality.
+
+    Construction keeps read-only copies of the arrays; ``results`` views
+    the same cells as :class:`RunRecord` objects.  ``cutoff`` is the
+    per-run CPU-time limit in seconds (``math.inf``: none configured).
+    Construction does not reject invalid data -- use
+    :func:`validate_dataset` to inspect a programmatically built dataset.
     """
 
     solvers: tuple[str, ...]
     runs: tuple[RunKey, ...]
-    results: Mapping[tuple[str, RunKey], RunRecord]
+    status: np.ndarray
+    cpu_time: np.ndarray
+    quality: np.ndarray
     strata: Mapping[str, str] = field(default_factory=dict)
     cutoff: float = math.inf
     reference: Mapping[RunKey, ReferenceEntry] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        shape = (len(self.solvers), len(self.runs))
+        for name, dtype in (("status", np.int8), ("cpu_time", float), ("quality", float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != shape:
+                raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            (self.solvers, self.runs, self.strata, self.cutoff, self.reference)
+            == (other.solvers, other.runs, other.strata, other.cutoff, other.reference)
+            and np.array_equal(self.status, other.status)
+            and np.array_equal(self.cpu_time, other.cpu_time)
+            and np.array_equal(self.quality, other.quality, equal_nan=True)
+        )
 
     def stratum_of(self, instance_id: str) -> str:
         return self.strata.get(instance_id, DEFAULT_STRATUM)
 
     @cached_property
+    def results(self) -> Mapping[tuple[str, RunKey], RunRecord]:
+        """Read-only ``(solver, run) -> RunRecord`` view of the arrays."""
+        return _ResultsView(self)
+
+    @property
+    def success_matrix(self) -> np.ndarray:
+        """(solvers x runs) boolean: run status counts as success."""
+        return _SUCCESS[self.status]
+
+    @property
+    def optimal_matrix(self) -> np.ndarray:
+        return self.status == _STATUSES.index(RunStatus.SOLVED_OPTIMAL)
+
+    @cached_property
     def instances(self) -> tuple[str, ...]:
         """Instance ids in order of first appearance in ``runs``."""
-        seen: dict[str, None] = {}
-        for rk in self.runs:
-            seen.setdefault(rk.instance_id, None)
-        return tuple(seen)
-
-    @cached_property
-    def solver_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.solvers)}
-
-    @cached_property
-    def run_index(self) -> dict[RunKey, int]:
-        return {r: i for i, r in enumerate(self.runs)}
+        return tuple(dict.fromkeys(rk.instance_id for rk in self.runs))
 
     @cached_property
     def stratum_order(self) -> tuple[str, ...]:
         """Stratum labels in order of first appearance over ``runs``."""
-        seen: dict[str, None] = {}
-        for rk in self.runs:
-            seen.setdefault(self.stratum_of(rk.instance_id), None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.stratum_of(rk.instance_id) for rk in self.runs))
 
     @cached_property
     def stratum_members(self) -> dict[str, np.ndarray]:
         """Run indices per stratum, in run order."""
-        members: dict[str, list[int]] = {label: [] for label in self.stratum_order}
-        for i, rk in enumerate(self.runs):
-            members[self.stratum_of(rk.instance_id)].append(i)
-        return {label: np.asarray(idx, dtype=np.int64) for label, idx in members.items()}
+        labels = np.array([self.stratum_of(rk.instance_id) for rk in self.runs], dtype=object)
+        return {label: np.flatnonzero(labels == label) for label in self.stratum_order}
 
-    def _record_array(self, getter) -> np.ndarray:
-        out = np.empty((len(self.solvers), len(self.runs)), dtype=np.float64)
-        for si, s in enumerate(self.solvers):
-            for ri, rk in enumerate(self.runs):
-                try:
-                    rec = self.results[(s, rk)]
-                except KeyError:
-                    raise CompletenessError(
-                        f"missing result for solver {s!r} on run {rk.label()}"
-                    ) from None
-                out[si, ri] = getter(rec)
-        return out
-
-    @cached_property
-    def success_matrix(self) -> np.ndarray:
-        """(solvers x runs) boolean: run status counts as success."""
-        return self._record_array(lambda r: r.status.is_success).astype(bool)
-
-    @cached_property
-    def optimal_matrix(self) -> np.ndarray:
-        return self._record_array(lambda r: r.status == RunStatus.SOLVED_OPTIMAL).astype(bool)
-
-    @cached_property
-    def cpu_time_matrix(self) -> np.ndarray:
-        return self._record_array(lambda r: r.cpu_time)
-
-    @cached_property
-    def quality_matrix(self) -> np.ndarray:
-        """(solvers x runs) qualities; NaN where absent."""
-        return self._record_array(lambda r: math.nan if r.quality is None else r.quality)
+    def _reference_vector(self, name: str) -> np.ndarray:
+        values = (getattr(self.reference.get(rk), name, None) for rk in self.runs)
+        return np.array([math.nan if v is None else v for v in values], dtype=np.float64)
 
     @cached_property
     def best_known_vector(self) -> np.ndarray:
         """Per-run best known quality; NaN where absent."""
-        out = np.full(len(self.runs), math.nan)
-        for i, rk in enumerate(self.runs):
-            ref = self.reference.get(rk)
-            if ref is not None and ref.best_known_quality is not None:
-                out[i] = ref.best_known_quality
-        return out
+        return self._reference_vector("best_known_quality")
 
     @cached_property
     def reference_time_vector(self) -> np.ndarray:
         """Per-run reference time; NaN where absent."""
-        out = np.full(len(self.runs), math.nan)
-        for i, rk in enumerate(self.runs):
-            ref = self.reference.get(rk)
-            if ref is not None and ref.reference_time is not None:
-                out[i] = ref.reference_time
-        return out
+        return self._reference_vector("reference_time")
+
+
+class _ResultsView(Mapping):
+    """``(solver, run) -> RunRecord`` over a dataset's arrays; ``len()`` builds no record."""
+
+    def __init__(self, d: Dataset) -> None:
+        self._d = d
+        self._solver_pos = {s: i for i, s in enumerate(d.solvers)}
+        self._run_pos = {rk: j for j, rk in enumerate(d.runs)}
+
+    def __getitem__(self, key: tuple[str, RunKey]) -> RunRecord:
+        d, i, j = self._d, self._solver_pos[key[0]], self._run_pos[key[1]]
+        quality = None if math.isnan(d.quality[i, j]) else float(d.quality[i, j])
+        return RunRecord(_STATUSES[d.status[i, j]], float(d.cpu_time[i, j]), quality)
+
+    def __iter__(self) -> Iterator[tuple[str, RunKey]]:
+        return ((s, rk) for s in self._d.solvers for rk in self._d.runs)
+
+    def __len__(self) -> int:
+        return self._d.status.size
 
 
 @dataclass(frozen=True)
@@ -273,80 +290,108 @@ def default_stratified(d: Dataset) -> bool:
 # Ingestion
 
 
-def _parse_float(text: str, what: str, where: str) -> float:
+class _RowError(Exception):
+    """An invalid field; the row parser prefixes the row's location."""
+
+
+def _parse_nonnegative(text: str, what: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"{where}: {what} {text!r} is not a number") from None
+        raise _RowError(f"{what} {text!r} is not a number") from None
     if not math.isfinite(value):
-        raise ParseError(f"{where}: {what} must be finite, got {text!r}")
+        raise _RowError(f"{what} must be finite, got {text!r}")
+    if value < 0:
+        raise _RowError(f"{what} must be >= 0, got {value}")
     return value
 
 
-def _parse_result_row(row: dict, where: str) -> tuple[str, RunKey, RunRecord]:
-    solver = row["solver"]
-    instance = row["instance"]
-    if not solver or not instance:
-        raise ParseError(f"{where}: empty solver or instance identifier")
-    try:
-        seed = int(row["seed"])
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: seed {row['seed']!r} is not an integer") from None
-    if seed < 0:
-        raise ParseError(f"{where}: seed must be non-negative, got {seed}")
-    try:
-        status = RunStatus(row["status"])
-    except ValueError:
-        raise ParseError(f"{where}: unknown status {row['status']!r}") from None
-    cpu_time = _parse_float(str(row["cpu_time"]), "cpu_time", where)
-    if cpu_time < 0:
-        raise ParseError(f"{where}: cpu_time must be >= 0, got {cpu_time}")
-    quality_raw = row.get("quality")
-    if quality_raw is None or quality_raw == "":
-        quality = None
-    else:
-        quality = _parse_float(str(quality_raw), "quality", where)
-        if quality < 0:
-            raise ParseError(f"{where}: quality must be >= 0, got {quality}")
-    return solver, RunKey(instance, seed), RunRecord(status, cpu_time, quality)
+class _Table:
+    """Result rows parsed straight into columns, solvers and runs coded in
+    order of first appearance.  ``where(pos)`` names the row at source
+    position ``pos`` (a CSV line number or a JSON ``results`` index)."""
 
+    def __init__(self, rows: Iterable[tuple[int, Sequence]], where: Callable[[int], str]) -> None:
+        self.where = where
+        self.solvers, self.runs = {}, {}  # solver and (instance, seed) -> code
+        self.positions, self.solver_codes, self.run_codes = [], [], []
+        self.status, self.cpu_time, self.quality = [], [], []
+        for pos, fields in rows:
+            try:
+                self._append(*fields)
+            except _RowError as exc:
+                raise ParseError(f"{where(pos)}: {exc}") from None
+            self.positions.append(pos)
 
-def _assemble(
-    rows: Iterable[tuple[str, RunKey, RunRecord, str]],
-    strata: Mapping[str, str],
-    cutoff: float,
-    reference: Mapping[RunKey, ReferenceEntry],
-) -> Dataset:
-    solvers: dict[str, None] = {}
-    runs: dict[RunKey, None] = {}
-    results: dict[tuple[str, RunKey], RunRecord] = {}
-    for solver, rk, record, where in rows:
-        solvers.setdefault(solver, None)
-        runs.setdefault(rk, None)
-        if (solver, rk) in results:
+    def _append(self, solver, instance, seed_raw, status_raw, cpu_raw, quality_raw) -> None:
+        # int() would silently truncate a JSON bool or float and could merge distinct runs.
+        if isinstance(seed_raw, (bool, float)):
+            raise _RowError(f"seed {seed_raw!r} is not an integer")
+        if not solver or not instance:
+            raise _RowError("empty solver or instance identifier")
+        try:
+            seed = int(seed_raw)
+        except (TypeError, ValueError):
+            raise _RowError(f"seed {seed_raw!r} is not an integer") from None
+        if seed < 0:
+            raise _RowError(f"seed must be non-negative, got {seed}")
+        try:
+            status = _STATUS_CODES[status_raw]
+        except (KeyError, TypeError):
+            raise _RowError(f"unknown status {status_raw!r}") from None
+        cpu_time = _parse_nonnegative(str(cpu_raw), "cpu_time")
+        if quality_raw is None or quality_raw == "":
+            quality = math.nan
+        else:
+            quality = _parse_nonnegative(str(quality_raw), "quality")
+        self.solver_codes.append(self.solvers.setdefault(solver, len(self.solvers)))
+        self.run_codes.append(self.runs.setdefault((instance, seed), len(self.runs)))
+        self.status.append(status)
+        self.cpu_time.append(cpu_time)
+        self.quality.append(quality)
+
+    def dataset(self, strata: Mapping, cutoff: float, reference: Mapping) -> Dataset:
+        """Place every row in its (solver, run) cell; each cell needs exactly one row."""
+        solvers, runs = tuple(self.solvers), tuple(RunKey(*key) for key in self.runs)
+        shape = (len(solvers), len(runs))
+        cells = np.array(self.solver_codes, dtype=np.int64) * shape[1]
+        cells += np.array(self.run_codes, dtype=np.int64)
+        counts = np.bincount(cells, minlength=shape[0] * shape[1])
+        if (counts > 1).any():
+            firsts = np.unique(cells, return_index=True)[1]
+            row = int(np.setdiff1d(np.arange(len(cells)), firsts)[0])  # earliest repeat
             raise DuplicateEntryError(
-                f"{where}: duplicate result for solver {solver!r} on run {rk.label()}"
+                f"{self.where(self.positions[row])}: duplicate result for solver "
+                f"{solvers[self.solver_codes[row]]!r} on run {runs[self.run_codes[row]].label()}"
             )
-        results[(solver, rk)] = record
-    for solver in solvers:
-        for rk in runs:
-            if (solver, rk) not in results:
-                raise CompletenessError(
-                    f"missing result for solver {solver!r} on run {rk.label()}"
-                )
-    run_list = tuple(runs)
-    full_strata = {rk.instance_id: DEFAULT_STRATUM for rk in run_list}
-    for instance, label in strata.items():
-        if instance in full_strata:
-            full_strata[instance] = str(label)
-    return Dataset(
-        solvers=tuple(solvers),
-        runs=run_list,
-        results=results,
-        strata=full_strata,
-        cutoff=cutoff,
-        reference=dict(reference),
-    )
+        if (counts == 0).any():
+            si, ri = divmod(int(np.argmin(counts)), shape[1])
+            raise CompletenessError(
+                f"missing result for solver {solvers[si]!r} on run {runs[ri].label()}"
+            )
+        order = np.argsort(cells)  # cells is now a permutation of the table's cells
+        return Dataset(
+            solvers=solvers,
+            runs=runs,
+            status=np.array(self.status, dtype=np.int8)[order].reshape(shape),
+            cpu_time=np.array(self.cpu_time)[order].reshape(shape),
+            quality=np.array(self.quality)[order].reshape(shape),
+            strata={rk.instance_id: strata.get(rk.instance_id, DEFAULT_STRATUM) for rk in runs},
+            cutoff=cutoff,
+            reference=dict(reference),
+        )
+
+
+def _reference_value(entry: dict, key: str, label: str, where: str) -> float | None:
+    value = entry.get(key)
+    if value is None:
+        return None
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ParseError(f"{where}: {key} for {label!r} must be a finite number, got {value!r}")
+    if not value > 0:
+        raise ParseError(f"{where}: {key} for {label!r} must be > 0")
+    return float(value)
 
 
 def _parse_config(doc: dict, where: str) -> tuple[float, dict, dict[RunKey, ReferenceEntry]]:
@@ -364,35 +409,32 @@ def _parse_config(doc: dict, where: str) -> tuple[float, dict, dict[RunKey, Refe
     strata = doc.get("strata") or {}
     if not isinstance(strata, dict):
         raise ParseError(f"{where}: strata must be an object mapping instance to stratum")
+    for instance, label in strata.items():
+        if not isinstance(label, str):
+            raise ParseError(f"{where}: stratum of {instance!r} must be a string, got {label!r}")
     reference: dict[RunKey, ReferenceEntry] = {}
     for label, entry in (doc.get("reference") or {}).items():
         rk = RunKey.from_label(label)
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: reference entry for {label!r} must be an object")
-        best = entry.get("best_known_quality")
-        ref_time = entry.get("reference_time")
-        if best is not None and not best > 0:
-            raise ParseError(f"{where}: best_known_quality for {label!r} must be > 0")
-        if ref_time is not None and not ref_time > 0:
-            raise ParseError(f"{where}: reference_time for {label!r} must be > 0")
-        reference[rk] = ReferenceEntry(
-            None if best is None else float(best),
-            None if ref_time is None else float(ref_time),
-        )
+        fields = ReferenceEntry._fields
+        reference[rk] = ReferenceEntry(*(_reference_value(entry, f, label, where) for f in fields))
     return cutoff, dict(strata), reference
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_config(path: str | Path) -> tuple[float, dict, dict[RunKey, ReferenceEntry]]:
     """Parse a competition config JSON file (cutoff, strata, reference)."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return _parse_config(doc, str(path))
+    return _parse_config(_read_json(Path(path)), str(path))
 
 
-def _load_csv(path: Path) -> list[tuple[str, RunKey, RunRecord, str]]:
+def _load_csv(path: Path) -> tuple[_Table, float, dict, dict[RunKey, ReferenceEntry]]:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -404,46 +446,38 @@ def _load_csv(path: Path) -> list[tuple[str, RunKey, RunRecord, str]]:
                 f"{path}: header must be exactly {','.join(RESULTS_CSV_HEADER)!r}, "
                 f"got {','.join(header)!r}"
             )
-        rows = []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != len(RESULTS_CSV_HEADER):
-                raise ParseError(f"{path}:{lineno}: expected {len(RESULTS_CSV_HEADER)} fields")
-            row = dict(zip(RESULTS_CSV_HEADER, fields))
-            where = f"{path}:{lineno}"
-            rows.append((*_parse_result_row(row, where), where))
-    return rows
+
+        def rows() -> Iterator[tuple[int, list[str]]]:
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields:
+                    continue
+                if len(fields) != len(RESULTS_CSV_HEADER):
+                    raise ParseError(f"{path}:{lineno}: expected {len(RESULTS_CSV_HEADER)} fields")
+                yield lineno, fields
+
+        return _Table(rows(), lambda lineno: f"{path}:{lineno}"), math.inf, {}, {}
 
 
-def _load_json(path: Path) -> tuple[list, float, dict, dict[RunKey, ReferenceEntry]]:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+def _load_json(path: Path) -> tuple[_Table, float, dict, dict[RunKey, ReferenceEntry]]:
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "results" not in doc:
         raise ParseError(f"{path}: dataset JSON must be an object with a 'results' array")
     cutoff, strata, reference = _parse_config(doc, str(path))
-    rows = []
-    for i, row in enumerate(doc["results"]):
-        if not isinstance(row, dict):
-            raise ParseError(f"{path}: results[{i}] must be an object")
-        where = f"{path}: results[{i}]"
-        # int() would silently truncate these and could merge distinct runs.
-        if isinstance(row.get("seed"), (bool, float)):
-            raise ParseError(f"{where}: seed {row['seed']!r} is not an integer")
-        normalized = {
-            "solver": row.get("solver"),
-            "instance": row.get("instance"),
-            "seed": row.get("seed"),
-            "status": row.get("status"),
-            "cpu_time": row.get("cpu_time"),
-            "quality": row.get("quality"),
-        }
-        if normalized["quality"] is not None:
-            normalized["quality"] = str(normalized["quality"])
-        rows.append((*_parse_result_row(normalized, where), where))
-    return rows, cutoff, strata, reference
+
+    def rows() -> Iterator[tuple[int, list]]:
+        for i, row in enumerate(doc["results"]):
+            if not isinstance(row, dict):
+                raise ParseError(f"{path}: results[{i}] must be an object")
+            yield i, [row.get(key) for key in RESULTS_CSV_HEADER]
+
+    return _Table(rows(), lambda i: f"{path}: results[{i}]"), cutoff, strata, reference
+
+
+def _format_of(path: Path, format: str | None) -> str:
+    format = path.suffix.lstrip(".").lower() if format is None else format
+    if format not in ("csv", "json"):
+        raise ParseError(f"unsupported dataset format {format!r} (expected csv or json)")
+    return format
 
 
 def load_dataset(
@@ -460,30 +494,28 @@ def load_dataset(
     given alongside JSON input overrides the embedded values.
     """
     path = Path(path)
-    if format is None:
-        format = path.suffix.lstrip(".").lower()
-    if format not in ("csv", "json"):
-        raise ParseError(f"unsupported dataset format {format!r} (expected csv or json)")
+    format = _format_of(path, format)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    if format == "csv":
-        rows = _load_csv(path)
-        cutoff, strata, reference = math.inf, {}, {}
-    else:
-        rows, cutoff, strata, reference = _load_json(path)
+    table, cutoff, strata, reference = (_load_csv if format == "csv" else _load_json)(path)
     if config is not None:
         cutoff, strata, reference = load_config(config)
-    return _assemble(rows, strata, cutoff, reference)
+    return table.dataset(strata, cutoff, reference)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-def _result_rows(d: Dataset) -> Iterable[tuple[str, RunKey, RunRecord]]:
-    for solver in d.solvers:
-        for rk in d.runs:
-            yield solver, rk, d.results[(solver, rk)]
+def _result_rows(d: Dataset) -> Iterator[tuple]:
+    """One tuple per cell in ``RESULTS_CSV_HEADER`` order, solver-major;
+    quality is None where absent."""
+    for solver, codes, times, qualities in zip(
+        d.solvers, d.status.tolist(), d.cpu_time.tolist(), d.quality.tolist()
+    ):
+        for (instance, seed), code, cpu_time, quality in zip(d.runs, codes, times, qualities):
+            quality = None if math.isnan(quality) else quality
+            yield solver, instance, seed, _STATUSES[code].value, cpu_time, quality
 
 
 def dataset_to_json_obj(d: Dataset) -> dict:
@@ -492,27 +524,10 @@ def dataset_to_json_obj(d: Dataset) -> dict:
         "cutoff_seconds": None if math.isinf(d.cutoff) else d.cutoff,
         "strata": dict(d.strata),
         "reference": {
-            rk.label(): {
-                key: value
-                for key, value in (
-                    ("best_known_quality", ref.best_known_quality),
-                    ("reference_time", ref.reference_time),
-                )
-                if value is not None
-            }
+            rk.label(): {key: value for key, value in ref._asdict().items() if value is not None}
             for rk, ref in d.reference.items()
         },
-        "results": [
-            {
-                "solver": solver,
-                "instance": rk.instance_id,
-                "seed": rk.seed,
-                "status": rec.status.value,
-                "cpu_time": rec.cpu_time,
-                "quality": rec.quality,
-            }
-            for solver, rk, rec in _result_rows(d)
-        ],
+        "results": [dict(zip(RESULTS_CSV_HEADER, row)) for row in _result_rows(d)],
     }
 
 
@@ -523,30 +538,17 @@ def save_dataset(d: Dataset, path: str | Path, format: str | None = None) -> Non
     every dataset field.
     """
     path = Path(path)
-    if format is None:
-        format = path.suffix.lstrip(".").lower()
-    if format == "csv":
+    if _format_of(path, format) == "csv":
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(RESULTS_CSV_HEADER)
-            for solver, rk, rec in _result_rows(d):
-                writer.writerow(
-                    [
-                        solver,
-                        rk.instance_id,
-                        rk.seed,
-                        rec.status.value,
-                        repr(rec.cpu_time),
-                        "" if rec.quality is None else repr(rec.quality),
-                    ]
-                )
-    elif format == "json":
+            for *keys, cpu_time, quality in _result_rows(d):
+                writer.writerow([*keys, repr(cpu_time), "" if quality is None else repr(quality)])
+    else:
         path.write_text(
             json.dumps(dataset_to_json_obj(d), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
-    else:
-        raise ParseError(f"unsupported dataset format {format!r} (expected csv or json)")
 
 
 # ---------------------------------------------------------------------------
@@ -579,29 +581,22 @@ def validate_dataset(d: Dataset) -> list[str]:
             if instance not in d.strata:
                 violations.append(f"instance {instance!r} has no stratum label")
 
-    for solver in d.solvers:
-        for rk in d.runs:
-            rec = d.results.get((solver, rk))
-            where = f"({solver!r}, {rk.label()})"
-            if rec is None:
-                violations.append(f"missing result for {where}")
-                continue
-            if not math.isfinite(rec.cpu_time) or rec.cpu_time < 0:
-                violations.append(f"{where}: cpu_time must be finite and >= 0, got {rec.cpu_time}")
-            if rec.quality is not None and (not math.isfinite(rec.quality) or rec.quality < 0):
-                violations.append(f"{where}: quality must be finite and >= 0, got {rec.quality}")
-            ref = d.reference.get(rk)
-            if (
-                rec.status.is_success
-                and rec.quality is not None
-                and ref is not None
-                and ref.best_known_quality is not None
-                and rec.quality < ref.best_known_quality
-            ):
-                violations.append(
-                    f"{where}: reference-consistency violation: quality {rec.quality} "
-                    f"< best_known_quality {ref.best_known_quality}"
-                )
+    # NaN quality means absent: it fails no check below.
+    bad_time = ~np.isfinite(d.cpu_time) | (d.cpu_time < 0)
+    bad_quality = np.isinf(d.quality) | (d.quality < 0)
+    below_best = d.success_matrix & (d.quality < d.best_known_vector)
+    for si, ri in np.argwhere(bad_time | bad_quality | below_best).tolist():
+        where = f"({d.solvers[si]!r}, {d.runs[ri].label()})"
+        cpu_time, quality = float(d.cpu_time[si, ri]), float(d.quality[si, ri])
+        if bad_time[si, ri]:
+            violations.append(f"{where}: cpu_time must be finite and >= 0, got {cpu_time}")
+        if bad_quality[si, ri]:
+            violations.append(f"{where}: quality must be finite and >= 0, got {quality}")
+        if below_best[si, ri]:
+            violations.append(
+                f"{where}: reference-consistency violation: quality {quality} "
+                f"< best_known_quality {float(d.best_known_vector[ri])}"
+            )
 
     for rk, ref in d.reference.items():
         if ref.best_known_quality is not None and ref.best_known_quality <= 0:

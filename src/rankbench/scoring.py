@@ -55,7 +55,7 @@ class UnknownMechanismError(ScoringError):
 
 def _solved_within(d: Dataset) -> np.ndarray:
     """(solvers x runs) bool: successful and within the cutoff."""
-    return d.success_matrix & (d.cpu_time_matrix <= d.cutoff)
+    return d.success_matrix & (d.cpu_time <= d.cutoff)
 
 
 def _solved_count(d: Dataset, mech: Mechanism) -> np.ndarray:
@@ -73,20 +73,19 @@ def _par_k(d: Dataset, mech: Mechanism) -> np.ndarray:
         raise ScoringError(
             "par_k requires a finite cutoff; provide cutoff_seconds in the config"
         )
-    return np.where(_solved_within(d), d.cpu_time_matrix, mech.par_penalty * d.cutoff)
+    return np.where(_solved_within(d), d.cpu_time, mech.par_penalty * d.cutoff)
 
 
 def _ipc_quality(d: Dataset, mech: Mechanism) -> np.ndarray:
-    quality = d.quality_matrix
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d.best_known_vector[None, :] / quality
-    ratio = np.where(quality == 0, np.nan, ratio)
+        ratio = d.best_known_vector[None, :] / d.quality
+    ratio = np.where(d.quality == 0, np.nan, ratio)
     return np.where(d.success_matrix, ratio, 0.0)
 
 
 def _ipc_agile(d: Dataset, mech: Mechanism) -> np.ndarray:
     # Runs at or faster than the reference (ratio <= 1) score 1.
-    times = np.maximum(d.cpu_time_matrix, 1.0)
+    times = np.maximum(d.cpu_time, 1.0)
     ref = np.maximum(d.reference_time_vector, 1.0)[None, :]
     value = 1.0 / (1.0 + np.log10(np.maximum(times / ref, 1.0)))
     return np.where(_solved_within(d), value, 0.0)
@@ -94,7 +93,7 @@ def _ipc_agile(d: Dataset, mech: Mechanism) -> np.ndarray:
 
 def _mean_metric(d: Dataset, mech: Mechanism) -> np.ndarray:
     # Quality is required on every record, solved or not.
-    return d.quality_matrix.copy()
+    return d.quality.copy()
 
 
 def _sum(totals: np.ndarray, size: int) -> np.ndarray:
@@ -134,6 +133,11 @@ class MechanismRule:
     contribution totals over a multiset of ``size`` entries into scores;
     ``explain_nan`` says why a (record, run) contribution is NaN, for the
     mechanisms that can produce one.
+
+    Cutoff semantics: ``solved_count``, ``par_k`` and ``ipc_agile`` credit
+    a run only when it is successful and ``cpu_time <= cutoff``;
+    ``optimal_count`` and ``ipc_quality`` ignore ``cpu_time``;
+    ``mean_metric`` uses the quality of every record, whatever its status.
     """
 
     contributions: Callable[[Dataset, Mechanism], np.ndarray]
@@ -264,7 +268,7 @@ def tiebreak_run_matrices(d: Dataset, tiebreak: tuple[str, ...]) -> list[np.ndar
     for key in tiebreak:
         if key != "total_time":
             raise ValueError(f"unknown tiebreak key {key!r}")
-        matrices.append(np.where(_solved_within(d), d.cpu_time_matrix, 0.0))
+        matrices.append(np.where(_solved_within(d), d.cpu_time, 0.0))
     return matrices
 
 

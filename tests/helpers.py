@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from rankbench.model import (
     AnalysisConfig,
     Dataset,
@@ -38,11 +40,19 @@ def build_dataset(solvers, runs, record_for, strata=None, cutoff=math.inf,
                   reference=None) -> Dataset:
     """``record_for(solver, run_key) -> RunRecord`` fills the results table."""
     runs = tuple(RunKey(*rk) if not isinstance(rk, RunKey) else rk for rk in runs)
-    results = {(s, rk): record_for(s, rk) for s in solvers for rk in runs}
+    records = [[record_for(s, rk) for rk in runs] for s in solvers]
+    shape = (len(solvers), len(runs))
+    statuses = tuple(RunStatus)
+
+    def column(value) -> np.ndarray:
+        return np.array([[value(rec) for rec in row] for row in records]).reshape(shape)
+
     return Dataset(
         solvers=tuple(solvers),
         runs=runs,
-        results=results,
+        status=column(lambda rec: statuses.index(rec.status)),
+        cpu_time=column(lambda rec: rec.cpu_time),
+        quality=column(lambda rec: math.nan if rec.quality is None else rec.quality),
         strata=strata or {},
         cutoff=cutoff,
         reference=reference or {},
@@ -88,8 +98,6 @@ def config(mechanism="solved_count", **kwargs) -> AnalysisConfig:
 
 def matrix_from_columns(**columns):
     """Hand-built ScoreMatrix with rank-1 placeholders for rank columns."""
-    import numpy as np
-
     from rankbench.resampling import ScoreMatrix
     from rankbench.scoring import min_ranks_rows
 

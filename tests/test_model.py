@@ -103,8 +103,11 @@ class TestCsvLoading:
 
     def test_duplicate_entry(self, tmp_path):
         body = "A,i1,0,solved,1.0,\nA,i1,0,solved,2.0,\n"
-        with pytest.raises(DuplicateEntryError, match="i1@0"):
-            load_dataset(write_csv(tmp_path, body))
+        path = write_csv(tmp_path, body)
+        with pytest.raises(DuplicateEntryError, match="i1@0") as err:
+            load_dataset(path)
+        # the later of the two rows is named
+        assert f"{path}:3" in str(err.value)
 
     def test_missing_pair_named(self, tmp_path):
         body = "A,i1,0,solved,1.0,\nA,i2,0,solved,1.0,\nB,i1,0,solved,1.0,\n"
@@ -155,6 +158,12 @@ class TestConfig:
             ({"reference": {"i1@0": {"best_known_quality": 0}}}, "best_known_quality"),
             ({"reference": {"i1@0": {"reference_time": -1}}}, "reference_time"),
             ({"reference": {"i1@0": 7}}, "object"),
+            ({"reference": {"i1@0": {"reference_time": "5"}}}, "reference_time for 'i1@0'"),
+            ({"reference": {"i1@0": {"best_known_quality": True}}}, "quality for 'i1@0'"),
+            ({"reference": {"i1@0": {"reference_time": math.inf}}}, "time for 'i1@0'.*finite"),
+            ({"reference": {"i1@0": {"reference_time": 10**400}}}, "time for 'i1@0'.*finite"),
+            ({"strata": {"i1": None}}, "stratum of 'i1'"),
+            ({"strata": {"i1": 5}}, "stratum of 'i1'"),
         ],
     )
     def test_config_errors(self, tmp_path, doc, fragment):
@@ -210,6 +219,16 @@ class TestJsonDataset:
         with pytest.raises(ParseError, match="results"):
             load_dataset(write_json(tmp_path, {"cutoff_seconds": 1}))
 
+    def test_empty_results(self, tmp_path):
+        d = load_dataset(write_json(tmp_path, {"results": []}))
+        assert (d.solvers, d.runs, d.status.shape, len(d.results)) == ((), (), (0, 0), 0)
+
+    def test_duplicate_names_later_row(self, tmp_path):
+        row = {"solver": "A", "instance": "i1", "seed": 0, "status": "solved", "cpu_time": 1.0}
+        path = write_json(tmp_path, {"results": [row, row]})
+        with pytest.raises(DuplicateEntryError, match=r"results\[1\]: duplicate"):
+            load_dataset(path)
+
     @staticmethod
     def seeded_results(seed):
         row = {"solver": "A", "instance": "i1", "status": "solved", "cpu_time": 1.0}
@@ -224,6 +243,21 @@ class TestJsonDataset:
         path = write_json(tmp_path, self.seeded_results(1.7))
         with pytest.raises(ParseError, match=r"results\[1\]: seed 1.7"):
             load_dataset(path)
+
+
+class TestDatasetArrays:
+    def test_columns_are_read_only(self, tmp_path):
+        d = load_dataset(write_csv(tmp_path, BASIC_CSV))
+        for column in (d.status, d.cpu_time, d.quality):
+            with pytest.raises(ValueError):
+                column[0, 0] = 1
+
+    def test_results_view_matches_columns(self, tmp_path):
+        d = load_dataset(write_csv(tmp_path, BASIC_CSV))
+        assert len(d.results) == 4
+        assert list(d.results) == [(s, rk) for s in d.solvers for rk in d.runs]
+        assert d.status.tolist() == [[0, 3], [1, 4]]
+        assert ("C", RunKey("i1", 0)) not in d.results
 
 
 class TestRunKey:
@@ -315,7 +349,7 @@ class TestValidateDataset:
         assert any("at least 2" in v for v in validate_dataset(d))
 
     def test_no_runs(self):
-        d = Dataset(solvers=("A", "B"), runs=(), results={})
+        d = build_dataset(["A", "B"], [], lambda s, rk: record(True))
         assert any("no runs" in v for v in validate_dataset(d))
 
     def test_bad_cutoff(self):
@@ -330,13 +364,6 @@ class TestValidateDataset:
         messages = validate_dataset(d)
         assert sum("stratum" in v for v in messages) == 1
         assert any("'i2'" in v for v in messages)
-
-    def test_missing_result(self):
-        good = self.good()
-        results = dict(good.results)
-        del results[("B", RunKey("i2", 0))]
-        d = Dataset(solvers=good.solvers, runs=good.runs, results=results, cutoff=10.0)
-        assert any("missing result" in v and "i2@0" in v for v in validate_dataset(d))
 
     def test_reference_consistency(self):
         d = build_dataset(
