@@ -101,7 +101,8 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=_positive_int,
         default=None,
-        help="worker cap (default: RANKBENCH_THREADS or 1); never affects output",
+        help="replicate-generation worker cap (default: RANKBENCH_THREADS or 1); "
+        "never affects output",
     )
 
 
@@ -134,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sens = sub.add_parser("sensitivity", help="leave-one-instance-out analysis only")
     _add_io_flags(sens)
-    _add_threads_flag(sens)
     sens.add_argument("--output", required=True, help="per-instance flags CSV destination")
     sens.add_argument("--json", help="also write the aggregate JSON block here")
 
@@ -192,11 +192,8 @@ def _analysis_config(ns: argparse.Namespace, d: Dataset) -> AnalysisConfig:
 def _cmd_analyze(ns: argparse.Namespace) -> int:
     d = load_dataset(ns.input, config=ns.config)
     cfg = _analysis_config(ns, d)
-    threads = _threads(ns)
-    m = generate_score_matrix(d, cfg, threads=threads)
-    extras = (
-        leave_one_out_analysis(d, cfg, threads=threads) if ns.with_sensitivity else None
-    )
+    m = generate_score_matrix(d, cfg, threads=_threads(ns))
+    extras = leave_one_out_analysis(d, cfg) if ns.with_sensitivity else None
     r = build_report(d, cfg, m, extras)
     emit_json(r, ns.output)
     if ns.plot_data:
@@ -209,7 +206,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
 def _cmd_sensitivity(ns: argparse.Namespace) -> int:
     d = load_dataset(ns.input, config=ns.config)
     cfg = AnalysisConfig(mechanism=_mechanism(ns), tiebreak=_tiebreak(ns))
-    rep = leave_one_out_analysis(d, cfg, threads=_threads(ns))
+    rep = leave_one_out_analysis(d, cfg)
     write_flags_csv(rep, ns.output)
     block = canonical_json(aggregate_json_obj(rep))
     if ns.json:

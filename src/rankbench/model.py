@@ -382,12 +382,17 @@ class _Table:
         )
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, that float() converts to a finite value."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
 def _reference_value(entry: dict, key: str, label: str, where: str) -> float | None:
     value = entry.get(key)
     if value is None:
         return None
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) or not finite:
+    if not _finite_number(value):
         raise ParseError(f"{where}: {key} for {label!r} must be a finite number, got {value!r}")
     if not value > 0:
         raise ParseError(f"{where}: {key} for {label!r} must be > 0")
@@ -401,8 +406,10 @@ def _parse_config(doc: dict, where: str) -> tuple[float, dict, dict[RunKey, Refe
     if cutoff_raw is None:
         cutoff = math.inf
     else:
-        if not isinstance(cutoff_raw, (int, float)) or isinstance(cutoff_raw, bool):
-            raise ParseError(f"{where}: cutoff_seconds must be a number")
+        if not _finite_number(cutoff_raw):
+            raise ParseError(
+                f"{where}: cutoff_seconds must be a finite number, got {cutoff_raw!r}"
+            )
         cutoff = float(cutoff_raw)
         if not cutoff > 0:
             raise ParseError(f"{where}: cutoff_seconds must be > 0, got {cutoff}")

@@ -26,12 +26,14 @@ import numpy as np
 
 from .model import AnalysisConfig, Dataset
 from .scoring import (
+    MECHANISMS,
     ScoringError,
     aggregate_from_counts,
     find_missing_entry,
     min_ranks_rows,
     resolve_mechanism,
     run_contributions,
+    split_limbs,
     tiebreak_run_matrices,
 )
 
@@ -147,11 +149,12 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     k = cfg.replicates_k
     contributions = run_contributions(d, mech)
     bad_runs = np.isnan(contributions).any(axis=0)
-    clean = np.nan_to_num(contributions, nan=0.0)
-    chain_mats = tiebreak_run_matrices(d, cfg.tiebreak)
+    limbs = split_limbs(contributions, n)
+    chain_limbs = [split_limbs(mat, n) for mat in tiebreak_run_matrices(d, cfg.tiebreak)]
+    finish = MECHANISMS[mech.name].finish
 
     scores = np.empty((k, len(d.solvers)), dtype=np.float64)
-    chains = [np.empty((k, len(d.solvers)), dtype=np.float64) for _ in chain_mats]
+    chains = [np.empty((k, len(d.solvers)), dtype=np.float64) for _ in chain_limbs]
 
     def fill_block(start: int, stop: int) -> int | None:
         first_bad = None
@@ -161,9 +164,9 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
             if bad_runs.any() and bad_runs[entries].any() and first_bad is None:
                 first_bad = i
             counts[i - start] = np.bincount(entries, minlength=n)
-        scores[start:stop] = aggregate_from_counts(clean, counts, mech, n)
-        for mat, out in zip(chain_mats, chains):
-            out[start:stop] = counts @ mat.T
+        scores[start:stop] = finish(aggregate_from_counts(limbs, counts), n)
+        for parts, out in zip(chain_limbs, chains):
+            out[start:stop] = aggregate_from_counts(parts, counts)
         return first_bad
 
     block = max(1, _BLOCK_ENTRY_BUDGET // n)

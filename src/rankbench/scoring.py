@@ -8,7 +8,8 @@ contributions of its entries, so duplicated entries count twice.
 
 :data:`MECHANISMS` is the one table of mechanisms; official scores,
 bootstrap replicates and leave-one-out all score and rank through the
-functions of this module.
+functions of this module, and every total they rank is the exact sum of
+its contributions rounded once (:func:`aggregate_from_counts`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ __all__ = [
     "ScoreVector",
     "ScoringError",
     "UnknownMechanismError",
-    "aggregate_contributions",
     "aggregate_from_counts",
+    "combine_limbs",
     "compute_scores",
     "find_missing_entry",
     "min_ranks_rows",
@@ -37,6 +38,7 @@ __all__ = [
     "ranking_rows",
     "resolve_mechanism",
     "run_contributions",
+    "split_limbs",
     "tiebreak_run_matrices",
 ]
 
@@ -77,7 +79,7 @@ def _par_k(d: Dataset, mech: Mechanism) -> np.ndarray:
 
 
 def _ipc_quality(d: Dataset, mech: Mechanism) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         ratio = d.best_known_vector[None, :] / d.quality
     ratio = np.where(d.quality == 0, np.nan, ratio)
     return np.where(d.success_matrix, ratio, 0.0)
@@ -96,15 +98,15 @@ def _mean_metric(d: Dataset, mech: Mechanism) -> np.ndarray:
     return d.quality.copy()
 
 
-def _sum(totals: np.ndarray, size: int) -> np.ndarray:
+def _sum(totals: np.ndarray, size) -> np.ndarray:
     return totals
 
 
-def _mean(totals: np.ndarray, size: int) -> np.ndarray:
+def _mean(totals: np.ndarray, size) -> np.ndarray:
     return totals / size
 
 
-def _neg_mean(totals: np.ndarray, size: int) -> np.ndarray:
+def _neg_mean(totals: np.ndarray, size) -> np.ndarray:
     return -totals / size
 
 
@@ -130,7 +132,8 @@ class MechanismRule:
 
     ``contributions`` builds the (|S|, |R|) per-run contribution matrix,
     NaN where a contribution is undefined; ``finish`` turns per-solver
-    contribution totals over a multiset of ``size`` entries into scores;
+    contribution totals over a multiset of ``size`` entries into scores
+    (``size`` may be an array that broadcasts against the totals);
     ``explain_nan`` says why a (record, run) contribution is NaN, for the
     mechanisms that can produce one.
 
@@ -141,7 +144,7 @@ class MechanismRule:
     """
 
     contributions: Callable[[Dataset, Mechanism], np.ndarray]
-    finish: Callable[[np.ndarray, int], np.ndarray]
+    finish: Callable[[np.ndarray, int | np.ndarray], np.ndarray]
     explain_nan: Callable[[RunRecord, str, RunKey], str] | None = None
 
 
@@ -183,32 +186,105 @@ def run_contributions(d: Dataset, mechanism: Mechanism | str) -> np.ndarray:
 
     Shape (|S|, |R|), float64.  Entries that cannot be evaluated (missing
     quality or reference data) are NaN; they only become an error when a
-    scored multiset actually selects them.
+    scored multiset actually selects them.  An infinite contribution (an
+    overflowing quality ratio or penalty) raises :class:`ScoringError`
+    naming the solver and the run.
     """
     mech = resolve_mechanism(mechanism)
-    return MECHANISMS[mech.name].contributions(d, mech)
+    contributions = MECHANISMS[mech.name].contributions(d, mech)
+    infinite = np.argwhere(np.isinf(contributions))
+    if len(infinite):
+        si, ri = infinite[0]
+        raise ScoringError(
+            f"{mech.name}: solver {d.solvers[si]!r} on run {d.runs[ri].label()} "
+            f"has a non-finite contribution ({contributions[si, ri]})"
+        )
+    return contributions
 
 
-def aggregate_contributions(
-    contributions: np.ndarray, entries: np.ndarray, mechanism: Mechanism
-) -> np.ndarray:
-    """Score every solver on one multiset given its contribution matrix."""
-    if len(entries) == 0:
-        return np.zeros(contributions.shape[0])
-    totals = contributions[:, entries].sum(axis=1)
-    return MECHANISMS[mechanism.name].finish(totals, len(entries))
+# ---------------------------------------------------------------------------
+# Exact aggregation
+#
+# A matrix is split once into integer-valued limbs on one power-of-two grid
+# (pre-rounding, as in Demmel & Nguyen, "Parallel Reproducible Summation",
+# IEEE TC 2015).  Every product of a count row with a limb is then an
+# integer below 2**53, which float64 holds exactly, so its value does not
+# depend on BLAS threads, blocking or the order of the runs.  The per-limb
+# totals are combined in one correctly rounded step (the final step of
+# math.fsum; Ogita, Rump & Oishi, "Accurate Sum and Dot Product", SISC 2005).
+
+
+def split_limbs(matrix: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """Split ``matrix`` (NaN read as 0) exactly into integer-valued limbs.
+
+    Returns ``(exponent, limb)`` pairs, highest first, with ``matrix ==
+    sum(np.ldexp(limb, exponent))`` exactly and every ``|limb| < 2**w``,
+    ``w = 53 - n.bit_length()``: a product with a count row that sums to at
+    most ``n`` is exact.  The grid starts at the matrix's largest binary
+    exponent and limbs are added until nothing is left, so an
+    integer-valued matrix of small values takes one limb.
+    """
+    residual = np.where(np.isnan(matrix), 0.0, matrix)
+    if not np.isfinite(residual).all():
+        raise ValueError("cannot aggregate non-finite contributions")
+    width = 53 - n.bit_length()
+    exponent = int(np.frexp(np.abs(residual).max(initial=0.0))[1])
+    limbs: list[tuple[int, np.ndarray]] = []
+    while not limbs or residual.any():
+        exponent -= width
+        limb = np.trunc(np.ldexp(residual, -exponent)) + 0.0  # + 0.0 clears -0.0
+        residual = residual - np.ldexp(limb, exponent)
+        limbs.append((exponent, limb))
+    return limbs
+
+
+def combine_limbs(totals: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Correctly rounded ``sum(np.ldexp(total, exponent))`` over exact
+    per-limb totals of :func:`split_limbs` limbs (highest first).
+
+    The total arrays are overwritten.
+    """
+    exponents = [exponent for exponent, _ in totals]
+    digits = [total for _, total in totals]
+    if len(digits) > 2:
+        # Carry upwards: every digit below the top lands in [0, 2**w), so
+        # the parts stop overlapping and those below the top are >= 0.
+        for j in range(len(digits) - 1, 0, -1):
+            carry = np.floor(np.ldexp(digits[j], exponents[j] - exponents[j - 1]))
+            digits[j] -= np.ldexp(carry, exponents[j - 1] - exponents[j])
+            digits[j - 1] += carry
+    parts = [np.ldexp(digit, exponent, out=digit) for exponent, digit in zip(exponents, digits)]
+    if len(parts) <= 2:  # one add of two exact floats rounds correctly
+        return np.add(*parts, out=parts[0]) if len(parts) == 2 else parts[0]
+    # The last step of math.fsum: add from the top while the sum is exact;
+    # a halfway error of the first rounded addition goes up when a part
+    # below it is non-zero.
+    hi, error = parts[0], np.zeros_like(parts[0])
+    stop = np.full(hi.shape, len(parts))
+    for j, part in enumerate(parts[1:], start=1):
+        total = hi + part
+        lost = part - (total - hi)
+        open_ = stop == len(parts)
+        hi, error = np.where(open_, total, hi), np.where(open_, lost, error)
+        stop = np.where(open_ & (lost != 0), j, stop)
+    below = np.arange(len(parts)).reshape((-1,) + (1,) * hi.ndim) > stop
+    tail = ((np.stack(parts) != 0) & below).any(axis=0)
+    up = hi + 2 * error
+    return np.where(tail & (error > 0) & (up - hi == 2 * error), up, hi)
 
 
 def aggregate_from_counts(
-    clean_contributions: np.ndarray, counts: np.ndarray, mechanism: Mechanism, size: int
+    limbs: list[tuple[int, np.ndarray]], counts: np.ndarray
 ) -> np.ndarray:
-    """Multiset scores from selection counts (NaN already zeroed).
+    """Totals ``counts @ matrix.T`` of a :func:`split_limbs` matrix, exact
+    and correctly rounded.
 
-    ``counts`` is (|R|,) or (rows, |R|); the result transposes contribution
-    rows into the trailing axis.
+    ``counts`` is (rows, |R|) selection counts whose rows sum to at most
+    the ``n`` of the split; the result is (rows, matrix rows).  Each limb
+    product is exact, so the totals are identical under any BLAS thread
+    count, blocking or run order.
     """
-    totals = counts @ clean_contributions.T
-    return MECHANISMS[mechanism.name].finish(totals, size)
+    return combine_limbs([(exponent, counts @ limb.T) for exponent, limb in limbs])
 
 
 def find_missing_entry(
@@ -249,7 +325,11 @@ def compute_scores(
     message = find_missing_entry(d, mech, contributions, entries)
     if message is not None:
         raise ScoringError(message)
-    values = aggregate_contributions(contributions, entries, mech)
+    values = np.zeros(len(d.solvers))
+    if len(entries):
+        counts = np.bincount(entries, minlength=n)[None, :].astype(np.float64)
+        totals = aggregate_from_counts(split_limbs(contributions, len(entries)), counts)
+        values = MECHANISMS[mech.name].finish(totals[0], len(entries))
     return ScoreVector({s: float(v) for s, v in zip(d.solvers, values)})
 
 
@@ -285,7 +365,7 @@ def min_ranks_rows(scores: np.ndarray, chain: list[np.ndarray]) -> np.ndarray:
     order = np.lexsort((*keys, neg), axis=1)
 
     new_block = np.zeros((k, s), dtype=bool)
-    new_block[:, 0] = True
+    new_block[:, :1] = True
     for arr in (neg, *(np.broadcast_to(vec, (k, s)) for vec in chain)):
         in_order = np.take_along_axis(arr, order, axis=1)
         new_block[:, 1:] |= in_order[:, 1:] != in_order[:, :-1]
@@ -349,6 +429,10 @@ def official_ranking(
     ascending), then solver_id ascending.  Ranks ignore the solver_id step:
     solvers equal on score and the whole chain share a rank.
     """
-    chain = [spent.sum(axis=1) for spent in tiebreak_run_matrices(d, tiebreak)]
+    ones = np.ones((1, len(d.runs)))
+    chain = [
+        aggregate_from_counts(split_limbs(spent, len(d.runs)), ones)[0]
+        for spent in tiebreak_run_matrices(d, tiebreak)
+    ]
     orders, ranks = ranking_rows(d.solvers, sv.as_array(d.solvers)[None, :], chain)
     return OfficialRanking.from_row(d.solvers, orders[0], ranks[0])

@@ -9,7 +9,6 @@ order changes (same set, different sequence).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,13 +16,15 @@ import numpy as np
 
 from .model import AnalysisConfig, Dataset
 from .scoring import (
+    MECHANISMS,
     OfficialRanking,
     ScoringError,
-    aggregate_contributions,
+    combine_limbs,
     find_missing_entry,
     ranking_rows,
     resolve_mechanism,
     run_contributions,
+    split_limbs,
     tiebreak_run_matrices,
 )
 
@@ -83,45 +84,42 @@ def prefix_changes(
     return comp, moved & ~comp
 
 
-def leave_one_out_analysis(
-    d: Dataset, cfg: AnalysisConfig, threads: int = 1
-) -> SensitivityReport:
+def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport:
     """Remove each instance in turn and compare the re-scored listing.
 
     Row 0 scores every run (the baseline); row ``j + 1`` drops instance
-    ``j``.  Each row is summed over its kept runs exactly as the official
-    scores are, and all rows are ranked in one call.
+    ``j``.  Its limb totals are the baseline's minus instance ``j``'s, which
+    is exact, so every row is rounded once exactly as the official scores
+    are; all rows are ranked in one call.
     """
     if len(d.instances) < 2:
         raise ValueError("leave-one-out analysis needs at least 2 instances")
 
     mech = resolve_mechanism(cfg.mechanism)
     contributions = run_contributions(d, mech)
-    everything = np.arange(len(d.runs), dtype=np.int64)
+    n = len(d.runs)
     # Every kept set is a subset of these runs, so one check covers them all.
-    message = find_missing_entry(d, mech, contributions, everything)
+    message = find_missing_entry(d, mech, contributions, np.arange(n, dtype=np.int64))
     if message is not None:
         raise ScoringError(message)
-    chain_mats = tiebreak_run_matrices(d, cfg.tiebreak)
     position = {instance: j for j, instance in enumerate(d.instances)}
     run_instance = np.array([position[rk.instance_id] for rk in d.runs], dtype=np.int64)
+    by_instance = np.argsort(run_instance, kind="stable")
+    runs_per_instance = np.bincount(run_instance)
+    starts = np.concatenate(([0], np.cumsum(runs_per_instance)[:-1]))
 
-    shape = (len(d.instances) + 1, len(d.solvers))
-    scores = np.empty(shape, dtype=np.float64)
-    chains = [np.empty(shape, dtype=np.float64) for _ in chain_mats]
+    def drop_one_totals(matrix: np.ndarray) -> np.ndarray:
+        """(instances + 1, S) totals: all runs, then without each instance."""
+        totals = []
+        for exponent, limb in split_limbs(matrix, n):
+            per_instance = np.add.reduceat(limb[:, by_instance], starts, axis=1).T
+            whole = per_instance.sum(axis=0)
+            totals.append((exponent, np.vstack([whole, whole - per_instance])))
+        return combine_limbs(totals)
 
-    def fill(row: int) -> None:
-        kept = everything if row == 0 else everything[run_instance != row - 1]
-        scores[row] = aggregate_contributions(contributions, kept, mech)
-        for spent, out in zip(chain_mats, chains):
-            out[row] = spent[:, kept].sum(axis=1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(shape[0])))
-    else:
-        for row in range(shape[0]):
-            fill(row)
+    sizes = n - np.concatenate(([0], runs_per_instance))
+    scores = MECHANISMS[mech.name].finish(drop_one_totals(contributions), sizes[:, None])
+    chains = [drop_one_totals(spent) for spent in tiebreak_run_matrices(d, cfg.tiebreak)]
 
     listings, ranks = ranking_rows(d.solvers, scores, chains)
     base, variants = listings[0], listings[1:]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,15 @@ class TestMatrixAndSensitivity:
         assert header == "instance,any_change,top10_comp,top10_order,top3_comp,top3_order"
 
 
+class TestEmptyDataset:
+    def test_score_prints_an_empty_ranking(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"results": []}', encoding="utf-8")
+        assert run_cli(["score", "--input", str(path), "--mechanism", "solved_count"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"mechanism": "solved_count", "ranking": [], "scores": {}}
+
+
 class TestExitCodes:
     def test_missing_mechanism_is_usage_error(self, tmp_path, runs_csv, capsys):
         code = run_cli(["analyze", "--input", str(runs_csv),
@@ -197,6 +207,12 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli(["frobnicate"]) == 2
         assert run_cli([]) == 2
+
+    def test_sensitivity_has_no_threads_flag(self, tmp_path, runs_csv, capsys):
+        code = run_cli(["sensitivity", "--input", str(runs_csv), "--mechanism",
+                        "solved_count", "--output", str(tmp_path / "f.csv"),
+                        "--threads", "2"])
+        assert code == 2
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
@@ -255,6 +271,35 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
+
+
+class TestBlasThreads:
+    def test_float_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        rng = random.Random(11)
+        lines = ["solver,instance,seed,status,cpu_time,quality"]
+        for s in range(29):
+            for j in range(500):
+                ok = rng.random() < 0.3 + 0.4 * s / 28
+                cpu = round(rng.uniform(1.0, 4999.0), 2) if ok else 5000.0
+                lines.append(f"s{s:02d},i{j:03d},0,{'solved' if ok else 'timeout'},{cpu},")
+        runs = tmp_path / "runs.csv"
+        runs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = tmp_path / "comp.json"
+        config.write_text('{"cutoff_seconds": 5000}', encoding="utf-8")
+        src = str(Path(rankbench.__file__).resolve().parent.parent)
+        reports = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"report-{blas}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "rankbench", "analyze", "--input", str(runs),
+                 "--config", str(config), "--mechanism", "par_k", "--replicates", "2000",
+                 "--output", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas},
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestInstalledScript:

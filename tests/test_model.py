@@ -164,6 +164,8 @@ class TestConfig:
             ({"reference": {"i1@0": {"reference_time": 10**400}}}, "time for 'i1@0'.*finite"),
             ({"strata": {"i1": None}}, "stratum of 'i1'"),
             ({"strata": {"i1": 5}}, "stratum of 'i1'"),
+            ({"cutoff_seconds": 10**400}, "cutoff_seconds must be a finite number"),
+            ({"cutoff_seconds": math.inf}, "cutoff_seconds must be a finite number"),
         ],
     )
     def test_config_errors(self, tmp_path, doc, fragment):

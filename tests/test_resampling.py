@@ -1,10 +1,12 @@
 """Deterministic replicate drawing and score matrix generation."""
 
+import random
+
 import numpy as np
 import pytest
 
 import rankbench.resampling as resampling
-from rankbench.model import Mechanism, RunKey
+from rankbench.model import Mechanism, ReferenceEntry, RunKey
 from rankbench.resampling import (
     ReplicateStream,
     ScoreMatrix,
@@ -14,7 +16,7 @@ from rankbench.resampling import (
     generate_score_matrix,
     write_matrix_csv,
 )
-from rankbench.scoring import ScoringError, tiebreak_run_matrices
+from rankbench.scoring import ScoringError, compute_scores, tiebreak_run_matrices
 
 from helpers import build_dataset, config, oracle_min_ranks, record, success_table_dataset
 
@@ -77,6 +79,25 @@ def three_stratum_dataset():
     strata = {"a1": "A", "b1": "B", "b2": "B", "c1": "C", "c2": "C", "c3": "C"}
     return build_dataset(
         ["s1", "s2"], runs, lambda s, rk: record(True, 5.0), strata=strata, cutoff=10.0
+    )
+
+
+def timed_dataset():
+    """Two-decimal times and qualities over 400 runs in two strata."""
+    rng = random.Random(17)
+    runs = [RunKey(f"i{j:03d}", 0) for j in range(400)]
+    reference = {rk: ReferenceEntry(round(rng.uniform(1, 5), 2), 20.0) for rk in runs}
+    return build_dataset(
+        ["a", "b", "c", "d"],
+        runs,
+        lambda s, rk: record(
+            rng.random() < 0.7,
+            cpu_time=round(rng.uniform(0.5, 150.0), 2),
+            quality=round(rng.uniform(5.0, 20.0), 3),
+        ),
+        strata={rk.instance_id: "even" if j % 2 else "odd" for j, rk in enumerate(runs)},
+        cutoff=100.0,
+        reference=reference,
     )
 
 
@@ -182,13 +203,32 @@ class TestGenerateScoreMatrix:
         assert np.array_equal(single.replicate_ranks, many.replicate_ranks)
 
     def test_block_size_does_not_change_output(self, monkeypatch):
-        d = success_table_dataset({"A": [True] * 7, "B": [False] * 7})
-        cfg = config(replicates_k=53, master_seed=3)
-        whole = generate_score_matrix(d, cfg)
-        monkeypatch.setattr(resampling, "_BLOCK_ENTRY_BUDGET", 20)
-        chopped = generate_score_matrix(d, cfg, threads=4)
-        assert np.array_equal(whole.scores, chopped.scores)
-        assert np.array_equal(whole.replicate_ranks, chopped.replicate_ranks)
+        inputs = [
+            (success_table_dataset({"A": [True] * 7, "B": [False] * 7}),
+             config(replicates_k=53, master_seed=3)),
+            (timed_dataset(), config(Mechanism("par_k", 10), replicates_k=53, master_seed=3,
+                                     tiebreak=("total_time",))),
+        ]
+        for d, cfg in inputs:
+            whole = generate_score_matrix(d, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(resampling, "_BLOCK_ENTRY_BUDGET", 20)
+                chopped = generate_score_matrix(d, cfg, threads=4)
+            assert np.array_equal(whole.scores, chopped.scores)
+            assert np.array_equal(whole.replicate_ranks, chopped.replicate_ranks)
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("mechanism", ["par_k", "mean_metric", "ipc_quality", "ipc_agile"])
+    def test_float_rows_are_bit_identical_to_direct_scores(self, mechanism, stratified):
+        d = timed_dataset()
+        cfg = config(mechanism, replicates_k=40, master_seed=12, stratified=stratified)
+        m = generate_score_matrix(d, cfg)
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
+        for i in range(m.k):
+            want = compute_scores(d, mechanism, draw(d, ReplicateStream(12, i)))
+            assert [x.hex() for x in m.scores[i]] == [
+                want.scores[s].hex() for s in d.solvers
+            ], i
 
     def test_stratified_matrix_preserves_strata(self):
         d = three_stratum_dataset()

@@ -2,23 +2,29 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from rankbench.model import Mechanism, ReferenceEntry, RunKey, RunRecord, RunStatus
+from rankbench.model import Dataset, Mechanism, ReferenceEntry, RunKey, RunRecord, RunStatus
 from rankbench.scoring import (
     ScoringError,
     UnknownMechanismError,
+    aggregate_from_counts,
     compute_scores,
     official_ranking,
     run_contributions,
+    split_limbs,
     tiebreak_run_matrices,
 )
+from rankbench.sensitivity import leave_one_out_analysis
 
 from helpers import (
+    brute_contribution,
     brute_scores,
     build_dataset,
+    config,
     oracle_official_order,
     record,
     success_table_dataset,
@@ -139,6 +145,12 @@ class TestIpcQuality:
         )
         with pytest.raises(ScoringError, match="best_known_quality"):
             compute_scores(d, "ipc_quality")
+
+    def test_overflowing_ratio_is_an_error_naming_the_run(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScoringError, match="solver 'A' on run i1@0 has a non-finite"):
+                compute_scores(self.make(quality_a=1e-320), "ipc_quality")
 
 
 class TestIpcAgile:
@@ -291,6 +303,132 @@ class TestAgainstBruteForce:
                 want = brute_scores(d, mech, entries)
                 for s in solvers:
                     assert got[s] == pytest.approx(want[s], rel=1e-12, abs=1e-12)
+
+
+FLOAT_MECHANISMS = (
+    Mechanism("par_k", 10),
+    Mechanism("ipc_quality"),
+    Mechanism("ipc_agile"),
+    Mechanism("mean_metric"),
+)
+
+
+def float_dataset(seed, solvers=5, instances=150, seeds=2):
+    """Two-decimal times and three-decimal qualities, with reference data."""
+    rng = random.Random(seed)
+    runs = [RunKey(f"i{j:03d}", sd) for j in range(instances) for sd in range(seeds)]
+    reference = {
+        rk: ReferenceEntry(round(rng.uniform(1, 10), 3), round(rng.uniform(1, 100), 2))
+        for rk in runs
+    }
+
+    def rec(s, rk):
+        return record(
+            rng.random() < 0.7,
+            cpu_time=round(rng.uniform(0.5, 150.0), 2),
+            quality=round(rng.uniform(10.0, 30.0), 3),
+            optimal=rng.random() < 0.2,
+        )
+
+    solver_ids = [f"s{i}" for i in range(solvers)]
+    return build_dataset(solver_ids, runs, rec, cutoff=100.0, reference=reference)
+
+
+def fsum_scores(d, mech, entries):
+    """Scores from math.fsum over the expanded multiset, divided once."""
+    out = {}
+    for s in d.solvers:
+        total = math.fsum(brute_contribution(d, mech, s, d.runs[i]) for i in entries)
+        if mech.name == "par_k":
+            out[s] = -total / len(entries)
+        elif mech.name == "mean_metric":
+            out[s] = total / len(entries)
+        else:
+            out[s] = total
+    return out
+
+
+class TestExactAggregation:
+    def test_scores_are_fsum_of_the_expanded_multiset(self):
+        d = float_dataset(31)
+        rng = random.Random(32)
+        everything = list(range(len(d.runs)))
+        repeats = [rng.randrange(len(d.runs)) for _ in range(700)]
+        for mech in FLOAT_MECHANISMS:
+            for entries in (everything, repeats):
+                got = compute_scores(d, mech, np.array(entries)).scores
+                assert got == fsum_scores(d, mech, entries), mech
+
+    def test_permuted_run_order_gives_identical_bytes(self):
+        d = float_dataset(33)
+        perm = np.random.default_rng(34).permutation(len(d.runs))
+        shuffled = Dataset(
+            solvers=d.solvers,
+            runs=tuple(d.runs[j] for j in perm),
+            status=d.status[:, perm],
+            cpu_time=d.cpu_time[:, perm],
+            quality=d.quality[:, perm],
+            cutoff=d.cutoff,
+            reference=d.reference,
+        )
+        for mech in FLOAT_MECHANISMS:
+            a, b = compute_scores(d, mech), compute_scores(shuffled, mech)
+            assert [x.hex() for x in a.scores.values()] == [x.hex() for x in b.scores.values()]
+            ranked = [official_ranking(sv, data, ("total_time",)) for sv, data in
+                      ((a, d), (b, shuffled))]
+            assert ranked[0] == ranked[1]
+            cfg = config(mech, tiebreak=("total_time",))
+            loo = [leave_one_out_analysis(data, cfg) for data in (d, shuffled)]
+            assert loo[0].flags == loo[1].flags
+            assert loo[0].baseline == loo[1].baseline
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.logspace(-300, 300, 13).reshape(1, -1) * np.resize([1, -1], 13),
+            np.array([[5e-324, 12345 * 5e-324, -2.2250738585072014e-308 / 3, 1e-310]]),
+            np.array([[-3.25, 1e-30, 7.0], [2.5, -1e30, -0.1]]),
+            np.array([[1e300, 1e-300, 3.0], [-1e300, 5e-324, 1.0]]),
+            np.zeros((3, 4)),
+            np.zeros((0, 0)),
+        ],
+        ids=["1e-300..1e300", "subnormals", "negatives", "extremes", "all-zero", "0x0"],
+    )
+    def test_limb_split_is_exact_on_a_wide_spread(self, matrix):
+        rng = np.random.default_rng(35)
+        counts = rng.integers(0, 4, size=(5, matrix.shape[1])).astype(np.float64)
+        n = int(counts.sum(axis=1).max(initial=0))
+        limbs = split_limbs(matrix, n)
+        for _, limb in limbs:
+            assert np.array_equal(np.trunc(limb), limb)
+            assert np.all(np.abs(limb) < 2.0 ** (53 - n.bit_length()))
+        for (i, j), value in np.ndenumerate(matrix):
+            assert math.fsum(np.ldexp(limb[i, j], e) for e, limb in limbs) == value
+        got = aggregate_from_counts(limbs, counts)
+        assert got.shape == (5, matrix.shape[0])
+        for (row, i), total in np.ndenumerate(got):
+            multiset = np.repeat(matrix[i], counts[row].astype(int))
+            assert total == math.fsum(multiset), (row, i)
+
+    def test_many_limb_totals_round_correctly(self):
+        rng = np.random.default_rng(37)
+        halfway = np.array([1.0, 2.0**-53, 2.0**-54, 2.0**-106, -(2.0**-107), 1 + 2.0**-52])
+        for trial in range(300):
+            if trial % 2:
+                matrix = rng.choice(halfway, size=(3, 8)) * rng.choice([1.0, 3.0, 2.0**70])
+            else:
+                exponents = rng.integers(-200, 200, size=(3, 8))
+                matrix = np.ldexp(rng.uniform(-1, 1, size=(3, 8)), exponents)
+            counts = rng.integers(0, 4, size=(4, 8)).astype(np.float64)
+            got = aggregate_from_counts(split_limbs(matrix, 32), counts)
+            for (row, i), total in np.ndenumerate(got):
+                assert total == math.fsum(np.repeat(matrix[i], counts[row].astype(int)))
+
+    def test_limb_count_follows_the_data(self):
+        integers = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 12.0]])
+        assert len(split_limbs(integers, 1000)) == 1
+        times = np.round(np.random.default_rng(36).uniform(1, 5000, (4, 1000)), 2)
+        assert len(split_limbs(np.where(times > 2500, 50000.0, times), 1000)) == 2
 
 
 class TestOfficialRanking:

@@ -1,12 +1,14 @@
 """Leave-one-instance-out flags against rebuilt-dataset brute force."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from rankbench.model import Mechanism
-from rankbench.scoring import ScoringError, official_ranking
+import rankbench.sensitivity as sensitivity
+from rankbench.model import Mechanism, RunKey
+from rankbench.scoring import ScoringError, compute_scores, official_ranking
 from rankbench.sensitivity import (
     FLAG_NAMES,
     aggregate_json_obj,
@@ -158,13 +160,41 @@ class TestLeaveOneOut:
         assert rep.flags["i1"].any_change is True
         assert rep.flags["i0"].any_change is False
 
-    def test_threads_produce_identical_reports(self):
-        d = self.five_solver_dataset()
-        one = leave_one_out_analysis(d, config("mean_metric"), threads=1)
-        many = leave_one_out_analysis(d, config("mean_metric"), threads=4)
-        assert one.flags == many.flags
-        assert one.counts == many.counts
-        assert one.baseline.order == many.baseline.order
+    def test_rows_equal_direct_scores_of_kept_runs(self, monkeypatch):
+        rng = random.Random(41)
+        runs = [RunKey(f"i{j:02d}", seed) for j in range(40) for seed in range(rng.randint(1, 3))]
+        d = build_dataset(
+            ["a", "b", "c"],
+            runs,
+            lambda s, rk: record(
+                rng.random() < 0.7,
+                cpu_time=round(rng.uniform(0.5, 150.0), 2),
+                quality=round(rng.uniform(5.0, 20.0), 3),
+            ),
+            cutoff=100.0,
+        )
+        seen, ranking_rows = [], sensitivity.ranking_rows
+
+        def capture(solvers, scores, chains):
+            seen.append((scores, chains))
+            return ranking_rows(solvers, scores, chains)
+
+        monkeypatch.setattr(sensitivity, "ranking_rows", capture)
+        for mech in (Mechanism("par_k", 10), Mechanism("mean_metric")):
+            seen.clear()
+            leave_one_out_analysis(d, config(mech, tiebreak=("total_time",)))
+            (scores, (chain,)), = seen
+            dropped = [None, *d.instances]
+            for row, instance in enumerate(dropped):
+                kept = [i for i, rk in enumerate(d.runs) if rk.instance_id != instance]
+                want = compute_scores(d, mech, np.array(kept)).as_array(d.solvers)
+                assert scores[row].tolist() == want.tolist(), (mech, instance)
+                spent = [
+                    [rec.cpu_time if rec.status.is_success and rec.cpu_time <= d.cutoff else 0.0
+                     for rec in (d.results[(s, d.runs[i])] for i in kept)]
+                    for s in d.solvers
+                ]
+                assert chain[row].tolist() == [math.fsum(v) for v in spent], instance
 
     def test_needs_two_instances(self):
         d = quality_table_dataset({"a": [1.0], "b": [2.0]})
