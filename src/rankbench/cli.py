@@ -101,8 +101,8 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=_positive_int,
         default=None,
-        help="replicate-generation worker cap (default: RANKBENCH_THREADS or 1); "
-        "never affects output",
+        help="accepted for compatibility (default: RANKBENCH_THREADS or 1); replicates "
+        "are generated on one thread, so it changes neither output nor speed",
     )
 
 

@@ -223,6 +223,19 @@ class Dataset:
         labels = np.array([self.stratum_of(rk.instance_id) for rk in self.runs], dtype=object)
         return {label: np.flatnonzero(labels == label) for label in self.stratum_order}
 
+    @cached_property
+    def stratum_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(runs, sizes, starts)``: the run indices stratum by stratum
+        (strata in ``stratum_order``), and per position the size (uint64)
+        and first position of its stratum."""
+        lengths = np.array([len(m) for m in self.stratum_members.values()], dtype=np.int64)
+        if lengths.max(initial=1) >= 2**31:
+            raise ValueError(f"run count {lengths.max()} out of supported range [1, 2**31)")
+        runs = np.concatenate([np.empty(0, dtype=np.int64), *self.stratum_members.values()])
+        sizes = np.repeat(lengths, lengths).astype(np.uint64)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return runs, sizes, starts
+
     def _reference_vector(self, name: str) -> np.ndarray:
         values = (getattr(self.reference.get(rk), name, None) for rk in self.runs)
         return np.array([math.nan if v is None else v for v in values], dtype=np.float64)

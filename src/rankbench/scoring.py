@@ -34,6 +34,7 @@ __all__ = [
     "compute_scores",
     "find_missing_entry",
     "min_ranks_rows",
+    "non_finite_total",
     "official_ranking",
     "ranking_rows",
     "resolve_mechanism",
@@ -238,11 +239,13 @@ def split_limbs(matrix: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
     return limbs
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def combine_limbs(totals: list[tuple[int, np.ndarray]]) -> np.ndarray:
     """Correctly rounded ``sum(np.ldexp(total, exponent))`` over exact
     per-limb totals of :func:`split_limbs` limbs (highest first).
 
-    The total arrays are overwritten.
+    The total arrays are overwritten.  A sum beyond the float64 range
+    comes out non-finite, without a warning (see :func:`non_finite_total`).
     """
     exponents = [exponent for exponent, _ in totals]
     digits = [total for _, total in totals]
@@ -287,6 +290,30 @@ def aggregate_from_counts(
     return combine_limbs([(exponent, counts @ limb.T) for exponent, limb in limbs])
 
 
+def non_finite_total(
+    totals: np.ndarray, solvers: tuple[str, ...], what: str
+) -> tuple[int, str] | None:
+    """Row and message of the first non-finite entry of (rows x S) ``totals``.
+
+    Contributions are finite, so such a total is an exact sum beyond the
+    float64 range; ``what`` names the mechanism or tiebreak key summed.
+    """
+    bad = ~np.isfinite(totals)
+    if not bad.any():
+        return None
+    row, col = np.argwhere(bad)[0]
+    return int(row), (
+        f"{what}: the total of solver {solvers[col]!r} is beyond the float64 range "
+        f"({totals[row, col]})"
+    )
+
+
+def _raise_non_finite(totals: np.ndarray, solvers: tuple[str, ...], what: str) -> None:
+    found = non_finite_total(totals, solvers, what)
+    if found is not None:
+        raise ScoringError(found[1])
+
+
 def find_missing_entry(
     d: Dataset, mechanism: Mechanism, contributions: np.ndarray, entries: np.ndarray
 ) -> str | None:
@@ -329,6 +356,7 @@ def compute_scores(
     if len(entries):
         counts = np.bincount(entries, minlength=n)[None, :].astype(np.float64)
         totals = aggregate_from_counts(split_limbs(contributions, len(entries)), counts)
+        _raise_non_finite(totals, d.solvers, mech.name)
         values = MECHANISMS[mech.name].finish(totals[0], len(entries))
     return ScoreVector({s: float(v) for s, v in zip(d.solvers, values)})
 
@@ -430,9 +458,10 @@ def official_ranking(
     solvers equal on score and the whole chain share a rank.
     """
     ones = np.ones((1, len(d.runs)))
-    chain = [
-        aggregate_from_counts(split_limbs(spent, len(d.runs)), ones)[0]
-        for spent in tiebreak_run_matrices(d, tiebreak)
-    ]
+    chain = []
+    for key, spent in zip(tiebreak, tiebreak_run_matrices(d, tiebreak)):
+        totals = aggregate_from_counts(split_limbs(spent, len(d.runs)), ones)
+        _raise_non_finite(totals, d.solvers, key)
+        chain.append(totals[0])
     orders, ranks = ranking_rows(d.solvers, sv.as_array(d.solvers)[None, :], chain)
     return OfficialRanking.from_row(d.solvers, orders[0], ranks[0])

@@ -21,6 +21,7 @@ from .scoring import (
     ScoringError,
     combine_limbs,
     find_missing_entry,
+    non_finite_total,
     ranking_rows,
     resolve_mechanism,
     run_contributions,
@@ -108,18 +109,29 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
     runs_per_instance = np.bincount(run_instance)
     starts = np.concatenate(([0], np.cumsum(runs_per_instance)[:-1]))
 
-    def drop_one_totals(matrix: np.ndarray) -> np.ndarray:
+    def drop_one_totals(matrix: np.ndarray, what: str) -> np.ndarray:
         """(instances + 1, S) totals: all runs, then without each instance."""
-        totals = []
+        limb_totals = []
         for exponent, limb in split_limbs(matrix, n):
             per_instance = np.add.reduceat(limb[:, by_instance], starts, axis=1).T
             whole = per_instance.sum(axis=0)
-            totals.append((exponent, np.vstack([whole, whole - per_instance])))
-        return combine_limbs(totals)
+            limb_totals.append((exponent, np.vstack([whole, whole - per_instance])))
+        totals = combine_limbs(limb_totals)
+        found = non_finite_total(totals, d.solvers, what)
+        if found is not None:
+            row, message = found
+            prefix = f"without instance {d.instances[row - 1]!r}: " if row else ""
+            raise ScoringError(prefix + message)
+        return totals
 
     sizes = n - np.concatenate(([0], runs_per_instance))
-    scores = MECHANISMS[mech.name].finish(drop_one_totals(contributions), sizes[:, None])
-    chains = [drop_one_totals(spent) for spent in tiebreak_run_matrices(d, cfg.tiebreak)]
+    scores = MECHANISMS[mech.name].finish(
+        drop_one_totals(contributions, mech.name), sizes[:, None]
+    )
+    chains = [
+        drop_one_totals(spent, key)
+        for key, spent in zip(cfg.tiebreak, tiebreak_run_matrices(d, cfg.tiebreak))
+    ]
 
     listings, ranks = ranking_rows(d.solvers, scores, chains)
     base, variants = listings[0], listings[1:]

@@ -233,3 +233,22 @@ def brute_scores(d: Dataset, mech: Mechanism, entries: list[int] | None = None) 
         else:
             out[s] = sum(values)
     return out
+
+
+def oracle_stratified_draw(d: Dataset, words: list[int]) -> list[int]:
+    """A stratified replicate's run indices from its raw 64-bit words.
+
+    Strata come in order of first appearance over ``d.runs`` and each
+    stratum's runs in run order; stratum by stratum, each of its runs takes
+    the next word ``w`` and draws member ``floor(w * m / 2**64)`` of the
+    stratum's ``m`` runs, in big-integer arithmetic.
+    """
+    members: dict[str, list[int]] = {}
+    for j, rk in enumerate(d.runs):
+        members.setdefault(d.stratum_of(rk.instance_id), []).append(j)
+    words = iter(words)
+    drawn = []
+    for runs in members.values():
+        for _ in runs:
+            drawn.append(runs[(int(next(words)) * len(runs)) >> 64])
+    return drawn

@@ -214,6 +214,17 @@ class TestExitCodes:
                         "--threads", "2"])
         assert code == 2
 
+    def test_replicates_beyond_physical_memory_is_data_error(self, tmp_path, runs_csv, capsys):
+        # The preflight refuses before allocating anything.
+        for command in ("analyze", "matrix"):
+            args = analyze_args(runs_csv, tmp_path / "out", replicates=str(10**15))
+            args[0] = command
+            assert run_cli(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("rankbench: error: 1000000000000000 replicates of 3 solvers")
+            assert "physical memory" in err
+            assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "analyze" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Deterministic replicate drawing and score matrix generation."""
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +20,21 @@ from rankbench.resampling import (
 )
 from rankbench.scoring import ScoringError, compute_scores, tiebreak_run_matrices
 
-from helpers import build_dataset, config, oracle_min_ranks, record, success_table_dataset
+from helpers import (
+    build_dataset,
+    config,
+    oracle_min_ranks,
+    oracle_stratified_draw,
+    record,
+    success_table_dataset,
+)
+
+UNEVEN_SPLITS = (3, 5, 7, 1, 2, 9, 6, 0, 13, 4, 11, 1)
+
+
+def fresh_philox_words(seed: int, index: int, count: int) -> np.ndarray:
+    """The first ``count`` words of a newly constructed Philox keyed ``(seed, index)``."""
+    return np.random.Philox(key=np.array([seed, index], dtype=np.uint64)).random_raw(count)
 
 
 class TestReplicateStream:
@@ -47,6 +63,53 @@ class TestReplicateStream:
         words = ReplicateStream(2**64 - 1, 2**64 - 1).words(4)
         assert words.shape == (4,)
 
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_uneven_splits_match_a_fresh_generator(self, seed):
+        for index in (0, 1, 12345, 2**64 - 1):
+            stream = ReplicateStream(seed, index)
+            got = np.concatenate([stream.words(count) for count in UNEVEN_SPLITS])
+            assert np.array_equal(got, fresh_philox_words(seed, index, sum(UNEVEN_SPLITS)))
+
+    def test_interleaved_streams_in_one_thread(self):
+        streams = [ReplicateStream(2**63, index) for index in (4, 5, 6)]
+        drawn = [[] for _ in streams]
+        for count in UNEVEN_SPLITS:
+            for stream, parts in zip(streams, drawn):
+                parts.append(stream.words(count))
+        for index, parts in zip((4, 5, 6), drawn):
+            want = fresh_philox_words(2**63, index, sum(UNEVEN_SPLITS))
+            assert np.array_equal(np.concatenate(parts), want), index
+
+    def test_streams_in_threads_at_once(self):
+        # More threads than cores, switching often: a generator shared
+        # between threads would hand one stream's words to another.
+        indices = (0, 1, 2, 3)
+        start = threading.Barrier(len(indices))
+        drawn: dict[int, list[np.ndarray]] = {index: [] for index in indices}
+
+        def draw(index: int) -> None:
+            start.wait()
+            for _ in range(200):
+                stream = ReplicateStream(77, index)
+                parts = [stream.words(count) for count in UNEVEN_SPLITS]
+                drawn[index].append(np.concatenate(parts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=draw, args=(index,)) for index in indices]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for index in indices:
+            want = fresh_philox_words(77, index, sum(UNEVEN_SPLITS))
+            assert len(drawn[index]) == 200
+            assert all(np.array_equal(words, want) for words in drawn[index]), index
+
 
 class TestBoundedIndices:
     def test_matches_big_integer_arithmetic(self):
@@ -57,9 +120,16 @@ class TestBoundedIndices:
                 rng.integers(0, 2**64, size=500, dtype=np.uint64),
             ]
         )
-        for n in (1, 2, 3, 17, 500, 5000, 2**31 - 1):
+        per_position = np.concatenate(
+            [
+                np.array([1, 2**31 - 1, 2, 2**31 - 1], dtype=np.uint64),
+                rng.integers(1, 2**31, size=500, dtype=np.uint64),
+            ]
+        )
+        for n in (1, 2, 3, 17, 500, 5000, 2**31 - 1, per_position):
             got = _bounded_indices(words, n)
-            want = [(int(w) * n) >> 64 for w in words]
+            moduli = np.broadcast_to(n, words.shape)
+            want = [(int(w) * int(m)) >> 64 for w, m in zip(words, moduli)]
             assert got.tolist() == want, n
 
     def test_range(self):
@@ -149,6 +219,20 @@ class TestDrawStratified:
         d = success_table_dataset({"A": [True] * 4, "B": [True] * 4})
         rs = draw_stratified_replicate(d, ReplicateStream(0, 0))
         assert len(rs) == 4
+
+    def test_matches_per_stratum_oracle_on_uneven_strata(self):
+        # Strata of 6, 2, 1 and 8 runs, interleaved in run order and first
+        # seen out of label order.
+        labels = "CBACCDDCDDBDCDDCD"
+        runs = [(f"i{j:02d}", 0) for j in range(len(labels))]
+        strata = {instance: label for (instance, _), label in zip(runs, labels)}
+        d = build_dataset(["s1", "s2"], runs, lambda s, rk: record(True), strata=strata)
+        assert [len(d.stratum_members[label]) for label in d.stratum_order] == [6, 2, 1, 8]
+        for seed in (0, 2**64 - 1):
+            for i in range(300):
+                got = draw_stratified_replicate(d, ReplicateStream(seed, i))
+                words = fresh_philox_words(seed, i, len(runs)).tolist()
+                assert got.tolist() == oracle_stratified_draw(d, words), (seed, i)
 
     def test_forced_single_member_stratum(self):
         d = three_stratum_dataset()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rankbench.model import Dataset, Mechanism, ReferenceEntry, RunKey, RunRecord, RunStatus
+from rankbench.resampling import ReplicateStream, draw_uniform_replicate, generate_score_matrix
 from rankbench.scoring import (
     ScoringError,
     UnknownMechanismError,
@@ -151,6 +152,51 @@ class TestIpcQuality:
             warnings.simplefilter("error")
             with pytest.raises(ScoringError, match="solver 'A' on run i1@0 has a non-finite"):
                 compute_scores(self.make(quality_a=1e-320), "ipc_quality")
+
+    @staticmethod
+    def huge_ratio_dataset(runs, huge_for):
+        """``B`` solves the runs of ``huge_for`` at a ratio of 1e308 / 0.9,
+        ``A`` the others at 0.5: every contribution is finite."""
+        return build_dataset(
+            ["A", "B"],
+            runs,
+            lambda s, rk: record(
+                (s == "B") == (rk.instance_id in huge_for), 1.0,
+                quality=0.9 if s == "B" else 2.0,
+            ),
+            cutoff=10.0,
+            reference={
+                RunKey(i, seed): ReferenceEntry(1e308 if i in huge_for else 1.0, None)
+                for i, seed in runs
+            },
+        )
+
+    def test_overflowing_official_total_is_an_error_naming_the_solver(self):
+        d = self.huge_ratio_dataset([("i1", 0), ("i2", 0)], huge_for={"i1", "i2"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ScoringError, match="ipc_quality: the total of solver 'B' is beyond the float64"
+            ):
+                compute_scores(d, "ipc_quality")
+
+    def test_overflowing_replicate_total_names_the_replicate(self):
+        # One huge ratio scores fine; a replicate drawing i1 twice overflows.
+        d = self.huge_ratio_dataset([("i1", 0), ("i2", 0), ("i3", 0)], huge_for={"i1"})
+        assert compute_scores(d, "ipc_quality").scores["B"] == 1e308 / 0.9
+        expected = next(
+            i for i in range(100)
+            if draw_uniform_replicate(d, ReplicateStream(5, i)).tolist().count(0) >= 2
+        )
+        assert expected > 0
+        cfg = config("ipc_quality", replicates_k=100, master_seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ScoringError,
+                match=rf"^replicate {expected}: ipc_quality: the total of solver 'B' is beyond",
+            ):
+                generate_score_matrix(d, cfg)
 
 
 class TestIpcAgile:
@@ -470,6 +516,19 @@ class TestOfficialRanking:
         # A's i2 run is successful but over cutoff: ignored by the total
         totals = tiebreak_run_matrices(d, ("total_time",))[0].sum(axis=1)
         assert totals.tolist() == [10.0, 10.0]
+
+    def test_overflowing_total_time_is_an_error_naming_the_key(self):
+        d = success_table_dataset(
+            {"A": [True, True], "B": [True, True]}, cutoff=math.inf,
+            times={"A": [1.0, 1.0], "B": [1e308, 1e308]},
+        )
+        sv = compute_scores(d, "solved_count")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ScoringError, match="total_time: the total of solver 'B' is beyond the float64"
+            ):
+                official_ranking(sv, d, tiebreak=("total_time",))
 
     def test_unknown_tiebreak_key(self):
         d = success_table_dataset({"A": [True], "B": [True]})

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,24 @@ class TestLeaveOneOut:
         )
         with pytest.raises(ScoringError):
             leave_one_out_analysis(d, config("ipc_quality"))
+
+
+    def test_overflowing_total_names_the_removed_instance(self):
+        # Only dropping i2's negative quality leaves a total beyond float64.
+        quality = {"i0": 1e308, "i1": 1e308, "i2": -1e308}
+        d = build_dataset(
+            ["a", "b"],
+            [(instance, 0) for instance in quality],
+            lambda s, rk: record(True, quality=quality[rk.instance_id] if s == "b" else 1.0),
+        )
+        assert compute_scores(d, "mean_metric").scores["b"] == 1e308 / 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ScoringError,
+                match="^without instance 'i2': mean_metric: the total of solver 'b' is beyond",
+            ):
+                leave_one_out_analysis(d, config("mean_metric"))
 
 
 class TestOutputs:
