@@ -35,8 +35,6 @@ __all__ = [
     "RunStatus",
     "TIEBREAK_KEYS",
     "load_dataset",
-    "save_dataset",
-    "validate_dataset",
 ]
 
 RESULTS_CSV_HEADER = ["solver", "instance", "seed", "status", "cpu_time", "quality"]
@@ -145,6 +143,15 @@ class Mechanism:
         return self.name
 
 
+def _grouped(codes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, counts, starts)`` of integer codes ``0..m-1``: a stable
+    argsort (positions code by code, in position order within a code), and
+    per code its count and first position in ``order`` (all int64)."""
+    codes = np.array(codes, dtype=np.int64)
+    counts = np.bincount(codes)
+    return np.argsort(codes, kind="stable"), counts, np.cumsum(counts) - counts
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable competition dataset: a total (solvers x runs) table of
@@ -157,8 +164,10 @@ class Dataset:
     Construction keeps read-only copies of the arrays; ``results`` views
     the same cells as :class:`RunRecord` objects.  ``cutoff`` is the
     per-run CPU-time limit in seconds (``math.inf``: none configured).
-    Construction does not reject invalid data -- use
-    :func:`validate_dataset` to inspect a programmatically built dataset.
+    Construction does not reject invalid data: :func:`load_dataset` checks
+    its input, a programmatically built dataset is taken as given.
+    ``instance_layout`` and ``stratum_layout`` group the runs by instance
+    and by stratum through one helper.
     """
 
     solvers: tuple[str, ...]
@@ -218,23 +227,26 @@ class Dataset:
         return tuple(dict.fromkeys(self.stratum_of(rk.instance_id) for rk in self.runs))
 
     @cached_property
-    def stratum_members(self) -> dict[str, np.ndarray]:
-        """Run indices per stratum, in run order."""
-        labels = np.array([self.stratum_of(rk.instance_id) for rk in self.runs], dtype=object)
-        return {label: np.flatnonzero(labels == label) for label in self.stratum_order}
+    def instance_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(runs, counts, starts)`` of :func:`_grouped` over the runs'
+        instances: the run indices instance by instance (instances in
+        ``instances`` order, runs in run order), and per instance its run
+        count and first position in ``runs``."""
+        code = {instance: j for j, instance in enumerate(self.instances)}
+        return _grouped([code[rk.instance_id] for rk in self.runs])
 
     @cached_property
     def stratum_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(runs, sizes, starts)``: the run indices stratum by stratum
-        (strata in ``stratum_order``), and per position the size (uint64)
-        and first position of its stratum."""
-        lengths = np.array([len(m) for m in self.stratum_members.values()], dtype=np.int64)
+        (strata in ``stratum_order``, runs in run order), and per position
+        the size (uint64) and first position of its stratum.  Grouped by
+        :func:`_grouped`, as ``instance_layout`` is."""
+        code = {label: j for j, label in enumerate(self.stratum_order)}
+        labels = (self.stratum_of(rk.instance_id) for rk in self.runs)
+        runs, lengths, starts = _grouped([code[label] for label in labels])
         if lengths.max(initial=1) >= 2**31:
             raise ValueError(f"run count {lengths.max()} out of supported range [1, 2**31)")
-        runs = np.concatenate([np.empty(0, dtype=np.int64), *self.stratum_members.values()])
-        sizes = np.repeat(lengths, lengths).astype(np.uint64)
-        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        return runs, sizes, starts
+        return runs, np.repeat(lengths, lengths).astype(np.uint64), np.repeat(starts, lengths)
 
     def _reference_vector(self, name: str) -> np.ndarray:
         values = (getattr(self.reference.get(rk), name, None) for rk in self.runs)
@@ -364,7 +376,9 @@ class _Table:
         self.quality.append(quality)
 
     def dataset(self, strata: Mapping, cutoff: float, reference: Mapping) -> Dataset:
-        """Place every row in its (solver, run) cell; each cell needs exactly one row."""
+        """Place every row in its (solver, run) cell; each cell needs exactly
+        one row, and no successful run's quality may be below its run's
+        best-known quality."""
         solvers, runs = tuple(self.solvers), tuple(RunKey(*key) for key in self.runs)
         shape = (len(solvers), len(runs))
         cells = np.array(self.solver_codes, dtype=np.int64) * shape[1]
@@ -383,7 +397,7 @@ class _Table:
                 f"missing result for solver {solvers[si]!r} on run {runs[ri].label()}"
             )
         order = np.argsort(cells)  # cells is now a permutation of the table's cells
-        return Dataset(
+        d = Dataset(
             solvers=solvers,
             runs=runs,
             status=np.array(self.status, dtype=np.int8)[order].reshape(shape),
@@ -393,6 +407,19 @@ class _Table:
             cutoff=cutoff,
             reference=dict(reference),
         )
+        if any(ref.best_known_quality is not None for ref in reference.values()):
+            # NaN (absent) quality or best-known quality compares false.
+            below = d.success_matrix & (d.quality < d.best_known_vector)
+            if below.any():
+                row = int(order[np.flatnonzero(below)].min())  # earliest offending row
+                si, ri = self.solver_codes[row], self.run_codes[row]
+                raise ParseError(
+                    f"{self.where(self.positions[row])}: successful run of solver "
+                    f"{solvers[si]!r} on run {runs[ri].label()} has quality "
+                    f"{float(d.quality[si, ri])} below its best_known_quality "
+                    f"{float(d.best_known_vector[ri])}"
+                )
+        return d
 
 
 def _finite_number(value) -> bool:
@@ -521,107 +548,3 @@ def load_dataset(
     if config is not None:
         cutoff, strata, reference = load_config(config)
     return table.dataset(strata, cutoff, reference)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _result_rows(d: Dataset) -> Iterator[tuple]:
-    """One tuple per cell in ``RESULTS_CSV_HEADER`` order, solver-major;
-    quality is None where absent."""
-    for solver, codes, times, qualities in zip(
-        d.solvers, d.status.tolist(), d.cpu_time.tolist(), d.quality.tolist()
-    ):
-        for (instance, seed), code, cpu_time, quality in zip(d.runs, codes, times, qualities):
-            quality = None if math.isnan(quality) else quality
-            yield solver, instance, seed, _STATUSES[code].value, cpu_time, quality
-
-
-def dataset_to_json_obj(d: Dataset) -> dict:
-    """Self-contained JSON-able representation (see :func:`load_dataset`)."""
-    return {
-        "cutoff_seconds": None if math.isinf(d.cutoff) else d.cutoff,
-        "strata": dict(d.strata),
-        "reference": {
-            rk.label(): {key: value for key, value in ref._asdict().items() if value is not None}
-            for rk, ref in d.reference.items()
-        },
-        "results": [dict(zip(RESULTS_CSV_HEADER, row)) for row in _result_rows(d)],
-    }
-
-
-def save_dataset(d: Dataset, path: str | Path, format: str | None = None) -> None:
-    """Write ``d`` back to disk; the same-format round trip is lossless.
-
-    CSV carries the results table only (solver-major row order); JSON carries
-    every dataset field.
-    """
-    path = Path(path)
-    if _format_of(path, format) == "csv":
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RESULTS_CSV_HEADER)
-            for *keys, cpu_time, quality in _result_rows(d):
-                writer.writerow([*keys, repr(cpu_time), "" if quality is None else repr(quality)])
-    else:
-        path.write_text(
-            json.dumps(dataset_to_json_obj(d), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-
-def validate_dataset(d: Dataset) -> list[str]:
-    """Check every dataset invariant; return one description per violation.
-
-    Violations are data, not errors: an empty list means the dataset is
-    sound.  Each message names the offending solver, run or instance.
-    """
-    violations: list[str] = []
-    if len(d.solvers) < 2:
-        violations.append(f"dataset has {len(d.solvers)} solver(s); at least 2 required")
-    if len(d.runs) < 1:
-        violations.append("dataset has no runs; at least 1 required")
-    if len(set(d.solvers)) != len(d.solvers):
-        violations.append("duplicate solver identifiers in solver list")
-    if len(set(d.runs)) != len(d.runs):
-        violations.append("duplicate (instance, seed) pairs in run list")
-    if math.isnan(d.cutoff) or d.cutoff <= 0:
-        violations.append(f"cutoff must be > 0 seconds, got {d.cutoff}")
-
-    for rk in d.runs:
-        if rk.seed < 0:
-            violations.append(f"run {rk.label()}: seed must be non-negative")
-    if d.strata:
-        for instance in d.instances:
-            if instance not in d.strata:
-                violations.append(f"instance {instance!r} has no stratum label")
-
-    # NaN quality means absent: it fails no check below.
-    bad_time = ~np.isfinite(d.cpu_time) | (d.cpu_time < 0)
-    bad_quality = np.isinf(d.quality) | (d.quality < 0)
-    below_best = d.success_matrix & (d.quality < d.best_known_vector)
-    for si, ri in np.argwhere(bad_time | bad_quality | below_best).tolist():
-        where = f"({d.solvers[si]!r}, {d.runs[ri].label()})"
-        cpu_time, quality = float(d.cpu_time[si, ri]), float(d.quality[si, ri])
-        if bad_time[si, ri]:
-            violations.append(f"{where}: cpu_time must be finite and >= 0, got {cpu_time}")
-        if bad_quality[si, ri]:
-            violations.append(f"{where}: quality must be finite and >= 0, got {quality}")
-        if below_best[si, ri]:
-            violations.append(
-                f"{where}: reference-consistency violation: quality {quality} "
-                f"< best_known_quality {float(d.best_known_vector[ri])}"
-            )
-
-    for rk, ref in d.reference.items():
-        if ref.best_known_quality is not None and ref.best_known_quality <= 0:
-            violations.append(f"reference for {rk.label()}: best_known_quality must be > 0")
-        if ref.reference_time is not None and ref.reference_time <= 0:
-            violations.append(f"reference for {rk.label()}: reference_time must be > 0")
-
-    return violations

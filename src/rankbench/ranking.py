@@ -28,7 +28,6 @@ __all__ = [
     "inversion_count",
     "mean_rank_iqr",
     "robust_ranking",
-    "select_winner",
     "tied_pair_count",
 ]
 
@@ -105,36 +104,6 @@ def empirical_win_fractions(m: ScoreMatrix) -> WinTable:
     )
 
 
-def _median_scores(scores: np.ndarray) -> np.ndarray:
-    """Nearest-rank medians of each score column."""
-    ordered = np.sort(scores, axis=0)
-    return np.array(
-        [nearest_rank_quantile(ordered[:, j], 0.5) for j in range(scores.shape[1])]
-    )
-
-
-def _winner_position(scores: np.ndarray, solver_ids: tuple[str, ...]) -> int:
-    """Column index of the winner among the given columns.
-
-    Most first places; ties by highest nearest-rank median score, then
-    solver_id ascending.
-    """
-    counts = _first_place_mask(scores).sum(axis=0)
-    medians = _median_scores(scores)
-    best = min(
-        range(len(solver_ids)),
-        key=lambda j: (-counts[j], -medians[j], solver_ids[j]),
-    )
-    return best
-
-
-def select_winner(m: ScoreMatrix) -> str:
-    """The solver placing first in the most replicates (ties: median, id)."""
-    if not m.solver_order:
-        raise ValueError("score matrix has no solvers")
-    return m.solver_order[_winner_position(m.scores, m.solver_order)]
-
-
 def fractional_ranks(group_sizes: list[int]) -> list[float]:
     """Mid-rank of each group: positions a..b collapse to (a + b) / 2."""
     ranks = []
@@ -150,20 +119,26 @@ def fractional_ranks(group_sizes: list[int]) -> list[float]:
 
 def robust_ranking(m: ScoreMatrix, alpha: float) -> RobustRanking:
     """Group solvers that cannot be statistically separated from the round
-    winner, Holm-corrected at level ``alpha``, iterating on the rest."""
+    winner, Holm-corrected at level ``alpha``, iterating on the rest.
+
+    A round's winner places first, ties included, in the most replicates
+    among the remaining solvers; ties go to the highest nearest-rank median
+    score, then to the smallest solver_id.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    medians = _median_scores(m.scores)
-    median_of = dict(zip(m.solver_order, medians))
+    ordered = np.sort(m.scores, axis=0)  # each column sorted once, for its median
+    median_of = {
+        s: nearest_rank_quantile(ordered[:, j], 0.5) for j, s in enumerate(m.solver_order)
+    }
 
     remaining = list(m.solver_order)
     raw_groups: list[tuple[str, ...]] = []
     log: list[IterationRecord] = []
     while remaining:
-        columns = np.array([m.solver_idx(s) for s in remaining])
-        winner = remaining[
-            _winner_position(m.scores[:, columns], tuple(remaining))
-        ]
+        columns = [m.solver_idx(s) for s in remaining]
+        firsts = dict(zip(remaining, _first_place_mask(m.scores[:, columns]).sum(axis=0)))
+        winner = min(remaining, key=lambda s: (-firsts[s], -median_of[s], s))
         others = [s for s in remaining if s != winner]
         p_values = {s: bootstrap_p(m, winner, s, alpha).p_value for s in others}
         rejected_idx = holm_bonferroni([p_values[s] for s in others], alpha) if others else set()

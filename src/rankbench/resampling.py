@@ -133,9 +133,10 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     run indices as it has runs, drawn with replacement within the stratum;
     indices are concatenated in stratum order.
 
-    One word per position of :attr:`Dataset.stratum_layout`, mapped into
-    that position's stratum, gives the words and entries of a stratum by
-    stratum draw in one pass.
+    One word per position of :attr:`Dataset.stratum_layout` (the runs
+    grouped by stratum with the same stable grouping as
+    :attr:`Dataset.instance_layout`), mapped into that position's stratum,
+    gives the words and entries of a stratum by stratum draw in one pass.
     """
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
@@ -178,18 +179,23 @@ class ScoreMatrix:
 
 
 def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
-    """Refuse a replicate count whose matrices cannot fit in physical memory:
-    k x S float64 scores, one k x S float64 array per tiebreak key and
-    k x S int32 ranks."""
-    need = k * solvers * (8 * (1 + chain_keys) + 4)
+    """Refuse a replicate count whose peak cannot fit in physical memory.
+
+    The peak comes in ``min_ranks_rows``: k x S float64 scores and one k x S
+    float64 array per tiebreak key, plus its temporaries (the negated
+    scores, the lexsort order, the bool blocks, the gathered copies and the
+    int64 block starts), which ``tracemalloc`` measures at 49 bytes per cell
+    with or without tiebreak keys, the kept int32 ranks included.
+    """
+    need = k * solvers * (8 * (1 + chain_keys) + 49)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     if 0 < physical < need:
         raise ValueError(
-            f"{k} replicates of {solvers} solvers need {need / 2**30:,.1f} GiB for the "
-            f"score matrices, more than the {physical / 2**30:,.1f} GiB of physical memory"
+            f"{k} replicates of {solvers} solvers need {need / 2**30:,.1f} GiB to score "
+            f"and rank, more than the {physical / 2**30:,.1f} GiB of physical memory"
         )
 
 

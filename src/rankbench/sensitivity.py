@@ -103,11 +103,7 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
     message = find_missing_entry(d, mech, contributions, np.arange(n, dtype=np.int64))
     if message is not None:
         raise ScoringError(message)
-    position = {instance: j for j, instance in enumerate(d.instances)}
-    run_instance = np.array([position[rk.instance_id] for rk in d.runs], dtype=np.int64)
-    by_instance = np.argsort(run_instance, kind="stable")
-    runs_per_instance = np.bincount(run_instance)
-    starts = np.concatenate(([0], np.cumsum(runs_per_instance)[:-1]))
+    by_instance, runs_per_instance, starts = d.instance_layout
 
     def drop_one_totals(matrix: np.ndarray, what: str) -> np.ndarray:
         """(instances + 1, S) totals: all runs, then without each instance."""

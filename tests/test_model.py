@@ -1,4 +1,4 @@
-"""Ingestion, serialization and validation of competition datasets."""
+"""Ingestion and validation of competition datasets."""
 
 import json
 import math
@@ -19,8 +19,6 @@ from rankbench.model import (
     default_stratified,
     load_config,
     load_dataset,
-    save_dataset,
-    validate_dataset,
 )
 
 from helpers import build_dataset, record
@@ -189,31 +187,95 @@ class TestConfig:
         assert set(d.strata.values()) == {"default"}
 
 
+class TestBestKnownQuality:
+    """A successful run may not report a quality below its run's best known one."""
+
+    REFERENCE = {
+        "i1@0": {"best_known_quality": 8.0},
+        "i2@0": {"best_known_quality": 2.0},
+    }
+
+    @staticmethod
+    def json_row(solver, instance, status, quality):
+        return {"solver": solver, "instance": instance, "seed": 0, "status": status,
+                "cpu_time": 1.0, "quality": quality}
+
+    def test_csv_row_below_best_known_is_rejected(self, tmp_path):
+        runs = write_csv(
+            tmp_path,
+            "A,i1,0,solved,1.0,9.0\n"
+            "A,i2,0,solved,1.0,1.5\n"
+            "B,i1,0,solved,1.0,8.0\n"
+            "B,i2,0,solved_optimal,1.0,1.0\n",
+        )
+        comp = write_json(tmp_path, {"reference": self.REFERENCE}, "comp.json")
+        with pytest.raises(
+            ParseError,
+            match=r"runs\.csv:3: successful run of solver 'A' on run i2@0 has quality "
+            r"1\.5 below its best_known_quality 2\.0",
+        ):
+            load_dataset(runs, config=comp)
+
+    def test_json_row_below_best_known_is_rejected(self, tmp_path):
+        path = write_json(tmp_path, {
+            "reference": self.REFERENCE,
+            "results": [
+                self.json_row("A", "i1", "solved", 9.0),
+                self.json_row("B", "i1", "solved_optimal", 7.5),
+                self.json_row("A", "i2", "solved", 2.0),
+                self.json_row("B", "i2", "solved", 1.0),
+            ],
+        })
+        with pytest.raises(
+            ParseError,
+            match=r"results\[1\]: successful run of solver 'B' on run i1@0 has quality 7\.5",
+        ):
+            load_dataset(path)
+
+    def test_unsuccessful_or_absent_quality_loads(self, tmp_path):
+        path = write_json(tmp_path, {
+            "reference": self.REFERENCE,
+            "results": [
+                self.json_row("A", "i1", "timeout", 0.5),
+                self.json_row("B", "i1", "solved", None),
+                self.json_row("A", "i2", "crashed", 1.0),
+                self.json_row("B", "i2", "solved", 2.0),
+            ],
+        })
+        d = load_dataset(path)
+        assert d.quality[0].tolist() == [0.5, 1.0]
+        assert math.isnan(d.quality[1, 0])
+
+
 class TestJsonDataset:
     def test_round_trip_json(self, tmp_path):
-        d = build_dataset(
+        def row(solver, instance, seed):
+            status = "solved" if solver == "A" else "timeout"
+            return {"solver": solver, "instance": instance, "seed": seed, "status": status,
+                    "cpu_time": 1.5, "quality": 4.0}
+
+        runs = [("i1", 0), ("i1", 1), ("i2", 0)]
+        path = write_json(tmp_path, {
+            "cutoff_seconds": 100.0,
+            "strata": {"i1": "d1", "i2": "d2"},
+            "reference": {"i1@0": {"best_known_quality": 2.0, "reference_time": 9.0}},
+            "results": [row(s, *rk) for s in ("A", "B") for rk in runs],
+        })
+        assert load_dataset(path) == build_dataset(
             ["A", "B"],
-            [("i1", 0), ("i1", 1), ("i2", 0)],
+            runs,
             lambda s, rk: record(s == "A", cpu_time=1.5, quality=4.0),
             strata={"i1": "d1", "i2": "d2"},
             cutoff=100.0,
             reference={RunKey("i1", 0): ReferenceEntry(2.0, 9.0)},
         )
-        path = tmp_path / "data.json"
-        save_dataset(d, path)
-        loaded = load_dataset(path)
-        assert loaded == d
-
-    def test_round_trip_csv(self, tmp_path):
-        original = load_dataset(write_csv(tmp_path, BASIC_CSV))
-        out = tmp_path / "copy.csv"
-        save_dataset(original, out)
-        assert load_dataset(out) == original
 
     def test_config_overrides_embedded(self, tmp_path):
-        d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True), cutoff=50.0)
-        path = tmp_path / "data.json"
-        save_dataset(d, path)
+        row = {"instance": "i1", "seed": 0, "status": "solved", "cpu_time": 1.0}
+        path = write_json(tmp_path, {
+            "cutoff_seconds": 50.0,
+            "results": [{**row, "solver": "A"}, {**row, "solver": "B"}],
+        })
         comp = write_json(tmp_path, {"cutoff_seconds": 7.0}, "comp.json")
         assert load_dataset(path, config=comp).cutoff == 7.0
 
@@ -260,6 +322,16 @@ class TestDatasetArrays:
         assert list(d.results) == [(s, rk) for s in d.solvers for rk in d.runs]
         assert d.status.tolist() == [[0, 3], [1, 4]]
         assert ("C", RunKey("i1", 0)) not in d.results
+
+    def test_instance_layout_groups_runs_by_instance(self):
+        d = build_dataset(
+            ["A"], [("i1", 0), ("i2", 0), ("i1", 1), ("i3", 0), ("i2", 1)],
+            lambda s, rk: record(True),
+        )
+        runs, counts, starts = d.instance_layout
+        assert (runs.tolist(), counts.tolist(), starts.tolist()) == (
+            [0, 2, 1, 4, 3], [2, 2, 1], [0, 2, 4]
+        )
 
 
 class TestRunKey:
@@ -334,53 +406,3 @@ class TestDefaultStratified:
     def test_no_strata_off(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True))
         assert default_stratified(d) is False
-
-
-class TestValidateDataset:
-    def good(self):
-        return build_dataset(
-            ["A", "B"], [("i1", 0), ("i2", 0)], lambda s, rk: record(True, 5.0),
-            cutoff=10.0,
-        )
-
-    def test_sound_dataset(self):
-        assert validate_dataset(self.good()) == []
-
-    def test_single_solver(self):
-        d = build_dataset(["A"], [("i1", 0)], lambda s, rk: record(True))
-        assert any("at least 2" in v for v in validate_dataset(d))
-
-    def test_no_runs(self):
-        d = build_dataset(["A", "B"], [], lambda s, rk: record(True))
-        assert any("no runs" in v for v in validate_dataset(d))
-
-    def test_bad_cutoff(self):
-        d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True), cutoff=0.0)
-        assert any("cutoff" in v for v in validate_dataset(d))
-
-    def test_partial_strata(self):
-        d = build_dataset(
-            ["A", "B"], [("i1", 0), ("i2", 0)], lambda s, rk: record(True),
-            strata={"i1": "d1"},
-        )
-        messages = validate_dataset(d)
-        assert sum("stratum" in v for v in messages) == 1
-        assert any("'i2'" in v for v in messages)
-
-    def test_reference_consistency(self):
-        d = build_dataset(
-            ["A", "B"],
-            [("i1", 0)],
-            lambda s, rk: record(True, 5.0, quality=1.0),
-            cutoff=10.0,
-            reference={RunKey("i1", 0): ReferenceEntry(2.0, None)},
-        )
-        assert any("reference-consistency" in v for v in validate_dataset(d))
-
-    def test_nonpositive_reference(self):
-        # direct construction bypasses the parser, validation still flags it
-        d = build_dataset(
-            ["A", "B"], [("i1", 0)], lambda s, rk: record(True, 5.0), cutoff=10.0,
-            reference={RunKey("i1", 0): ReferenceEntry(None, 0.0)},
-        )
-        assert any("reference_time" in v for v in validate_dataset(d))

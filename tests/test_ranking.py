@@ -14,13 +14,17 @@ from rankbench.ranking import (
     inversion_count,
     mean_rank_iqr,
     robust_ranking,
-    select_winner,
     tied_pair_count,
 )
 from rankbench.resampling import ScoreMatrix
 from rankbench.scoring import OfficialRanking, min_ranks_rows
 
-from helpers import matrix_from_columns, oracle_robust_partition
+from helpers import (
+    matrix_from_columns,
+    oracle_first_place_counts,
+    oracle_median,
+    oracle_robust_partition,
+)
 
 
 def grouping(*member_lists) -> RobustRanking:
@@ -61,23 +65,52 @@ class TestWinFractions:
         assert empirical_win_fractions(m).fractions == {"A": 0.6, "B": 0.3, "C": 0.1}
 
 
+def random_matrix(scores) -> ScoreMatrix:
+    scores = np.asarray(scores, dtype=np.float64)
+    return ScoreMatrix(
+        k=scores.shape[0], scores=scores, replicate_ranks=min_ranks_rows(scores, []),
+        solver_order=tuple(f"s{i}" for i in range(scores.shape[1])), provenance={},
+    )
+
+
+def assert_round_winners(m: ScoreMatrix, rr: RobustRanking) -> None:
+    """Each round's winner is the oracle's among that round's solvers."""
+    rows, ids = m.scores.tolist(), m.solver_order
+    remaining = list(range(len(ids)))
+    for record in rr.iteration_log:
+        counts = oracle_first_place_counts(rows, remaining)
+        expected = min(
+            remaining,
+            key=lambda j: (-counts[j], -oracle_median([row[j] for row in rows]), ids[j]),
+        )
+        assert record.winner == ids[expected]
+        remaining = [j for j in remaining if ids[j] in record.rejected]
+
+
+def first_winner(m: ScoreMatrix) -> str:
+    return robust_ranking(m, 0.05).iteration_log[0].winner
+
+
 class TestSelectWinner:
     def test_plain_argmax(self):
         a = np.concatenate([np.full(9000, 2.0), np.full(1000, 0.0)])
         b = np.concatenate([np.full(9000, 1.0), np.full(1000, 1.0)])
-        assert select_winner(matrix_from_columns(A=a, B=b)) == "A"
+        assert first_winner(matrix_from_columns(A=a, B=b)) == "A"
 
     def test_count_tie_broken_by_median(self):
         # counts tied 2:2 (one shared first), medians 410 vs 400
         m = matrix_from_columns(A=[410, 420, 100], B=[410, 100, 400])
-        assert select_winner(m) == "A"
+        assert first_winner(m) == "A"
+        # the same columns swapped: the median, not the solver id, decides
+        m = matrix_from_columns(A=[410, 100, 400], B=[410, 420, 100])
+        assert first_winner(m) == "B"
 
     def test_full_tie_broken_by_solver_id(self):
         m = matrix_from_columns(zz=[1, 2], aa=[1, 2])
-        assert select_winner(m) == "aa"
+        assert first_winner(m) == "aa"
 
     def test_single_solver(self):
-        assert select_winner(matrix_from_columns(only=[3, 1])) == "only"
+        assert first_winner(matrix_from_columns(only=[3, 1])) == "only"
 
 
 class TestFractionalRanks:
@@ -126,13 +159,23 @@ class TestRobustRanking:
         rng = np.random.default_rng(8)
         for _ in range(20):
             k, s = int(rng.integers(3, 50)), int(rng.integers(2, 6))
-            scores = rng.integers(0, 5, size=(k, s)).astype(np.float64)
-            m = ScoreMatrix(
-                k=k, scores=scores, replicate_ranks=min_ranks_rows(scores, []),
-                solver_order=tuple(f"s{i}" for i in range(s)), provenance={},
-            )
+            m = random_matrix(rng.integers(0, 5, size=(k, s)))
             rr = robust_ranking(m, alpha=0.05)
-            assert select_winner(m) in rr.groups[0].members
+            assert_round_winners(m, rr)
+            assert rr.iteration_log[0].winner in rr.groups[0].members
+
+    def test_later_round_winners_match_the_oracle(self):
+        # Three tiers of two solvers each, so the loop runs several rounds and
+        # first places among the remaining solvers differ from those among all.
+        rng = np.random.default_rng(10)
+        rounds = 0
+        for _ in range(20):
+            tiers = rng.permutation(np.repeat([0, 4, 8], 2))
+            m = random_matrix(tiers + rng.integers(0, 4, size=(60, 6)))
+            rr = robust_ranking(m, alpha=0.05)
+            assert_round_winners(m, rr)
+            rounds += len(rr.iteration_log)
+        assert rounds >= 60
 
     def test_group_members_ordered_by_median_then_id(self):
         m = matrix_from_columns(

@@ -152,6 +152,15 @@ def three_stratum_dataset():
     )
 
 
+def stratum_blocks(d) -> dict[str, list[int]]:
+    """Run indices of each stratum, read from the dataset's stratum layout."""
+    runs, sizes, starts = d.stratum_layout
+    return {
+        label: runs[first : first + int(sizes[first])].tolist()
+        for label, first in zip(d.stratum_order, np.unique(starts))
+    }
+
+
 def timed_dataset():
     """Two-decimal times and qualities over 400 runs in two strata."""
     rng = random.Random(17)
@@ -204,7 +213,7 @@ class TestDrawStratified:
     def test_per_stratum_counts_preserved(self):
         d = three_stratum_dataset()
         sizes = {"A": 1, "B": 2, "C": 3}
-        members = {label: set(arr.tolist()) for label, arr in d.stratum_members.items()}
+        members = {label: set(block) for label, block in stratum_blocks(d).items()}
         for i in range(200):
             rs = draw_stratified_replicate(d, ReplicateStream(4, i))
             assert len(rs) == 6
@@ -227,7 +236,7 @@ class TestDrawStratified:
         runs = [(f"i{j:02d}", 0) for j in range(len(labels))]
         strata = {instance: label for (instance, _), label in zip(runs, labels)}
         d = build_dataset(["s1", "s2"], runs, lambda s, rk: record(True), strata=strata)
-        assert [len(d.stratum_members[label]) for label in d.stratum_order] == [6, 2, 1, 8]
+        assert [len(block) for block in stratum_blocks(d).values()] == [6, 2, 1, 8]
         for seed in (0, 2**64 - 1):
             for i in range(300):
                 got = draw_stratified_replicate(d, ReplicateStream(seed, i))
@@ -263,6 +272,19 @@ class TestGenerateScoreMatrix:
             "stratified": False,
             "mechanism": "solved_count",
         }
+
+    def test_memory_preflight_counts_the_ranking_peak(self, monkeypatch):
+        # 1000 x 2 cells: 24,000 bytes of kept matrices, 114,000 at the peak.
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 50_000}
+        monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
+
+        def no_allocation(*args):
+            raise AssertionError("scored before the memory check")
+
+        monkeypatch.setattr(resampling, "run_contributions", no_allocation)
+        d = success_table_dataset({"A": [True, False], "B": [True, True]})
+        with pytest.raises(ValueError, match="physical memory"):
+            generate_score_matrix(d, config(replicates_k=1000))
 
     def test_rows_are_pure_functions_of_seed_and_index(self):
         d = success_table_dataset({"A": [True, True, False], "B": [True, False, True]})
