@@ -18,15 +18,13 @@ from .model import (
 from .ranking import (
     RankGroup,
     RobustRanking,
-    WinTable,
     empirical_win_fractions,
     fractional_ranks,
     inversion_count,
-    mean_rank_iqr,
     robust_ranking,
     tied_pair_count,
 )
-from .report import AnalysisReport, build_report, emit_csv, emit_json, emit_plot_data
+from .report import build_report, emit_csv, emit_json, emit_plot_data
 from .resampling import (
     ReplicateStream,
     ScoreMatrix,
@@ -36,7 +34,6 @@ from .resampling import (
 )
 from .scoring import (
     OfficialRanking,
-    ScoreVector,
     ScoringError,
     UnknownMechanismError,
     compute_scores,
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
-    "AnalysisReport",
     "CompletenessError",
     "ConfidenceInterval",
     "DataError",
@@ -72,12 +68,10 @@ __all__ = [
     "RunRecord",
     "RunStatus",
     "ScoreMatrix",
-    "ScoreVector",
     "ScoringError",
     "SensitivityReport",
     "TestOutcome",
     "UnknownMechanismError",
-    "WinTable",
     "bootstrap_p",
     "build_report",
     "compute_scores",
@@ -94,7 +88,6 @@ __all__ = [
     "inversion_count",
     "leave_one_out_analysis",
     "load_dataset",
-    "mean_rank_iqr",
     "official_ranking",
     "percentile_ci",
     "robust_ranking",

@@ -9,7 +9,6 @@ bootstrap score matrix).  Exit codes: 0 success, 1 data or analysis error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .model import (
@@ -100,9 +99,9 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=_positive_int,
-        default=None,
-        help="accepted for compatibility (default: RANKBENCH_THREADS or 1); replicates "
-        "are generated on one thread, so it changes neither output nor speed",
+        default=1,
+        help="accepted for compatibility; replicates are generated on one thread, "
+        "so it changes neither output nor speed",
     )
 
 
@@ -151,21 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(ns: argparse.Namespace) -> int:
-    if ns.threads is not None:
-        return ns.threads
-    env = os.environ.get("RANKBENCH_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"RANKBENCH_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"RANKBENCH_THREADS must be positive, got {value}")
-        return value
-    return 1
-
-
 def _mechanism(ns: argparse.Namespace) -> Mechanism:
     return Mechanism(ns.mechanism, par_penalty=ns.par_k)
 
@@ -192,14 +176,14 @@ def _analysis_config(ns: argparse.Namespace, d: Dataset) -> AnalysisConfig:
 def _cmd_analyze(ns: argparse.Namespace) -> int:
     d = load_dataset(ns.input, config=ns.config)
     cfg = _analysis_config(ns, d)
-    m = generate_score_matrix(d, cfg, threads=_threads(ns))
+    m = generate_score_matrix(d, cfg, threads=ns.threads)
     extras = leave_one_out_analysis(d, cfg) if ns.with_sensitivity else None
-    r = build_report(d, cfg, m, extras)
-    emit_json(r, ns.output)
+    report = build_report(d, cfg, m, extras)
+    emit_json(report, ns.output)
     if ns.plot_data:
-        emit_plot_data(r, ns.plot_data, top=ns.top)
+        emit_plot_data(report, ns.plot_data, top=ns.top)
     if ns.csv_dir:
-        emit_csv(r, ns.csv_dir)
+        emit_csv(report, ns.csv_dir)
     return 0
 
 
@@ -219,15 +203,15 @@ def _cmd_sensitivity(ns: argparse.Namespace) -> int:
 def _cmd_score(ns: argparse.Namespace) -> int:
     d = load_dataset(ns.input, config=ns.config)
     mech = _mechanism(ns)
-    sv = compute_scores(d, mech)
-    official = official_ranking(sv, d, _tiebreak(ns))
+    scores = compute_scores(d, mech)
+    official = official_ranking(scores, d, _tiebreak(ns))
     obj = {
         "mechanism": mech.id,
         "ranking": [
-            {"solver": s, "rank": official.ranks[s], "score": sv.scores[s]}
+            {"solver": s, "rank": official.ranks[s], "score": scores[s]}
             for s in official.order
         ],
-        "scores": dict(sv.scores),
+        "scores": scores,
     }
     text = canonical_json(obj)
     if ns.output:
@@ -241,7 +225,7 @@ def _cmd_score(ns: argparse.Namespace) -> int:
 def _cmd_matrix(ns: argparse.Namespace) -> int:
     d = load_dataset(ns.input, config=ns.config)
     cfg = _analysis_config(ns, d)
-    m = generate_score_matrix(d, cfg, threads=_threads(ns))
+    m = generate_score_matrix(d, cfg, threads=ns.threads)
     write_matrix_csv(m, ns.output)
     return 0
 

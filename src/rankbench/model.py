@@ -35,6 +35,7 @@ __all__ = [
     "RunStatus",
     "TIEBREAK_KEYS",
     "load_dataset",
+    "write_csv",
 ]
 
 RESULTS_CSV_HEADER = ["solver", "instance", "seed", "status", "cpu_time", "quality"]
@@ -503,6 +504,15 @@ def _load_csv(path: Path) -> tuple[_Table, float, dict, dict[RunKey, ReferenceEn
                 yield lineno, fields
 
         return _Table(rows(), lambda lineno: f"{path}:{lineno}"), math.inf, {}, {}
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV table in the dialect the loader reads; a cell holding a
+    comma, quote or newline is quoted."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_json(path: Path) -> tuple[_Table, float, dict, dict[RunKey, ReferenceEntry]]:

@@ -22,28 +22,12 @@ __all__ = [
     "IterationRecord",
     "RankGroup",
     "RobustRanking",
-    "WinTable",
     "empirical_win_fractions",
     "fractional_ranks",
     "inversion_count",
-    "mean_rank_iqr",
     "robust_ranking",
     "tied_pair_count",
 ]
-
-
-@dataclass(frozen=True)
-class WinTable:
-    """Fraction of replicates each solver places first in, ties included.
-
-    A replicate's firsts are the solvers no one strictly out-scores in that
-    row, so the fractions can sum past 1.
-    """
-
-    fractions: dict[str, float]
-
-    def __getitem__(self, solver: str) -> float:
-        return self.fractions[solver]
 
 
 @dataclass(frozen=True)
@@ -96,12 +80,14 @@ def _first_place_mask(scores: np.ndarray) -> np.ndarray:
     return scores == scores.max(axis=1, keepdims=True)
 
 
-def empirical_win_fractions(m: ScoreMatrix) -> WinTable:
-    """Share of replicates in which each solver attains the top raw score."""
+def empirical_win_fractions(m: ScoreMatrix) -> dict[str, float]:
+    """Share of replicates in which each solver attains the top raw score.
+
+    A replicate's firsts are the solvers no one strictly out-scores in that
+    row, ties included, so the fractions can sum past 1.
+    """
     counts = _first_place_mask(m.scores).sum(axis=0)
-    return WinTable(
-        {s: float(c) / m.k for s, c in zip(m.solver_order, counts)}
-    )
+    return {s: float(c) / m.k for s, c in zip(m.solver_order, counts)}
 
 
 def fractional_ranks(group_sizes: list[int]) -> list[float]:
@@ -207,20 +193,3 @@ def inversion_count(
                 pairs.append((worse, better))
     return len(pairs), pairs
 
-
-def _column_iqr(column: np.ndarray) -> float:
-    ordered = np.sort(column)
-    return float(
-        nearest_rank_quantile(ordered, 0.75) - nearest_rank_quantile(ordered, 0.25)
-    )
-
-
-def mean_rank_iqr(m: ScoreMatrix, subset=None) -> float:
-    """Mean interquartile range of per-replicate min-ranks over the subset."""
-    chosen = _resolve_subset(m.solver_order, subset)
-    if not chosen:
-        raise ValueError("subset must be non-empty")
-    spans = [
-        _column_iqr(m.rank_column(s)) for s in m.solver_order if s in chosen
-    ]
-    return float(np.mean(spans))

@@ -10,56 +10,31 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import AnalysisConfig, Dataset
+from .model import AnalysisConfig, Dataset, write_csv
 from .ranking import (
     RobustRanking,
     empirical_win_fractions,
     inversion_count,
-    mean_rank_iqr,
     robust_ranking,
     tied_pair_count,
 )
 from .resampling import ScoreMatrix
 from .scoring import OfficialRanking, compute_scores, official_ranking, resolve_mechanism
 from .sensitivity import FLAG_NAMES, SensitivityReport
-from .stats import holm_steps, nearest_rank_quantile, percentile_ci
+from .stats import holm_steps, nearest_rank_index, percentile_ci
 
 __all__ = [
-    "AnalysisReport",
     "build_report",
     "emit_csv",
     "emit_json",
     "emit_plot_data",
-    "report_json_obj",
 ]
 
 PLOT_DATA_HEADER = "solver,official_rank,official_score,median_score,ci_lower,ci_upper"
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """All analysis products, held as JSON-native structures.
-
-    ``official`` lists solvers in tie-broken order; ``solvers`` carries the
-    per-solver statistics; ``diagnostics`` holds the group/tie/inversion/
-    rank-IQR table for the full field and the top-10 / top-3 prefixes,
-    recomputable from the other sections.
-    """
-
-    config: dict
-    dataset: dict
-    official: list
-    solvers: dict
-    win_fractions: dict
-    groups: list
-    iterations: list
-    diagnostics: dict
-    sensitivity: dict | None
 
 
 def _holm_rows(p_values: dict[str, float], alpha: float) -> list[dict]:
@@ -80,10 +55,7 @@ def _sensitivity_obj(extras: SensitivityReport) -> dict:
     return {
         "counts": dict(extras.counts),
         "depths": dict(extras.depths),
-        "instances": {
-            instance: {name: bool(getattr(f, name)) for name in FLAG_NAMES}
-            for instance, f in extras.flags.items()
-        },
+        "instances": {instance: f.as_dict() for instance, f in extras.flags.items()},
     }
 
 
@@ -91,9 +63,11 @@ def _diagnostics_for(
     subset: tuple[str, ...],
     official: OfficialRanking,
     robust: RobustRanking,
-    m: ScoreMatrix,
+    solvers: dict,
 ) -> dict:
     count, pairs = inversion_count(official, robust, subset)
+    # Integer spans, so the mean is their exact sum divided once.
+    spans = [solvers[s]["rank_q75"] - solvers[s]["rank_q25"] for s in subset]
     return {
         "depth": len(subset),
         "solvers": list(subset),
@@ -101,7 +75,7 @@ def _diagnostics_for(
         "tied_pairs": tied_pair_count(robust, subset),
         "inversions": count,
         "inversion_pairs": [list(pair) for pair in pairs],
-        "mean_rank_iqr": mean_rank_iqr(m, subset),
+        "mean_rank_iqr": sum(spans) / len(spans),
     }
 
 
@@ -110,11 +84,17 @@ def build_report(
     cfg: AnalysisConfig,
     m: ScoreMatrix,
     extras: SensitivityReport | None = None,
-) -> AnalysisReport:
-    """Assemble every analysis product for one (dataset, config, matrix).
+) -> dict:
+    """The canonical report of one (dataset, config, matrix), as JSON-native
+    values: what :func:`emit_json` writes and :func:`emit_csv` and
+    :func:`emit_plot_data` read.
 
-    The matrix must have been generated under the same config; a seed,
-    stratification or mechanism mismatch is an error.
+    ``official`` lists solvers in tie-broken order; ``solvers`` carries the
+    per-solver statistics; ``diagnostics`` holds the group/tie/inversion/
+    rank-IQR table for the full field and the top-10 / top-3 prefixes,
+    recomputable from the other sections.  The matrix must have been
+    generated under the same config; a seed, stratification or mechanism
+    mismatch is an error.
     """
     mech = resolve_mechanism(cfg.mechanism)
     expected = {
@@ -129,38 +109,37 @@ def build_report(
     if m.solver_order != d.solvers:
         raise ValueError("score matrix solver order does not match the dataset")
 
-    sv = compute_scores(d, mech)
-    official = official_ranking(sv, d, cfg.tiebreak)
+    scores = compute_scores(d, mech)
+    official = official_ranking(scores, d, cfg.tiebreak)
     wins = empirical_win_fractions(m)
     robust = robust_ranking(m, cfg.alpha)
 
+    # Every per-solver replicate statistic is a row of the sorted columns.
+    sorted_scores = np.sort(m.scores, axis=0)
+    sorted_ranks = np.sort(m.replicate_ranks, axis=0)
+    median = sorted_scores[nearest_rank_index(0.5, m.k) - 1].tolist()
+    rank_q25, rank_median, rank_q75 = (
+        sorted_ranks[nearest_rank_index(q, m.k) - 1].tolist() for q in (0.25, 0.5, 0.75)
+    )
     solvers = {}
-    for s in d.solvers:
-        scores = np.sort(m.column(s))
-        ranks = np.sort(m.rank_column(s))
-        ci = percentile_ci(scores, cfg.alpha)
+    for j, s in enumerate(d.solvers):
+        ci = percentile_ci(sorted_scores[:, j], cfg.alpha)
         solvers[s] = {
             "official_rank": official.ranks[s],
-            "official_score": sv.scores[s],
-            "median_score": nearest_rank_quantile(scores, 0.5),
+            "official_score": scores[s],
+            "median_score": median[j],
             "ci_lower": ci.lower,
             "ci_upper": ci.upper,
             "win_fraction": wins[s],
-            "rank_q25": int(nearest_rank_quantile(ranks, 0.25)),
-            "rank_median": int(nearest_rank_quantile(ranks, 0.5)),
-            "rank_q75": int(nearest_rank_quantile(ranks, 0.75)),
+            "rank_q25": rank_q25[j],
+            "rank_median": rank_median[j],
+            "rank_q75": rank_q75[j],
             "group": robust.group_index[s],
             "fractional_rank": robust.fractional_rank[s],
         }
 
-    diagnostics = {
-        "all": _diagnostics_for(official.order, official, robust, m),
-        "top10": _diagnostics_for(official.top(min(10, len(d.solvers))), official, robust, m),
-        "top3": _diagnostics_for(official.top(min(3, len(d.solvers))), official, robust, m),
-    }
-
-    return AnalysisReport(
-        config={
+    return {
+        "config": {
             "mechanism": mech.id,
             "replicates": cfg.replicates_k,
             "alpha": cfg.alpha,
@@ -168,20 +147,20 @@ def build_report(
             "stratified": cfg.stratified,
             "tiebreak": list(cfg.tiebreak),
         },
-        dataset={
+        "dataset": {
             "solvers": len(d.solvers),
             "runs": len(d.runs),
             "instances": len(d.instances),
             "strata": len(d.stratum_order),
             "cutoff_seconds": None if math.isinf(d.cutoff) else d.cutoff,
         },
-        official=[
-            {"solver": s, "rank": official.ranks[s], "score": sv.scores[s]}
+        "official": [
+            {"solver": s, "rank": official.ranks[s], "score": scores[s]}
             for s in official.order
         ],
-        solvers=solvers,
-        win_fractions=dict(wins.fractions),
-        groups=[
+        "solvers": solvers,
+        "win_fractions": wins,
+        "groups": [
             {
                 "index": g.index,
                 "fractional_rank": g.fractional_rank,
@@ -189,7 +168,7 @@ def build_report(
             }
             for g in robust.groups
         ],
-        iterations=[
+        "iterations": [
             {
                 "winner": record.winner,
                 "members": list(record.members),
@@ -197,22 +176,11 @@ def build_report(
             }
             for record in robust.iteration_log
         ],
-        diagnostics=diagnostics,
-        sensitivity=None if extras is None else _sensitivity_obj(extras),
-    )
-
-
-def report_json_obj(r: AnalysisReport) -> dict:
-    return {
-        "config": r.config,
-        "dataset": r.dataset,
-        "official": r.official,
-        "solvers": r.solvers,
-        "win_fractions": r.win_fractions,
-        "groups": r.groups,
-        "iterations": r.iterations,
-        "diagnostics": r.diagnostics,
-        "sensitivity": r.sensitivity,
+        "diagnostics": {
+            name: _diagnostics_for(official.top(depth), official, robust, solvers)
+            for name, depth in (("all", len(d.solvers)), ("top10", 10), ("top3", 3))
+        },
+        "sensitivity": None if extras is None else _sensitivity_obj(extras),
     }
 
 
@@ -221,31 +189,23 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def emit_json(r: AnalysisReport, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(report_json_obj(r)), encoding="utf-8")
+def emit_json(r: dict, path: str | Path) -> None:
+    Path(path).write_text(canonical_json(r), encoding="utf-8")
 
 
-def emit_plot_data(r: AnalysisReport, path: str | Path, top: int = 10) -> None:
+def emit_plot_data(r: dict, path: str | Path, top: int = 10) -> None:
     """CI chart data for the first ``top`` officially ranked solvers."""
     if top < 1:
         raise ValueError(f"top must be positive, got {top}")
-    lines = [PLOT_DATA_HEADER]
-    for row in r.official[:top]:
-        s = row["solver"]
-        stats = r.solvers[s]
-        lines.append(
-            ",".join(
-                [
-                    s,
-                    str(stats["official_rank"]),
-                    repr(float(stats["official_score"])),
-                    repr(float(stats["median_score"])),
-                    repr(float(stats["ci_lower"])),
-                    repr(float(stats["ci_upper"])),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = PLOT_DATA_HEADER.split(",")
+    write_csv(
+        path,
+        header,
+        (
+            [row["solver"], *(r["solvers"][row["solver"]][f] for f in header[1:])]
+            for row in r["official"][:top]
+        ),
+    )
 
 
 _SOLVER_CSV_FIELDS = (
@@ -263,7 +223,7 @@ _SOLVER_CSV_FIELDS = (
 )
 
 
-def emit_csv(r: AnalysisReport, directory: str | Path) -> list[Path]:
+def emit_csv(r: dict, directory: str | Path) -> list[Path]:
     """Write the report sections as CSV tables under ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -271,29 +231,28 @@ def emit_csv(r: AnalysisReport, directory: str | Path) -> list[Path]:
 
     def emit(name: str, header: str, rows) -> None:
         path = directory / name
-        body = "\n".join([header, *rows])
-        path.write_text(body + "\n", encoding="utf-8")
+        write_csv(path, header.split(","), rows)
         written.append(path)
 
     emit(
         "official.csv",
         "solver,rank,score",
-        (f"{row['solver']},{row['rank']},{row['score']!r}" for row in r.official),
+        ([row["solver"], row["rank"], row["score"]] for row in r["official"]),
     )
     emit(
         "solvers.csv",
         "solver," + ",".join(_SOLVER_CSV_FIELDS),
         (
-            s + "," + ",".join(str(r.solvers[s][f]) for f in _SOLVER_CSV_FIELDS)
-            for s in (row["solver"] for row in r.official)
+            [row["solver"], *(r["solvers"][row["solver"]][f] for f in _SOLVER_CSV_FIELDS)]
+            for row in r["official"]
         ),
     )
     emit(
         "groups.csv",
         "group,fractional_rank,solver",
         (
-            f"{g['index']},{g['fractional_rank']!r},{member}"
-            for g in r.groups
+            [g["index"], g["fractional_rank"], member]
+            for g in r["groups"]
             for member in g["members"]
         ),
     )
@@ -301,9 +260,8 @@ def emit_csv(r: AnalysisReport, directory: str | Path) -> list[Path]:
         "iterations.csv",
         "iteration,winner,solver,p_value,threshold,rejected",
         (
-            f"{i},{it['winner']},{t['solver']},{t['p_value']!r},"
-            f"{t['threshold']!r},{int(t['rejected'])}"
-            for i, it in enumerate(r.iterations, start=1)
+            [i, it["winner"], t["solver"], t["p_value"], t["threshold"], int(t["rejected"])]
+            for i, it in enumerate(r["iterations"], start=1)
             for t in it["tests"]
         ),
     )
@@ -311,18 +269,17 @@ def emit_csv(r: AnalysisReport, directory: str | Path) -> list[Path]:
         "diagnostics.csv",
         "section,depth,groups,tied_pairs,inversions,mean_rank_iqr",
         (
-            f"{name},{d['depth']},{d['groups']},{d['tied_pairs']},"
-            f"{d['inversions']},{d['mean_rank_iqr']!r}"
-            for name, d in r.diagnostics.items()
+            [name, d["depth"], d["groups"], d["tied_pairs"], d["inversions"], d["mean_rank_iqr"]]
+            for name, d in r["diagnostics"].items()
         ),
     )
-    if r.sensitivity is not None:
+    if r["sensitivity"] is not None:
         emit(
             "sensitivity.csv",
             "instance," + ",".join(FLAG_NAMES),
             (
-                instance + "," + ",".join(str(int(f[name])) for name in FLAG_NAMES)
-                for instance, f in r.sensitivity["instances"].items()
+                [instance, *(int(f[name]) for name in FLAG_NAMES)]
+                for instance, f in r["sensitivity"]["instances"].items()
             ),
         )
     return written

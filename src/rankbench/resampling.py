@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import AnalysisConfig, Dataset
+from .model import AnalysisConfig, Dataset, write_csv
 from .scoring import (
     MECHANISMS,
     ScoringError,
@@ -174,9 +174,6 @@ class ScoreMatrix:
     def column(self, solver: str) -> np.ndarray:
         return self.scores[:, self.solver_idx(solver)]
 
-    def rank_column(self, solver: str) -> np.ndarray:
-        return self.replicate_ranks[:, self.solver_idx(solver)]
-
 
 def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
     """Refuse a replicate count whose peak cannot fit in physical memory.
@@ -265,8 +262,6 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
 
 def write_matrix_csv(m: ScoreMatrix, path: str | Path) -> None:
     """Dump the replicate scores: header ``replicate,<solver ids...>``."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["replicate", *m.solver_order]) + "\n")
-        for i in range(m.k):
-            row = ",".join(repr(float(v)) for v in m.scores[i])
-            fh.write(f"{i},{row}\n")
+    write_csv(
+        path, ["replicate", *m.solver_order], ([i, *row.tolist()] for i, row in enumerate(m.scores))
+    )

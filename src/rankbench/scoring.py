@@ -26,7 +26,6 @@ __all__ = [
     "MECHANISMS",
     "MechanismRule",
     "OfficialRanking",
-    "ScoreVector",
     "ScoringError",
     "UnknownMechanismError",
     "aggregate_from_counts",
@@ -170,16 +169,6 @@ def resolve_mechanism(mechanism: Mechanism | str) -> Mechanism:
 
 # ---------------------------------------------------------------------------
 # Scores
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-solver scores for one multiset of runs; higher is better."""
-
-    scores: dict[str, float]
-
-    def as_array(self, solver_order: tuple[str, ...]) -> np.ndarray:
-        return np.array([self.scores[s] for s in solver_order], dtype=np.float64)
 
 
 def run_contributions(d: Dataset, mechanism: Mechanism | str) -> np.ndarray:
@@ -333,8 +322,9 @@ def find_missing_entry(
 
 def compute_scores(
     d: Dataset, mechanism: Mechanism | str, entries: np.ndarray | None = None
-) -> ScoreVector:
-    """Score every solver over the run multiset ``entries`` (default: all of R).
+) -> dict[str, float]:
+    """Score every solver over the run multiset ``entries`` (default: all of R),
+    as ``{solver: score}``; higher is better.
 
     ``entries`` indexes ``d.runs`` and may repeat.  Raises
     :class:`ScoringError` when the mechanism needs data the dataset does
@@ -358,7 +348,7 @@ def compute_scores(
         totals = aggregate_from_counts(split_limbs(contributions, len(entries)), counts)
         _raise_non_finite(totals, d.solvers, mech.name)
         values = MECHANISMS[mech.name].finish(totals[0], len(entries))
-    return ScoreVector({s: float(v) for s, v in zip(d.solvers, values)})
+    return {s: float(v) for s, v in zip(d.solvers, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +438,9 @@ class OfficialRanking:
 
 
 def official_ranking(
-    sv: ScoreVector, d: Dataset, tiebreak: tuple[str, ...] = ()
+    scores: dict[str, float], d: Dataset, tiebreak: tuple[str, ...] = ()
 ) -> OfficialRanking:
-    """Rank solvers by score with min-rank ties.
+    """Rank solvers by their ``{solver: score}`` with min-rank ties.
 
     The listing is sorted by score descending, then by the tiebreak chain
     (currently ``total_time``: total cpu_time over successful runs,
@@ -463,5 +453,6 @@ def official_ranking(
         totals = aggregate_from_counts(split_limbs(spent, len(d.runs)), ones)
         _raise_non_finite(totals, d.solvers, key)
         chain.append(totals[0])
-    orders, ranks = ranking_rows(d.solvers, sv.as_array(d.solvers)[None, :], chain)
+    row = np.array([[scores[s] for s in d.solvers]], dtype=np.float64)
+    orders, ranks = ranking_rows(d.solvers, row, chain)
     return OfficialRanking.from_row(d.solvers, orders[0], ranks[0])

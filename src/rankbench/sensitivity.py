@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import AnalysisConfig, Dataset
+from .model import AnalysisConfig, Dataset, write_csv
 from .scoring import (
     MECHANISMS,
     OfficialRanking,
@@ -157,11 +157,11 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
 
 def write_flags_csv(report: SensitivityReport, path: str | Path) -> None:
     """Per-instance flag table, one 0/1 row per removed instance."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write("instance," + ",".join(FLAG_NAMES) + "\n")
-        for instance, f in report.flags.items():
-            bits = ",".join(str(int(getattr(f, name))) for name in FLAG_NAMES)
-            fh.write(f"{instance},{bits}\n")
+    write_csv(
+        path,
+        ["instance", *FLAG_NAMES],
+        ([instance, *map(int, f.as_dict().values())] for instance, f in report.flags.items()),
+    )
 
 
 def aggregate_json_obj(report: SensitivityReport) -> dict:

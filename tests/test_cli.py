@@ -1,5 +1,6 @@
-"""Command-line behavior: exit codes, outputs, determinism, env fallbacks."""
+"""Command-line behavior: exit codes, outputs, determinism, environment."""
 
+import csv
 import json
 import os
 import random
@@ -251,23 +252,68 @@ class TestExitCodes:
 
 
 class TestThreadsEnv:
-    def test_env_fallback_matches_explicit_flag(self, tmp_path, runs_csv, monkeypatch):
-        flagged = tmp_path / "flagged.json"
-        assert run_cli(analyze_args(runs_csv, flagged, threads="3")) == 0
-        monkeypatch.setenv("RANKBENCH_THREADS", "3")
+    def test_env_variable_is_ignored(self, tmp_path, runs_csv, monkeypatch):
+        plain = tmp_path / "plain.json"
+        assert run_cli(analyze_args(runs_csv, plain)) == 0
+        monkeypatch.setenv("RANKBENCH_THREADS", "lots")
         env_out = tmp_path / "env.json"
         assert run_cli(analyze_args(runs_csv, env_out)) == 0
-        assert flagged.read_bytes() == env_out.read_bytes()
+        assert plain.read_bytes() == env_out.read_bytes()
 
-    def test_invalid_env_value_is_data_error(self, tmp_path, runs_csv, monkeypatch, capsys):
-        monkeypatch.setenv("RANKBENCH_THREADS", "lots")
-        assert run_cli(analyze_args(runs_csv, tmp_path / "r.json")) == 1
-        assert "RANKBENCH_THREADS" in capsys.readouterr().err
 
-    def test_nonpositive_env_value_is_data_error(self, tmp_path, runs_csv, monkeypatch, capsys):
-        monkeypatch.setenv("RANKBENCH_THREADS", "0")
-        assert run_cli(analyze_args(runs_csv, tmp_path / "r.json")) == 1
-        assert "RANKBENCH_THREADS" in capsys.readouterr().err
+class TestCsvQuoting:
+    """Ids holding a comma or a quote come back whole from every CSV output."""
+
+    SOLVERS = ('a,"1', "b", "c")
+    INSTANCES = ('i,"2', "j", "k", "l")
+
+    def test_every_emitted_table_parses_back_to_the_ids(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        with runs.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["solver", "instance", "seed", "status", "cpu_time", "quality"])
+            for i, solver in enumerate(self.SOLVERS):
+                for j, instance in enumerate(self.INSTANCES):
+                    status = "solved" if (i + j) % 3 else "timeout"
+                    writer.writerow([solver, instance, 0, status, 1.5 + i + j, ""])
+        io = ["--input", str(runs), "--mechanism", "solved_count"]
+        sampling = ["--replicates", "50"]
+        assert run_cli(["analyze", *io, *sampling, "--output", str(tmp_path / "r.json"),
+                        "--with-sensitivity", "--csv-dir", str(tmp_path / "tables"),
+                        "--plot-data", str(tmp_path / "plot.csv")]) == 0
+        assert run_cli(["sensitivity", *io, "--output", str(tmp_path / "flags.csv")]) == 0
+        assert run_cli(["matrix", *io, *sampling,
+                        "--output", str(tmp_path / "matrix.csv")]) == 0
+
+        def table(path):
+            with path.open(encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert all(len(row) == len(rows[0]) for row in rows), path.name
+            return rows[0], rows[1:]
+
+        tables = tmp_path / "tables"
+        solver_columns = {
+            tables / "official.csv": [0],
+            tables / "solvers.csv": [0],
+            tables / "groups.csv": [2],
+            tables / "iterations.csv": [1, 2],
+            tmp_path / "plot.csv": [0],
+        }
+        for path, columns in solver_columns.items():
+            _, rows = table(path)
+            assert rows, path.name
+            for j in columns:
+                assert {row[j] for row in rows} <= set(self.SOLVERS), path.name
+            if columns == [0]:
+                assert sorted(row[0] for row in rows) == sorted(self.SOLVERS), path.name
+        for path in (tables / "sensitivity.csv", tmp_path / "flags.csv"):
+            _, rows = table(path)
+            assert [row[0] for row in rows] == list(self.INSTANCES), path.name
+        header, rows = table(tmp_path / "matrix.csv")
+        assert header == ["replicate", *self.SOLVERS]
+        assert len(rows) == 50
+        _, rows = table(tables / "diagnostics.csv")
+        assert [row[0] for row in rows] == ["all", "top10", "top3"]
 
 
 class TestModuleEntryPoint:

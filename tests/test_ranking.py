@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,18 +13,21 @@ from rankbench.ranking import (
     empirical_win_fractions,
     fractional_ranks,
     inversion_count,
-    mean_rank_iqr,
     robust_ranking,
     tied_pair_count,
 )
+from rankbench.report import build_report
 from rankbench.resampling import ScoreMatrix
 from rankbench.scoring import OfficialRanking, min_ranks_rows
 
 from helpers import (
+    config,
     matrix_from_columns,
     oracle_first_place_counts,
     oracle_median,
+    oracle_nearest_rank_index,
     oracle_robust_partition,
+    success_table_dataset,
 )
 
 
@@ -48,8 +52,8 @@ class TestWinFractions:
     def test_identical_columns_both_win_everywhere(self):
         m = matrix_from_columns(a=[5, 5, 5], b=[5, 5, 5])
         wins = empirical_win_fractions(m)
-        assert wins.fractions == {"a": 1.0, "b": 1.0}
-        assert sum(wins.fractions.values()) > 1.0
+        assert wins == {"a": 1.0, "b": 1.0}
+        assert sum(wins.values()) > 1.0
 
     def test_dominated_solver_never_wins(self):
         m = matrix_from_columns(a=[5, 6, 7], b=[1, 2, 3])
@@ -62,7 +66,7 @@ class TestWinFractions:
             k=10, scores=scores, replicate_ranks=min_ranks_rows(scores, []),
             solver_order=("A", "B", "C"), provenance={},
         )
-        assert empirical_win_fractions(m).fractions == {"A": 0.6, "B": 0.3, "C": 0.1}
+        assert empirical_win_fractions(m) == {"A": 0.6, "B": 0.3, "C": 0.1}
 
 
 def random_matrix(scores) -> ScoreMatrix:
@@ -365,35 +369,52 @@ class TestInversionCount:
 
 
 class TestMeanRankIqr:
-    def constant_rank_matrix(self, n=4, k=12):
-        scores = np.tile(np.arange(n, 0, -1, dtype=np.float64), (k, 1))
-        return ScoreMatrix(
-            k=k, scores=scores, replicate_ranks=min_ranks_rows(scores, []),
-            solver_order=tuple(f"s{i}" for i in range(n)), provenance={},
+    """The report's ``mean_rank_iqr`` diagnostic on hand-built rank columns."""
+
+    @staticmethod
+    def diagnostics(ranks: dict[str, list[int]], solves: dict[str, int]) -> dict:
+        """Report diagnostics of a matrix with the given rank columns, over
+        a dataset whose official listing follows the ``solves`` counts."""
+        width = max(solves.values())
+        d = success_table_dataset(
+            {s: [j < n for j in range(width)] for s, n in solves.items()}
         )
+        cfg = config("solved_count", replicates_k=len(ranks[d.solvers[0]]))
+        m = ScoreMatrix(
+            k=cfg.replicates_k,
+            scores=np.zeros((cfg.replicates_k, len(d.solvers))),
+            replicate_ranks=np.array([ranks[s] for s in d.solvers], dtype=np.int32).T,
+            solver_order=d.solvers,
+            provenance={"master_seed": 0, "stratified": False, "mechanism": "solved_count"},
+        )
+        return build_report(d, cfg, m)["diagnostics"]
+
+    @staticmethod
+    def oracle(ranks: dict[str, list[int]], subset: list[str]) -> float:
+        """Mean of nearest-rank q75 - q25 over ``subset``, in exact rationals."""
+        spans = []
+        for s in subset:
+            column = sorted(ranks[s])
+            q25 = column[oracle_nearest_rank_index("0.25", len(column)) - 1]
+            q75 = column[oracle_nearest_rank_index("0.75", len(column)) - 1]
+            spans.append(q75 - q25)
+        return float(Fraction(sum(spans), len(spans)))
 
     def test_constant_ranking_has_zero_iqr(self):
-        assert mean_rank_iqr(self.constant_rank_matrix()) == 0.0
+        ranks = {f"s{i}": [i + 1] * 12 for i in range(4)}
+        diagnostics = self.diagnostics(ranks, {f"s{i}": 4 - i for i in range(4)})
+        assert [diag["mean_rank_iqr"] for diag in diagnostics.values()] == [0.0] * 3
 
     def test_hand_built_rank_column(self):
-        ranks = np.array([[1, 2], [1, 2], [2, 1], [2, 1]], dtype=np.int32)
-        m = ScoreMatrix(
-            k=4, scores=np.zeros((4, 2)), replicate_ranks=ranks,
-            solver_order=("a", "b"), provenance={},
-        )
         # both rank columns are [1,1,2,2]: q75 - q25 = 2 - 1 = 1
-        assert mean_rank_iqr(m) == 1.0
+        ranks = {"a": [1, 1, 2, 2], "b": [2, 2, 1, 1]}
+        diag = self.diagnostics(ranks, {"a": 2, "b": 1})["all"]
+        assert diag["mean_rank_iqr"] == 1.0 == self.oracle(ranks, ["a", "b"])
 
     def test_subset_mean(self):
-        ranks = np.array([[1, 2, 3], [1, 3, 2], [1, 2, 3], [1, 3, 2]], dtype=np.int32)
-        m = ScoreMatrix(
-            k=4, scores=np.zeros((4, 3)), replicate_ranks=ranks,
-            solver_order=("a", "b", "c"), provenance={},
-        )
-        assert mean_rank_iqr(m, {"a"}) == 0.0
-        assert mean_rank_iqr(m, {"b", "c"}) == 1.0
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            mean_rank_iqr(self.constant_rank_matrix(), set())
-
+        ranks = {"a": [1, 1, 1, 1], "b": [2, 3, 2, 3], "c": [3, 2, 3, 2], "d": [1, 4, 1, 4]}
+        diagnostics = self.diagnostics(ranks, {"a": 4, "b": 3, "c": 2, "d": 1})
+        assert diagnostics["top3"]["solvers"] == ["a", "b", "c"]
+        assert diagnostics["top3"]["mean_rank_iqr"] == self.oracle(ranks, ["a", "b", "c"])
+        assert diagnostics["all"]["mean_rank_iqr"] == self.oracle(ranks, list(ranks)) == 1.25
+        assert diagnostics["top10"] == diagnostics["all"]

@@ -12,7 +12,6 @@ from rankbench.report import (
     emit_csv,
     emit_json,
     emit_plot_data,
-    report_json_obj,
 )
 from rankbench.resampling import generate_score_matrix
 from rankbench.sensitivity import leave_one_out_analysis
@@ -54,18 +53,18 @@ class TestBuildReport:
         rows = [True, False, True, True, False, True]
         d, cfg, m = pipeline(table={"a": rows, "b": rows})
         r = build_report(d, cfg, m)
-        assert r.groups == [
+        assert r["groups"] == [
             {"index": 1, "fractional_rank": 1.5, "members": ["a", "b"]}
         ]
-        assert r.solvers["a"]["ci_lower"] == r.solvers["b"]["ci_lower"]
-        assert r.solvers["a"]["ci_upper"] == r.solvers["b"]["ci_upper"]
-        assert r.win_fractions == {"a": 1.0, "b": 1.0}
-        assert r.solvers["a"]["fractional_rank"] == 1.5
+        assert r["solvers"]["a"]["ci_lower"] == r["solvers"]["b"]["ci_lower"]
+        assert r["solvers"]["a"]["ci_upper"] == r["solvers"]["b"]["ci_upper"]
+        assert r["win_fractions"] == {"a": 1.0, "b": 1.0}
+        assert r["solvers"]["a"]["fractional_rank"] == 1.5
 
     def test_interval_brackets_median(self):
         d, cfg, m = pipeline()
         r = build_report(d, cfg, m)
-        for s, row in r.solvers.items():
+        for s, row in r["solvers"].items():
             assert row["ci_lower"] <= row["median_score"] <= row["ci_upper"]
             assert row["rank_q25"] <= row["rank_median"] <= row["rank_q75"]
             assert 0.0 <= row["win_fraction"] <= 1.0
@@ -73,7 +72,7 @@ class TestBuildReport:
     def test_config_and_dataset_echo(self):
         d, cfg, m = pipeline(k=150, alpha=0.1, seed=5, tiebreak=("total_time",))
         r = build_report(d, cfg, m)
-        assert r.config == {
+        assert r["config"] == {
             "mechanism": "solved_count",
             "replicates": 150,
             "alpha": 0.1,
@@ -81,7 +80,7 @@ class TestBuildReport:
             "stratified": False,
             "tiebreak": ["total_time"],
         }
-        assert r.dataset == {
+        assert r["dataset"] == {
             "solvers": 4,
             "runs": 12,
             "instances": 12,
@@ -92,23 +91,23 @@ class TestBuildReport:
     def test_official_section_is_sorted_listing(self):
         d, cfg, m = pipeline()
         r = build_report(d, cfg, m)
-        solvers = [row["solver"] for row in r.official]
+        solvers = [row["solver"] for row in r["official"]]
         assert sorted(solvers) == sorted(d.solvers)
-        scores = [row["score"] for row in r.official]
+        scores = [row["score"] for row in r["official"]]
         assert scores == sorted(scores, reverse=True)
-        ranks = [row["rank"] for row in r.official]
+        ranks = [row["rank"] for row in r["official"]]
         assert ranks == sorted(ranks)
 
     def test_diagnostics_recomputable_from_sections(self):
         d, cfg, m = pipeline(solvers=6, table_seed=31)
         r = build_report(d, cfg, m)
         group_of = {
-            member: g["index"] for g in r.groups for member in g["members"]
+            member: g["index"] for g in r["groups"] for member in g["members"]
         }
-        for name, diag in r.diagnostics.items():
+        for name, diag in r["diagnostics"].items():
             subset = diag["solvers"]
             assert diag["depth"] == len(subset)
-            assert subset == [row["solver"] for row in r.official[: diag["depth"]]]
+            assert subset == [row["solver"] for row in r["official"][: diag["depth"]]]
             assert diag["groups"] == len({group_of[s] for s in subset})
             tied = sum(
                 1
@@ -123,8 +122,8 @@ class TestBuildReport:
     def test_iteration_tests_follow_step_down_arithmetic(self):
         d, cfg, m = pipeline(solvers=6, table_seed=37, alpha=0.2)
         r = build_report(d, cfg, m)
-        assert r.iterations, "expected at least one iteration"
-        for it in r.iterations:
+        assert r["iterations"], "expected at least one iteration"
+        for it in r["iterations"]:
             tests = it["tests"]
             ps = [t["p_value"] for t in tests]
             assert ps == sorted(ps)
@@ -140,27 +139,26 @@ class TestBuildReport:
     def test_groups_partition_the_solvers(self):
         d, cfg, m = pipeline(solvers=5, table_seed=41)
         r = build_report(d, cfg, m)
-        members = [s for g in r.groups for s in g["members"]]
+        members = [s for g in r["groups"] for s in g["members"]]
         assert sorted(members) == sorted(d.solvers)
-        assert [g["index"] for g in r.groups] == list(
-            range(1, len(r.groups) + 1)
+        assert [g["index"] for g in r["groups"]] == list(
+            range(1, len(r["groups"]) + 1)
         )
 
     def test_sensitivity_block_embedded(self):
         d, cfg, m = pipeline()
         extras = leave_one_out_analysis(d, cfg)
         r = build_report(d, cfg, m, extras)
-        assert set(r.sensitivity) == {"counts", "depths", "instances"}
-        assert len(r.sensitivity["instances"]) == 12
-        assert build_report(d, cfg, m).sensitivity is None
+        assert set(r["sensitivity"]) == {"counts", "depths", "instances"}
+        assert len(r["sensitivity"]["instances"]) == 12
+        assert build_report(d, cfg, m)["sensitivity"] is None
 
 
 class TestCanonicalJson:
     def test_round_trip_preserves_report(self):
         d, cfg, m = pipeline()
         r = build_report(d, cfg, m, leave_one_out_analysis(d, cfg))
-        obj = report_json_obj(r)
-        assert json.loads(canonical_json(obj)) == obj
+        assert json.loads(canonical_json(r)) == r
 
     def test_emissions_are_byte_identical(self, tmp_path):
         d, cfg, m = pipeline()
@@ -194,14 +192,14 @@ class TestPlotData:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == PLOT_DATA_HEADER
         assert len(lines) == 4
-        for line, row in zip(lines[1:], r.official[:3]):
+        for line, row in zip(lines[1:], r["official"][:3]):
             cells = line.split(",")
             s = row["solver"]
             assert cells[0] == s
-            assert cells[1] == str(r.solvers[s]["official_rank"])
-            assert float(cells[2]) == r.solvers[s]["official_score"]
-            assert float(cells[4]) == r.solvers[s]["ci_lower"]
-            assert float(cells[5]) == r.solvers[s]["ci_upper"]
+            assert cells[1] == str(r["solvers"][s]["official_rank"])
+            assert float(cells[2]) == r["solvers"][s]["official_score"]
+            assert float(cells[4]) == r["solvers"][s]["ci_lower"]
+            assert float(cells[5]) == r["solvers"][s]["ci_upper"]
 
     def test_top_larger_than_field_is_fine(self, tmp_path):
         d, cfg, m = pipeline(solvers=2)
@@ -234,7 +232,7 @@ class TestCsvEmission:
         official = (tmp_path / "tables" / "official.csv").read_text().splitlines()
         assert official[0] == "solver,rank,score"
         assert len(official) == 1 + len(d.solvers)
-        first = r.official[0]
+        first = r["official"][0]
         assert official[1] == (
             f"{first['solver']},{first['rank']},{first['score']!r}"
         )

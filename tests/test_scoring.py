@@ -48,7 +48,7 @@ class TestSolvedCount:
             cutoff=1000.0,
         )
         sv = compute_scores(d, "solved_count")
-        assert sv.scores == {"A": 1.0, "B": 2.0}
+        assert sv == {"A": 1.0, "B": 2.0}
 
     def test_all_statuses_but_success_score_zero(self):
         bad = [RunStatus.UNSOLVED, RunStatus.TIMEOUT, RunStatus.CRASHED, RunStatus.INCORRECT]
@@ -58,7 +58,7 @@ class TestSolvedCount:
             lambda s, rk: RunRecord(bad[int(s[1:])], 1.0, None),
             cutoff=10.0,
         )
-        assert set(compute_scores(d, "solved_count").scores.values()) == {0.0}
+        assert set(compute_scores(d, "solved_count").values()) == {0.0}
 
 
 class TestOptimalCount:
@@ -69,7 +69,7 @@ class TestOptimalCount:
             lambda s, rk: record(True, 1.0, optimal=(s == "A" and rk.instance_id == "i1")),
             cutoff=10.0,
         )
-        assert compute_scores(d, "optimal_count").scores == {"A": 1.0, "B": 0.0}
+        assert compute_scores(d, "optimal_count") == {"A": 1.0, "B": 0.0}
 
 
 class TestParK:
@@ -82,7 +82,7 @@ class TestParK:
         )
         sv = compute_scores(d, Mechanism("par_k", par_penalty=10))
         # A: (30 + 30) / 2 = 30; B: (30 + 10*100) / 2 = 515; negated
-        assert sv.scores == {"A": -30.0, "B": -515.0}
+        assert sv == {"A": -30.0, "B": -515.0}
 
     def test_higher_is_better_after_negation(self):
         d = build_dataset(
@@ -91,7 +91,7 @@ class TestParK:
             cutoff=100.0,
         )
         sv = compute_scores(d, "par_k")
-        assert sv.scores["fast"] > sv.scores["slow"]
+        assert sv["fast"] > sv["slow"]
 
     def test_requires_finite_cutoff(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True))
@@ -102,7 +102,7 @@ class TestParK:
         d = build_dataset(
             ["A", "B"], [("i1", 0)], lambda s, rk: record(True, 200.0), cutoff=100.0
         )
-        assert compute_scores(d, Mechanism("par_k", 2)).scores == {"A": -200.0, "B": -200.0}
+        assert compute_scores(d, Mechanism("par_k", 2)) == {"A": -200.0, "B": -200.0}
 
     def test_penalty_below_one_rejected(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True), cutoff=10.0)
@@ -122,10 +122,10 @@ class TestIpcQuality:
 
     def test_ratio_of_best_known(self):
         sv = compute_scores(self.make(quality_a=8.0), "ipc_quality")
-        assert sv.scores == {"A": 0.75, "B": 0.0}
+        assert sv == {"A": 0.75, "B": 0.0}
 
     def test_unsolved_contributes_zero(self):
-        assert compute_scores(self.make(8.0), "ipc_quality").scores["B"] == 0.0
+        assert compute_scores(self.make(8.0), "ipc_quality")["B"] == 0.0
 
     def test_missing_quality_on_success_is_an_error(self):
         d = build_dataset(
@@ -183,7 +183,7 @@ class TestIpcQuality:
     def test_overflowing_replicate_total_names_the_replicate(self):
         # One huge ratio scores fine; a replicate drawing i1 twice overflows.
         d = self.huge_ratio_dataset([("i1", 0), ("i2", 0), ("i3", 0)], huge_for={"i1"})
-        assert compute_scores(d, "ipc_quality").scores["B"] == 1e308 / 0.9
+        assert compute_scores(d, "ipc_quality")["B"] == 1e308 / 0.9
         expected = next(
             i for i in range(100)
             if draw_uniform_replicate(d, ReplicateStream(5, i)).tolist().count(0) >= 2
@@ -210,22 +210,22 @@ class TestIpcAgile:
         )
 
     def test_reference_time_scores_one(self):
-        assert compute_scores(self.make(50.0, 50.0), "ipc_agile").scores["A"] == 1.0
+        assert compute_scores(self.make(50.0, 50.0), "ipc_agile")["A"] == 1.0
 
     def test_ten_times_slower_scores_half(self):
-        assert compute_scores(self.make(500.0, 50.0), "ipc_agile").scores["A"] == 0.5
+        assert compute_scores(self.make(500.0, 50.0), "ipc_agile")["A"] == 0.5
 
     def test_faster_than_reference_clamps_to_one(self):
-        assert compute_scores(self.make(5.0, 50.0), "ipc_agile").scores["A"] == 1.0
+        assert compute_scores(self.make(5.0, 50.0), "ipc_agile")["A"] == 1.0
         # more than 10x faster: log10 of the raw ratio is below -1
-        assert compute_scores(self.make(1.0, 100.0), "ipc_agile").scores["A"] == 1.0
+        assert compute_scores(self.make(1.0, 100.0), "ipc_agile")["A"] == 1.0
 
     def test_sub_second_times_floor_at_one(self):
         # both sides floored to 1s: ratio 1, score 1
-        assert compute_scores(self.make(0.01, 0.5), "ipc_agile").scores["A"] == 1.0
+        assert compute_scores(self.make(0.01, 0.5), "ipc_agile")["A"] == 1.0
 
     def test_unsolved_scores_zero(self):
-        assert compute_scores(self.make(50.0, 50.0), "ipc_agile").scores["B"] == 0.0
+        assert compute_scores(self.make(50.0, 50.0), "ipc_agile")["B"] == 0.0
 
     def test_missing_reference_time_is_an_error(self):
         d = build_dataset(
@@ -243,7 +243,7 @@ class TestMeanMetric:
             lambda s, rk: record(True, 1.0, quality=4.0 if s == "A" else 10.0),
             cutoff=10.0,
         )
-        assert compute_scores(d, "mean_metric").scores == {"A": 4.0, "B": 10.0}
+        assert compute_scores(d, "mean_metric") == {"A": 4.0, "B": 10.0}
 
     def test_unsolved_runs_still_need_quality(self):
         d = build_dataset(
@@ -264,8 +264,8 @@ class TestMechanismDispatch:
     def test_string_and_object_agree(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True), cutoff=9.0)
         assert (
-            compute_scores(d, "solved_count").scores
-            == compute_scores(d, Mechanism("solved_count")).scores
+            compute_scores(d, "solved_count")
+            == compute_scores(d, Mechanism("solved_count"))
         )
 
 
@@ -278,18 +278,18 @@ class TestMultisets:
     def test_full_multiset_is_identity(self):
         d = self.dataset()
         rs = np.arange(len(d.runs))
-        assert compute_scores(d, "solved_count", rs).scores == \
-            compute_scores(d, "solved_count").scores
+        assert compute_scores(d, "solved_count", rs) == \
+            compute_scores(d, "solved_count")
 
     def test_repeats_count(self):
         d = self.dataset()
         rs = np.array([1, 1, 1])
-        assert compute_scores(d, "solved_count", rs).scores == {"A": 3.0, "B": 0.0}
+        assert compute_scores(d, "solved_count", rs) == {"A": 3.0, "B": 0.0}
 
     def test_empty_multiset_scores_zero(self):
         d = self.dataset()
         rs = np.array([], dtype=np.int64)
-        assert compute_scores(d, "solved_count", rs).scores == {"A": 0.0, "B": 0.0}
+        assert compute_scores(d, "solved_count", rs) == {"A": 0.0, "B": 0.0}
 
     def test_out_of_range_entry(self):
         d = self.dataset()
@@ -345,7 +345,7 @@ class TestAgainstBruteForce:
                 Mechanism("mean_metric"),
             ):
                 entries = [rng.randrange(n_runs) for _ in range(rng.randint(1, 12))]
-                got = compute_scores(d, mech, np.array(entries)).scores
+                got = compute_scores(d, mech, np.array(entries))
                 want = brute_scores(d, mech, entries)
                 for s in solvers:
                     assert got[s] == pytest.approx(want[s], rel=1e-12, abs=1e-12)
@@ -402,7 +402,7 @@ class TestExactAggregation:
         repeats = [rng.randrange(len(d.runs)) for _ in range(700)]
         for mech in FLOAT_MECHANISMS:
             for entries in (everything, repeats):
-                got = compute_scores(d, mech, np.array(entries)).scores
+                got = compute_scores(d, mech, np.array(entries))
                 assert got == fsum_scores(d, mech, entries), mech
 
     def test_permuted_run_order_gives_identical_bytes(self):
@@ -419,7 +419,7 @@ class TestExactAggregation:
         )
         for mech in FLOAT_MECHANISMS:
             a, b = compute_scores(d, mech), compute_scores(shuffled, mech)
-            assert [x.hex() for x in a.scores.values()] == [x.hex() for x in b.scores.values()]
+            assert [x.hex() for x in a.values()] == [x.hex() for x in b.values()]
             ranked = [official_ranking(sv, data, ("total_time",)) for sv, data in
                       ((a, d), (b, shuffled))]
             assert ranked[0] == ranked[1]
@@ -544,7 +544,7 @@ class TestOfficialRanking:
             d = success_table_dataset(table)
             sv = compute_scores(d, "solved_count")
             ranking = official_ranking(sv, d)
-            assert list(ranking.order) == oracle_official_order(sv.scores)
+            assert list(ranking.order) == oracle_official_order(sv)
 
     def test_top_prefix(self):
         d = success_table_dataset({"A": [True], "B": [False], "C": [False]})
