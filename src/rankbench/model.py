@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -333,15 +334,21 @@ def _parse_nonnegative(text: str, what: str) -> float:
 
 
 class _Table:
-    """Result rows parsed straight into columns, solvers and runs coded in
-    order of first appearance.  ``where(pos)`` names the row at source
-    position ``pos`` (a CSV line number or a JSON ``results`` index)."""
+    """Result rows parsed straight into typed columns, solvers and runs
+    coded in order of first appearance.  ``where(pos)`` names the row at
+    source position ``pos`` (a CSV line number or a JSON ``results`` index).
+
+    The columns are ``array.array`` buffers of machine integers (``q``,
+    status ``b``) and doubles (``d``): 1-8 bytes a field instead of a list
+    slot plus a boxed Python number, and numpy reads them without a copy
+    of each element.
+    """
 
     def __init__(self, rows: Iterable[tuple[int, Sequence]], where: Callable[[int], str]) -> None:
         self.where = where
         self.solvers, self.runs = {}, {}  # solver and (instance, seed) -> code
-        self.positions, self.solver_codes, self.run_codes = [], [], []
-        self.status, self.cpu_time, self.quality = [], [], []
+        self.positions, self.solver_codes, self.run_codes = array("q"), array("q"), array("q")
+        self.status, self.cpu_time, self.quality = array("b"), array("d"), array("d")
         for pos, fields in rows:
             try:
                 self._append(*fields)
@@ -376,14 +383,15 @@ class _Table:
         self.cpu_time.append(cpu_time)
         self.quality.append(quality)
 
-    def dataset(self, strata: Mapping, cutoff: float, reference: Mapping) -> Dataset:
+    def dataset(self, config: _Config) -> Dataset:
         """Place every row in its (solver, run) cell; each cell needs exactly
-        one row, and no successful run's quality may be below its run's
+        one row, every instance and run the config names must be in the
+        data, and no successful run's quality may be below its run's
         best-known quality."""
         solvers, runs = tuple(self.solvers), tuple(RunKey(*key) for key in self.runs)
         shape = (len(solvers), len(runs))
-        cells = np.array(self.solver_codes, dtype=np.int64) * shape[1]
-        cells += np.array(self.run_codes, dtype=np.int64)
+        cells = np.frombuffer(self.solver_codes, dtype=np.int64) * shape[1]
+        cells += np.frombuffer(self.run_codes, dtype=np.int64)
         counts = np.bincount(cells, minlength=shape[0] * shape[1])
         if (counts > 1).any():
             firsts = np.unique(cells, return_index=True)[1]
@@ -397,18 +405,24 @@ class _Table:
             raise CompletenessError(
                 f"missing result for solver {solvers[si]!r} on run {runs[ri].label()}"
             )
+        present = set(runs) | {rk.instance_id for rk in runs}
+        for what, key in config.named:
+            if key not in present:
+                raise ParseError(f"{config.where}: {what} is not in the data")
         order = np.argsort(cells)  # cells is now a permutation of the table's cells
         d = Dataset(
             solvers=solvers,
             runs=runs,
-            status=np.array(self.status, dtype=np.int8)[order].reshape(shape),
-            cpu_time=np.array(self.cpu_time)[order].reshape(shape),
-            quality=np.array(self.quality)[order].reshape(shape),
-            strata={rk.instance_id: strata.get(rk.instance_id, DEFAULT_STRATUM) for rk in runs},
-            cutoff=cutoff,
-            reference=dict(reference),
+            status=np.frombuffer(self.status, dtype=np.int8)[order].reshape(shape),
+            cpu_time=np.frombuffer(self.cpu_time)[order].reshape(shape),
+            quality=np.frombuffer(self.quality)[order].reshape(shape),
+            strata={
+                rk.instance_id: config.strata.get(rk.instance_id, DEFAULT_STRATUM) for rk in runs
+            },
+            cutoff=config.cutoff,
+            reference=dict(config.reference),
         )
-        if any(ref.best_known_quality is not None for ref in reference.values()):
+        if any(ref.best_known_quality is not None for ref in config.reference.values()):
             # NaN (absent) quality or best-known quality compares false.
             below = d.success_matrix & (d.quality < d.best_known_vector)
             if below.any():
@@ -440,7 +454,19 @@ def _reference_value(entry: dict, key: str, label: str, where: str) -> float | N
     return float(value)
 
 
-def _parse_config(doc: dict, where: str) -> tuple[float, dict, dict[RunKey, ReferenceEntry]]:
+class _Config(NamedTuple):
+    """A parsed config.  ``where`` names its source; ``named`` lists its
+    strata instances and reference runs in file order, each as (what,
+    instance id or :class:`RunKey`), for the check that the data has them."""
+
+    cutoff: float
+    strata: dict
+    reference: dict[RunKey, ReferenceEntry]
+    where: str
+    named: tuple[tuple[str, str | RunKey], ...]
+
+
+def _parse_config(doc: dict, where: str) -> _Config:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: config must be a JSON object")
     cutoff_raw = doc.get("cutoff_seconds")
@@ -461,13 +487,20 @@ def _parse_config(doc: dict, where: str) -> tuple[float, dict, dict[RunKey, Refe
         if not isinstance(label, str):
             raise ParseError(f"{where}: stratum of {instance!r} must be a string, got {label!r}")
     reference: dict[RunKey, ReferenceEntry] = {}
+    reference_runs = []
     for label, entry in (doc.get("reference") or {}).items():
         rk = RunKey.from_label(label)
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: reference entry for {label!r} must be an object")
         fields = ReferenceEntry._fields
         reference[rk] = ReferenceEntry(*(_reference_value(entry, f, label, where) for f in fields))
-    return cutoff, dict(strata), reference
+        reference_runs.append((f"reference run {label!r}", rk))
+    named = {
+        "strata": [(f"strata instance {instance!r}", instance) for instance in strata],
+        "reference": reference_runs,
+    }
+    in_file_order = tuple(item for section in doc if section in named for item in named[section])
+    return _Config(cutoff, dict(strata), reference, where, in_file_order)
 
 
 def _read_json(path: Path):
@@ -479,10 +512,10 @@ def _read_json(path: Path):
 
 def load_config(path: str | Path) -> tuple[float, dict, dict[RunKey, ReferenceEntry]]:
     """Parse a competition config JSON file (cutoff, strata, reference)."""
-    return _parse_config(_read_json(Path(path)), str(path))
+    return _parse_config(_read_json(Path(path)), str(path))[:3]
 
 
-def _load_csv(path: Path) -> tuple[_Table, float, dict, dict[RunKey, ReferenceEntry]]:
+def _load_csv(path: Path) -> tuple[_Table, _Config]:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -503,7 +536,7 @@ def _load_csv(path: Path) -> tuple[_Table, float, dict, dict[RunKey, ReferenceEn
                     raise ParseError(f"{path}:{lineno}: expected {len(RESULTS_CSV_HEADER)} fields")
                 yield lineno, fields
 
-        return _Table(rows(), lambda lineno: f"{path}:{lineno}"), math.inf, {}, {}
+        return _Table(rows(), lambda lineno: f"{path}:{lineno}"), _Config(math.inf, {}, {}, "", ())
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -515,11 +548,11 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def _load_json(path: Path) -> tuple[_Table, float, dict, dict[RunKey, ReferenceEntry]]:
+def _load_json(path: Path) -> tuple[_Table, _Config]:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "results" not in doc:
         raise ParseError(f"{path}: dataset JSON must be an object with a 'results' array")
-    cutoff, strata, reference = _parse_config(doc, str(path))
+    config = _parse_config(doc, str(path))
 
     def rows() -> Iterator[tuple[int, list]]:
         for i, row in enumerate(doc["results"]):
@@ -527,7 +560,7 @@ def _load_json(path: Path) -> tuple[_Table, float, dict, dict[RunKey, ReferenceE
                 raise ParseError(f"{path}: results[{i}] must be an object")
             yield i, [row.get(key) for key in RESULTS_CSV_HEADER]
 
-    return _Table(rows(), lambda i: f"{path}: results[{i}]"), cutoff, strata, reference
+    return _Table(rows(), lambda i: f"{path}: results[{i}]"), config
 
 
 def _format_of(path: Path, format: str | None) -> str:
@@ -548,13 +581,15 @@ def load_dataset(
     the file suffix.  For CSV input, cutoff, strata and reference data come
     from the optional ``config`` JSON file; without one, every instance goes
     into a single default stratum and the cutoff is unbounded.  A ``config``
-    given alongside JSON input overrides the embedded values.
+    given alongside JSON input overrides the embedded values.  A strata
+    instance or reference run that the data lacks is a :class:`ParseError`
+    naming the config source and the first such key in file order.
     """
     path = Path(path)
     format = _format_of(path, format)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    table, cutoff, strata, reference = (_load_csv if format == "csv" else _load_json)(path)
+    table, parsed = (_load_csv if format == "csv" else _load_json)(path)
     if config is not None:
-        cutoff, strata, reference = load_config(config)
-    return table.dataset(strata, cutoff, reference)
+        parsed = _parse_config(_read_json(Path(config)), str(config))
+    return table.dataset(parsed)

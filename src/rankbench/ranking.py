@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .resampling import ScoreMatrix
-from .scoring import OfficialRanking
-from .stats import bootstrap_p, holm_bonferroni, nearest_rank_quantile
+from .scoring import OfficialRanking, block_rows
+from .stats import bootstrap_p, holm_bonferroni
 
 __all__ = [
     "IterationRecord",
@@ -75,9 +75,16 @@ class RobustRanking:
         return frozenset(self.group_index)
 
 
-def _first_place_mask(scores: np.ndarray) -> np.ndarray:
-    """(k x S) bool: solver ties-or-takes the row maximum score."""
-    return scores == scores.max(axis=1, keepdims=True)
+def _first_place_counts(scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Per listed column of a (k x S) score matrix, the rows in which it
+    ties or takes the row maximum over the listed columns; the rows are
+    scanned a block at a time."""
+    counts = np.zeros(len(columns), dtype=np.int64)
+    step = block_rows(len(columns))
+    for start in range(0, len(scores), step):
+        block = scores[start : start + step, columns]
+        counts += (block == block.max(axis=1, keepdims=True)).sum(axis=0)
+    return counts
 
 
 def empirical_win_fractions(m: ScoreMatrix) -> dict[str, float]:
@@ -86,7 +93,7 @@ def empirical_win_fractions(m: ScoreMatrix) -> dict[str, float]:
     A replicate's firsts are the solvers no one strictly out-scores in that
     row, ties included, so the fractions can sum past 1.
     """
-    counts = _first_place_mask(m.scores).sum(axis=0)
+    counts = _first_place_counts(m.scores, np.arange(len(m.solver_order)))
     return {s: float(c) / m.k for s, c in zip(m.solver_order, counts)}
 
 
@@ -113,17 +120,14 @@ def robust_ranking(m: ScoreMatrix, alpha: float) -> RobustRanking:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    ordered = np.sort(m.scores, axis=0)  # each column sorted once, for its median
-    median_of = {
-        s: nearest_rank_quantile(ordered[:, j], 0.5) for j, s in enumerate(m.solver_order)
-    }
+    median_of = dict(zip(m.solver_order, m.median_scores.tolist()))
 
     remaining = list(m.solver_order)
     raw_groups: list[tuple[str, ...]] = []
     log: list[IterationRecord] = []
     while remaining:
-        columns = [m.solver_idx(s) for s in remaining]
-        firsts = dict(zip(remaining, _first_place_mask(m.scores[:, columns]).sum(axis=0)))
+        columns = np.array([m.solver_idx(s) for s in remaining])
+        firsts = dict(zip(remaining, _first_place_counts(m.scores, columns).tolist()))
         winner = min(remaining, key=lambda s: (-firsts[s], -median_of[s], s))
         others = [s for s in remaining if s != winner]
         p_values = {s: bootstrap_p(m, winner, s, alpha).p_value for s in others}

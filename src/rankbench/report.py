@@ -12,8 +12,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .model import AnalysisConfig, Dataset, write_csv
 from .ranking import (
     RobustRanking,
@@ -25,7 +23,7 @@ from .ranking import (
 from .resampling import ScoreMatrix
 from .scoring import OfficialRanking, compute_scores, official_ranking, resolve_mechanism
 from .sensitivity import FLAG_NAMES, SensitivityReport
-from .stats import holm_steps, nearest_rank_index, percentile_ci
+from .stats import column_quantiles, holm_steps, percentile_ci
 
 __all__ = [
     "build_report",
@@ -114,16 +112,15 @@ def build_report(
     wins = empirical_win_fractions(m)
     robust = robust_ranking(m, cfg.alpha)
 
-    # Every per-solver replicate statistic is a row of the sorted columns.
-    sorted_scores = np.sort(m.scores, axis=0)
-    sorted_ranks = np.sort(m.replicate_ranks, axis=0)
-    median = sorted_scores[nearest_rank_index(0.5, m.k) - 1].tolist()
-    rank_q25, rank_median, rank_q75 = (
-        sorted_ranks[nearest_rank_index(q, m.k) - 1].tolist() for q in (0.25, 0.5, 0.75)
-    )
+    # Medians (shared with robust_ranking) and rank quartiles come from one
+    # sort of each column; percentile_ci sorts its own copy of a score column.
+    median = m.median_scores.tolist()
+    rank_q25, rank_median, rank_q75 = column_quantiles(
+        m.replicate_ranks, (0.25, 0.5, 0.75)
+    ).tolist()
     solvers = {}
     for j, s in enumerate(d.solvers):
-        ci = percentile_ci(sorted_scores[:, j], cfg.alpha)
+        ci = percentile_ci(m.scores[:, j], cfg.alpha)
         solvers[s] = {
             "official_rank": official.ranks[s],
             "official_score": scores[s],

@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .scoring import (
     MECHANISMS,
     ScoringError,
     aggregate_from_counts,
+    block_rows,
     find_missing_entry,
     min_ranks_rows,
     non_finite_total,
@@ -42,6 +44,7 @@ from .scoring import (
     split_limbs,
     tiebreak_run_matrices,
 )
+from .stats import column_quantiles
 
 __all__ = [
     "ReplicateStream",
@@ -54,9 +57,6 @@ __all__ = [
 
 _U32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
-
-# Keep replicate index blocks around a few MB regardless of |R|.
-_BLOCK_ENTRY_BUDGET = 2_000_000
 
 _local = threading.local()
 
@@ -174,17 +174,25 @@ class ScoreMatrix:
     def column(self, solver: str) -> np.ndarray:
         return self.scores[:, self.solver_idx(solver)]
 
+    @cached_property
+    def median_scores(self) -> np.ndarray:
+        """Nearest-rank median of each score column, in ``solver_order``:
+        each column is sorted once, for robust ranking and the report."""
+        return column_quantiles(self.scores, (0.5,))[0]
+
 
 def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
     """Refuse a replicate count whose peak cannot fit in physical memory.
 
-    The peak comes in ``min_ranks_rows``: k x S float64 scores and one k x S
-    float64 array per tiebreak key, plus its temporaries (the negated
-    scores, the lexsort order, the bool blocks, the gathered copies and the
-    int64 block starts), which ``tracemalloc`` measures at 49 bytes per cell
-    with or without tiebreak keys, the kept int32 ranks included.
+    The kept arrays are the k x S float64 scores, one k x S float64 array
+    per tiebreak key and the k x S int32 ranks.  Every pass over them or
+    over the replicate counts works in blocks of :func:`block_rows` rows;
+    ``tracemalloc`` measures the largest block workspace (count block and
+    limb totals, or the min-ranks sort) at under 17 bytes per block entry,
+    so three float64 blocks are counted for it.  (A wide input's count
+    block may instead match its limb matrices, which are dataset-sized.)
     """
-    need = k * solvers * (8 * (1 + chain_keys) + 49)
+    need = k * solvers * (8 * (1 + chain_keys) + 4) + 24 * block_rows(1)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -224,7 +232,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     chains = [np.empty((k, len(d.solvers)), dtype=np.float64) for _ in cfg.tiebreak]
 
     def fill_block(start: int, stop: int) -> None:
-        # Block-local, so it is freed before min_ranks_rows' k x S temporaries.
+        # Block-local, so it is freed before min_ranks_rows' workspace.
         counts = np.zeros((stop - start, n), dtype=np.float64)
         failures = []
         for i in range(start, stop):
@@ -242,7 +250,12 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
             raise ScoringError(f"replicate {index}: {message}")
         scores[start:stop] = finish(scores[start:stop], n)
 
-    block = max(1, _BLOCK_ENTRY_BUDGET // n)
+    # Counts and per-limb totals fit one block, except that a wide input
+    # gets as many rows as its limb matrices have, up to 256: every GEMM
+    # packs its limb again, which made 100 x 5000 5% slower at 52 rows, and
+    # the count block is then no larger than those limbs.
+    limb_rows = sum(len(limbs) for _, limbs in keyed_limbs) * len(d.solvers)
+    block = max(block_rows(max(n, len(d.solvers))), min(limb_rows, 256))
     for start in range(0, k, block):
         fill_block(start, min(start + block, k))
 

@@ -354,6 +354,16 @@ def compute_scores(
 # ---------------------------------------------------------------------------
 # Ranking
 
+# Entries per block of every blocked pass over a k x |R| or k x S array:
+# replicate count blocks, min-ranks, and the report's column sorts and
+# row scans.  2 MB of float64, so a block stays near the cache.
+_BLOCK_ENTRY_BUDGET = 262_144
+
+
+def block_rows(width: int) -> int:
+    """Rows of a ``width``-wide array that fit one block (at least one)."""
+    return max(1, _BLOCK_ENTRY_BUDGET // max(width, 1))
+
 
 def tiebreak_run_matrices(d: Dataset, tiebreak: tuple[str, ...]) -> list[np.ndarray]:
     """Per-(solver, run) contribution matrices of the tiebreak chain.
@@ -370,28 +380,38 @@ def tiebreak_run_matrices(d: Dataset, tiebreak: tuple[str, ...]) -> list[np.ndar
     return matrices
 
 
+def _min_ranks_block(scores: np.ndarray, chain: list[np.ndarray], out: np.ndarray) -> None:
+    """Write the min-ranks of a block of rows into ``out``; its workspace
+    is freed on return."""
+    order = np.lexsort([*reversed(chain), -scores], axis=1).astype(np.int32)
+    block_start = np.zeros(scores.shape, dtype=bool)  # True where a new tie block starts
+    for key in (scores, *chain):
+        in_order = np.take_along_axis(key, order, axis=1)
+        block_start[:, 1:] |= in_order[:, 1:] != in_order[:, :-1]
+        del in_order  # before the next key is gathered
+    block_start = np.multiply(block_start, np.arange(scores.shape[1], dtype=np.int32))
+    np.maximum.accumulate(block_start, axis=1, out=block_start)
+    block_start += 1
+    np.put_along_axis(out, order, block_start, axis=1)
+
+
 def min_ranks_rows(scores: np.ndarray, chain: list[np.ndarray]) -> np.ndarray:
-    """Row-wise competition min-ranks of a (k x S) score matrix.
+    """Row-wise competition min-ranks of a (k x S) score matrix, as int32.
 
     ``chain`` holds tiebreak key arrays, each (S,) or (k x S), ascending
     is better; ranks depend only on equality classes of (score, chain),
-    never on solver ids.
+    never on solver ids.  Rows are ranked in blocks of :func:`block_rows`
+    rows, written straight into the result, so the workspace beyond the
+    4-byte ranks is one block's sort order, gathered keys and tie-block
+    starts (``tracemalloc``: at most 16 bytes per block entry), whatever k.
     """
     k, s = scores.shape
-    neg = -scores
-    keys = [np.broadcast_to(vec, (k, s)) for vec in reversed(chain)]
-    order = np.lexsort((*keys, neg), axis=1)
-
-    new_block = np.zeros((k, s), dtype=bool)
-    new_block[:, :1] = True
-    for arr in (neg, *(np.broadcast_to(vec, (k, s)) for vec in chain)):
-        in_order = np.take_along_axis(arr, order, axis=1)
-        new_block[:, 1:] |= in_order[:, 1:] != in_order[:, :-1]
-
-    positions = np.broadcast_to(np.arange(s), (k, s))
-    block_start = np.maximum.accumulate(np.where(new_block, positions, 0), axis=1)
     ranks = np.empty((k, s), dtype=np.int32)
-    np.put_along_axis(ranks, order, (block_start + 1).astype(np.int32), axis=1)
+    step = block_rows(s)
+    for start in range(0, k, step):
+        rows = slice(start, start + step)
+        block_chain = [np.broadcast_to(key, (k, s))[rows] for key in chain]
+        _min_ranks_block(scores[rows], block_chain, ranks[rows])
     return ranks
 
 

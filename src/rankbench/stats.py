@@ -14,6 +14,8 @@ from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from .scoring import block_rows
+
 if TYPE_CHECKING:
     from .resampling import ScoreMatrix
 
@@ -22,6 +24,7 @@ __all__ = [
     "HolmStep",
     "TestOutcome",
     "bootstrap_p",
+    "column_quantiles",
     "holm_bonferroni",
     "holm_steps",
     "nearest_rank_index",
@@ -60,6 +63,23 @@ def nearest_rank_index(q: float, k: int) -> int:
 def nearest_rank_quantile(sorted_samples: np.ndarray, q: float) -> float:
     """Quantile of an ascending-sorted sample array (nearest-rank rule)."""
     return float(sorted_samples[nearest_rank_index(q, len(sorted_samples)) - 1])
+
+
+def column_quantiles(matrix: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """Nearest-rank quantiles ``qs`` of every column of a (k x S) matrix,
+    as a (len(qs), S) array.
+
+    Each column is sorted once, as many columns at a time as fit one block
+    of :func:`~rankbench.scoring.block_rows`, so the workspace is one block
+    (or one column, when a column alone is larger) whatever k and S.
+    """
+    k, s = matrix.shape
+    rows = [nearest_rank_index(q, k) - 1 for q in qs]
+    out = np.empty((len(rows), s), dtype=matrix.dtype)
+    step = block_rows(k)  # columns per block
+    for start in range(0, s, step):
+        out[:, start : start + step] = np.sort(matrix[:, start : start + step], axis=0)[rows]
+    return out
 
 
 def percentile_ci(samples: Sequence[float] | np.ndarray, alpha: float) -> ConfidenceInterval:

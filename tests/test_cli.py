@@ -244,6 +244,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "rankbench: error:" in err and "status" in err
 
+    def test_config_naming_an_absent_instance_is_data_error(self, tmp_path, runs_csv, capsys):
+        config = tmp_path / "comp.json"
+        config.write_text(json.dumps({"strata": {"i_2": "d2"}}), encoding="utf-8")
+        code = run_cli(["score", "--input", str(runs_csv), "--config", str(config),
+                        "--mechanism", "solved_count"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"rankbench: error: {config}: strata instance 'i_2' is not in the data\n"
+        )
+
     def test_mechanism_without_reference_data_is_data_error(self, runs_csv, capsys):
         code = run_cli(["score", "--input", str(runs_csv),
                         "--mechanism", "ipc_quality"])

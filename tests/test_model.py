@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -180,11 +181,35 @@ class TestConfig:
         # instances the config does not cover land in the default stratum
         assert d.strata == {"i1": "d1", "i2": "default"}
 
-    def test_config_ignores_unknown_instances(self, tmp_path):
+    def test_config_rejects_unknown_instances(self, tmp_path):
         runs = write_csv(tmp_path, BASIC_CSV)
-        comp = write_json(tmp_path, {"strata": {"ghost": "d1"}}, "comp.json")
-        d = load_dataset(runs, config=comp)
-        assert set(d.strata.values()) == {"default"}
+        cases = [
+            ({"strata": {"i1": "d1", "i_2": "d2"}}, "strata instance 'i_2'"),
+            ({"reference": {"i1@0": {"reference_time": 1.0}, "ghost@0": {}}},
+             "reference run 'ghost@0'"),
+            ({"reference": {"i1@1": {"reference_time": 1.0}}}, "reference run 'i1@1'"),
+            # the first unknown key in file order, whichever section it is in
+            ({"reference": {"ghost@0": {}}, "strata": {"i_2": "d2"}}, "reference run 'ghost@0'"),
+            ({"strata": {"i_2": "d2"}, "reference": {"ghost@0": {}}}, "strata instance 'i_2'"),
+        ]
+        for doc, unknown in cases:
+            comp = write_json(tmp_path, doc, "comp.json")
+            message = f"^{re.escape(str(comp))}: {unknown} is not in the data$"
+            with pytest.raises(ParseError, match=message):
+                load_dataset(runs, config=comp)
+
+    def test_self_contained_json_rejects_unknown_instances(self, tmp_path):
+        rows = [
+            {"solver": s, "instance": "i1", "seed": 0, "status": "solved", "cpu_time": 1.0}
+            for s in ("A", "B")
+        ]
+        path = write_json(tmp_path, {"strata": {"i1": "d1", "i2": "d2"}, "results": rows})
+        message = f"^{re.escape(str(path))}: strata instance 'i2' is not in the data$"
+        with pytest.raises(ParseError, match=message):
+            load_dataset(path)
+        # a config given alongside overrides the embedded one, and is checked instead
+        comp = write_json(tmp_path, {"strata": {"i1": "d1"}}, "comp.json")
+        assert load_dataset(path, config=comp).strata == {"i1": "d1"}
 
 
 class TestBestKnownQuality:

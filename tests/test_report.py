@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import rankbench.scoring as scoring
 from rankbench.report import (
     PLOT_DATA_HEADER,
     build_report,
@@ -35,6 +36,15 @@ def pipeline(table=None, k=200, alpha=0.05, seed=7, tiebreak=(), table_seed=23,
 
 
 class TestBuildReport:
+    def test_block_size_does_not_change_the_report(self, monkeypatch):
+        # Blocks of one row or one column in every pass: counts, min-ranks,
+        # the column sorts and the first-place scans.
+        d, cfg, m = pipeline(k=301, solvers=7, tiebreak=("total_time",))
+        whole = canonical_json(build_report(d, cfg, m))
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1)
+        chopped = generate_score_matrix(d, cfg)
+        assert canonical_json(build_report(d, cfg, chopped)) == whole
+
     def test_provenance_mismatch_rejected(self):
         d, cfg, m = pipeline(seed=1)
         other = config("solved_count", replicates_k=m.k, master_seed=2)

@@ -3,11 +3,14 @@
 import random
 import sys
 import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rankbench.resampling as resampling
+import rankbench.scoring as scoring
 from rankbench.model import Mechanism, ReferenceEntry, RunKey
 from rankbench.resampling import (
     ReplicateStream,
@@ -18,7 +21,12 @@ from rankbench.resampling import (
     generate_score_matrix,
     write_matrix_csv,
 )
-from rankbench.scoring import ScoringError, compute_scores, tiebreak_run_matrices
+from rankbench.scoring import (
+    ScoringError,
+    aggregate_from_counts,
+    compute_scores,
+    tiebreak_run_matrices,
+)
 
 from helpers import (
     build_dataset,
@@ -274,17 +282,48 @@ class TestGenerateScoreMatrix:
         }
 
     def test_memory_preflight_counts_the_ranking_peak(self, monkeypatch):
-        # 1000 x 2 cells: 24,000 bytes of kept matrices, 114,000 at the peak.
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 50_000}
-        monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
-
-        def no_allocation(*args):
-            raise AssertionError("scored before the memory check")
-
-        monkeypatch.setattr(resampling, "run_contributions", no_allocation)
+        # 1000 x 2 cells: 24,000 bytes of kept scores and ranks, plus three
+        # float64 blocks of 1,000 entries.
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
         d = success_table_dataset({"A": [True, False], "B": [True, True]})
-        with pytest.raises(ValueError, match="physical memory"):
-            generate_score_matrix(d, config(replicates_k=1000))
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 47_999}
+        monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
+        with monkeypatch.context() as patch:
+
+            def no_allocation(*args):
+                raise AssertionError("scored before the memory check")
+
+            patch.setattr(resampling, "run_contributions", no_allocation)
+            with pytest.raises(ValueError, match="physical memory"):
+                generate_score_matrix(d, config(replicates_k=1000))
+        pages["SC_PHYS_PAGES"] = 48_000
+        assert generate_score_matrix(d, config(replicates_k=1000)).k == 1000
+
+    @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
+    def test_workspace_is_a_few_blocks(self, tiebreak):
+        rng = random.Random(4)
+        solvers = [f"s{i}" for i in range(50)]
+        d = success_table_dataset(
+            {s: [rng.random() < 0.6 for _ in range(20)] for s in solvers},
+            times={s: [round(rng.uniform(1, 99), 2) for _ in range(20)] for s in solvers},
+            strata={f"i{j}": f"g{j % 3}" for j in range(20)},
+        )
+
+        def peak_beyond_kept(k: int) -> int:
+            cfg = config("par_k", replicates_k=k, stratified=True, tiebreak=tiebreak)
+            tracemalloc.start()
+            try:
+                m = generate_score_matrix(d, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - m.scores.nbytes * (1 + len(tiebreak)) - m.replicate_ranks.nbytes
+
+        peak_beyond_kept(1)  # one-time allocations and cached dataset layouts
+        # One replicate needs the dataset-sized arrays (contributions, limbs,
+        # one draw); 20,000 x 50 cells need at most three float64 blocks more.
+        block = scoring._BLOCK_ENTRY_BUDGET
+        assert peak_beyond_kept(20_000) - peak_beyond_kept(1) <= 24 * block
 
     def test_rows_are_pure_functions_of_seed_and_index(self):
         d = success_table_dataset({"A": [True, True, False], "B": [True, False, True]})
@@ -318,10 +357,78 @@ class TestGenerateScoreMatrix:
         for d, cfg in inputs:
             whole = generate_score_matrix(d, cfg)
             with monkeypatch.context() as patch:
-                patch.setattr(resampling, "_BLOCK_ENTRY_BUDGET", 20)
+                patch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 20)
                 chopped = generate_score_matrix(d, cfg, threads=4)
             assert np.array_equal(whole.scores, chopped.scores)
             assert np.array_equal(whole.replicate_ranks, chopped.replicate_ranks)
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_rows_at_block_boundaries_are_bit_identical(self, monkeypatch, stratified):
+        d = timed_dataset()
+        cfg = config("par_k", replicates_k=1, master_seed=6, stratified=stratified,
+                     tiebreak=("total_time",))
+        step = 300  # rows a count block: above the 256 rows a wide input may get
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
+        for k in (1, step - 1, step, step + 1, 3 * step + 7):
+            cfg = replace(cfg, replicates_k=k)
+            whole = generate_score_matrix(d, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", step * len(d.runs))
+                chopped = generate_score_matrix(d, cfg)
+            assert chopped.scores.tobytes() == whole.scores.tobytes(), k
+            assert np.array_equal(chopped.replicate_ranks, whole.replicate_ranks), k
+            for i in range(k):
+                want = compute_scores(d, "par_k", draw(d, ReplicateStream(6, i)))
+                assert chopped.scores[i].tolist() == [want[s] for s in d.solvers], (k, i)
+
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_later_block_failure_is_reported_at_its_first_replicate(self, monkeypatch, missing):
+        # mean_metric over 20 heavy and 20 light runs: a replicate that
+        # draws 26 heavy runs overflows solver B's total (25 do not); with
+        # ``missing``, solver A also has no quality on run ``bad``.  Every
+        # quality is a multiple of 2**973, so each matrix is one limb and the
+        # count blocks are 3 rows.
+        heavy = round(1.797e308 / 25.5 / 2.0**973) * 2.0**973
+        runs = [(f"h{j}", 0) for j in range(20)] + [(f"l{j}", 0) for j in range(20)]
+        runs += [("bad", 0)] if missing else []
+
+        def quality(s, rk):
+            if rk.instance_id == "bad" and s == "A":
+                return None
+            return heavy if rk.instance_id[0] == "h" and s == "B" else 2.0**980
+
+        d = build_dataset(["A", "B"], runs, lambda s, rk: record(True, 1.0, quality(s, rk)))
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 3 * len(runs))
+        blocks = []
+
+        def spy(limbs, counts):
+            blocks.append(len(counts))
+            return aggregate_from_counts(limbs, counts)
+
+        monkeypatch.setattr(resampling, "aggregate_from_counts", spy)
+
+        def failure(seed, i):
+            drawn = draw_uniform_replicate(d, ReplicateStream(seed, i))
+            instances = [d.runs[j].instance_id for j in drawn]
+            if "bad" in instances:
+                return "mean_metric: solver 'A' on run bad@0"
+            overflow = sum(instance[0] == "h" for instance in instances) >= 26
+            return "mean_metric: the total of solver 'B' is beyond" if overflow else None
+
+        seed = next(s for s in range(1000) if not any(failure(s, i) for i in range(3)))
+        first = next(i for i in range(3, 1000) if failure(seed, i))
+        cfg = config("mean_metric", replicates_k=first + 400, master_seed=seed)
+        with pytest.raises(ScoringError, match=rf"^replicate {first}: {failure(seed, first)}"):
+            generate_score_matrix(d, cfg)
+        assert blocks[0] == 3 and len(blocks) > 1  # the failure was not in the first block
+        # In one block the smaller index still wins, although a missing entry
+        # is found while drawing and an overflow only after the block sums.
+        later = [failure(seed, i) for i in range(first + 1, cfg.replicates_k)]
+        assert any("beyond" in str(message) for message in later)
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", cfg.replicates_k * len(runs))
+        with pytest.raises(ScoringError, match=rf"^replicate {first}: {failure(seed, first)}"):
+            generate_score_matrix(d, cfg)
+        assert blocks[-1] == cfg.replicates_k
 
     @pytest.mark.parametrize("stratified", [False, True])
     @pytest.mark.parametrize("mechanism", ["par_k", "mean_metric", "ipc_quality", "ipc_agile"])

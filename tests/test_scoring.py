@@ -2,11 +2,13 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import rankbench.scoring as scoring
 from rankbench.model import Dataset, Mechanism, ReferenceEntry, RunKey, RunRecord, RunStatus
 from rankbench.resampling import ReplicateStream, draw_uniform_replicate, generate_score_matrix
 from rankbench.scoring import (
@@ -14,6 +16,7 @@ from rankbench.scoring import (
     UnknownMechanismError,
     aggregate_from_counts,
     compute_scores,
+    min_ranks_rows,
     official_ranking,
     run_contributions,
     split_limbs,
@@ -26,6 +29,7 @@ from helpers import (
     brute_scores,
     build_dataset,
     config,
+    oracle_min_ranks,
     oracle_official_order,
     record,
     success_table_dataset,
@@ -550,3 +554,49 @@ class TestOfficialRanking:
         d = success_table_dataset({"A": [True], "B": [False], "C": [False]})
         ranking = official_ranking(compute_scores(d, "solved_count"), d)
         assert ranking.top(2) == ranking.order[:2]
+
+
+class TestMinRanksRows:
+    """Row blocks: ranks match a pure-Python oracle at every block boundary,
+    and the workspace is one block whatever k."""
+
+    @staticmethod
+    def oracle(scores: np.ndarray, chain: list[np.ndarray]) -> list[list[int]]:
+        k, s = scores.shape
+        keys = [np.broadcast_to(key, (k, s)) for key in chain]
+        return [
+            oracle_min_ranks([(-scores[i, j], *(key[i, j] for key in keys)) for j in range(s)])
+            for i in range(k)
+        ]
+
+    @pytest.mark.parametrize("solvers", [0, 1, 3, 5])
+    def test_block_boundaries_match_the_oracle(self, monkeypatch, solvers):
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 20)
+        step = scoring.block_rows(solvers)
+        rng = np.random.default_rng(solvers)
+        for k in (1, step - 1, step, step + 1, 3 * step + 7):
+            if k < 1:
+                continue
+            scores = rng.integers(0, 3, (k, solvers)).astype(np.float64)  # many ties
+            chains = ([], [rng.integers(0, 2, solvers).astype(np.float64)],
+                      [rng.integers(0, 2, (k, solvers)).astype(np.float64) for _ in range(2)])
+            for chain in chains:
+                ranks = min_ranks_rows(scores, chain)
+                assert ranks.dtype == np.int32 and ranks.shape == (k, solvers)
+                assert ranks.tolist() == self.oracle(scores, chain), (k, len(chain))
+
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_workspace_is_one_block(self, chained):
+        k, s = 20_000, 100
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 20, (k, s)).astype(np.float64)
+        chain = [rng.integers(0, 3, (k, s)).astype(np.float64)] if chained else []
+        tracemalloc.start()
+        try:
+            ranks = min_ranks_rows(scores, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = scoring.block_rows(s) * s
+        # int32 ranks, plus at most 17 bytes per block entry (measured: 16)
+        assert peak <= ranks.nbytes + 17 * block, peak / block

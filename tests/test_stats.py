@@ -6,14 +6,21 @@ import random
 import numpy as np
 import pytest
 
+import rankbench.scoring as scoring
 from rankbench.stats import (
     bootstrap_p,
+    column_quantiles,
     holm_bonferroni,
     nearest_rank_index,
     percentile_ci,
 )
 
-from helpers import matrix_from_columns, oracle_holm, oracle_nearest_rank_index
+from helpers import (
+    matrix_from_columns,
+    oracle_holm,
+    oracle_median,
+    oracle_nearest_rank_index,
+)
 
 
 class TestNearestRankIndex:
@@ -198,3 +205,22 @@ class TestHolmBonferroni:
                 current = holm_bonferroni(ps, alpha)
                 assert previous <= current
                 previous = current
+
+
+class TestColumnQuantiles:
+    @pytest.mark.parametrize("budget", [1, 7, 30, 262_144])
+    def test_rows_of_the_column_sorted_matrix(self, monkeypatch, budget):
+        # A block holds budget // k columns, or one column when k is larger.
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
+        rng = np.random.default_rng(budget)
+        for k, s in ((1, 3), (7, 1), (10, 9), (31, 4)):
+            matrix = rng.integers(0, 5, (k, s)).astype(np.float64)
+            got = column_quantiles(matrix, (0.5, 0.025, 0.975))
+            ordered = np.sort(matrix, axis=0)
+            rows = [oracle_nearest_rank_index(q, k) - 1 for q in ("0.5", "0.025", "0.975")]
+            assert got.tolist() == ordered[rows].tolist(), (k, s)
+            assert got[0].tolist() == [oracle_median(matrix[:, j].tolist()) for j in range(s)]
+        ranks = rng.integers(1, 4, (11, 3)).astype(np.int32)
+        got = column_quantiles(ranks, (0.25,))
+        assert got.dtype == np.int32
+        assert got[0].tolist() == np.sort(ranks, axis=0)[2].tolist()
