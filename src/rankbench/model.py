@@ -510,11 +510,6 @@ def _read_json(path: Path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def load_config(path: str | Path) -> tuple[float, dict, dict[RunKey, ReferenceEntry]]:
-    """Parse a competition config JSON file (cutoff, strata, reference)."""
-    return _parse_config(_read_json(Path(path)), str(path))[:3]
-
-
 def _load_csv(path: Path) -> tuple[_Table, _Config]:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -563,33 +558,24 @@ def _load_json(path: Path) -> tuple[_Table, _Config]:
     return _Table(rows(), lambda i: f"{path}: results[{i}]"), config
 
 
-def _format_of(path: Path, format: str | None) -> str:
-    format = path.suffix.lstrip(".").lower() if format is None else format
-    if format not in ("csv", "json"):
-        raise ParseError(f"unsupported dataset format {format!r} (expected csv or json)")
-    return format
+def load_dataset(path: str | Path, config: str | Path | None = None) -> Dataset:
+    """Load a dataset from a run-results CSV or a self-contained JSON file,
+    as the file suffix (``.csv`` or ``.json``) says.
 
-
-def load_dataset(
-    path: str | Path,
-    format: str | None = None,
-    config: str | Path | None = None,
-) -> Dataset:
-    """Load a dataset from a run-results CSV or a self-contained JSON file.
-
-    ``format`` is ``"csv"`` or ``"json"``; when omitted it is inferred from
-    the file suffix.  For CSV input, cutoff, strata and reference data come
-    from the optional ``config`` JSON file; without one, every instance goes
-    into a single default stratum and the cutoff is unbounded.  A ``config``
+    For CSV input, cutoff, strata and reference data come from the
+    optional ``config`` JSON file; without one, every instance goes into a
+    single default stratum and the cutoff is unbounded.  A ``config``
     given alongside JSON input overrides the embedded values.  A strata
     instance or reference run that the data lacks is a :class:`ParseError`
     naming the config source and the first such key in file order.
     """
     path = Path(path)
-    format = _format_of(path, format)
+    suffix = path.suffix.lstrip(".").lower()
+    if suffix not in ("csv", "json"):
+        raise ParseError(f"unsupported dataset format {suffix!r} (expected csv or json)")
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    table, parsed = (_load_csv if format == "csv" else _load_json)(path)
+    table, parsed = (_load_csv if suffix == "csv" else _load_json)(path)
     if config is not None:
         parsed = _parse_config(_read_json(Path(config)), str(config))
     return table.dataset(parsed)

@@ -174,7 +174,7 @@ def build_report(
             for record in robust.iteration_log
         ],
         "diagnostics": {
-            name: _diagnostics_for(official.top(depth), official, robust, solvers)
+            name: _diagnostics_for(official.order[:depth], official, robust, solvers)
             for name, depth in (("all", len(d.solvers)), ("top10", 10), ("top3", 3))
         },
         "sensitivity": None if extras is None else _sensitivity_obj(extras),

@@ -31,19 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import AnalysisConfig, Dataset, write_csv
-from .scoring import (
-    MECHANISMS,
-    ScoringError,
-    aggregate_from_counts,
-    block_rows,
-    find_missing_entry,
-    min_ranks_rows,
-    non_finite_total,
-    resolve_mechanism,
-    run_contributions,
-    split_limbs,
-    tiebreak_run_matrices,
-)
+from .scoring import Scorer, ScoringError, aggregate_from_counts, block_rows, min_ranks_rows
 from .stats import column_quantiles
 
 __all__ = [
@@ -144,12 +132,6 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     return runs[starts + _bounded_indices(rng.words(len(runs)), sizes)]
 
 
-def _draw_entries(d: Dataset, stratified: bool, master_seed: int, index: int) -> np.ndarray:
-    stream = ReplicateStream(master_seed, index)
-    draw = draw_stratified_replicate if stratified else draw_uniform_replicate
-    return draw(d, stream)
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """k bootstrap replicates x solvers, scores plus per-replicate min-ranks.
@@ -213,21 +195,13 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     failures (a selected run without a contribution, a total beyond the
     float64 range) report the smallest failing replicate index.
     """
-    mech = resolve_mechanism(cfg.mechanism)
     n = len(d.runs)
     if n < 1:
         raise ValueError("dataset has no runs to resample")
     k = cfg.replicates_k
     _check_memory(k, len(d.solvers), len(cfg.tiebreak))
-    contributions = run_contributions(d, mech)
-    bad_runs = np.isnan(contributions).any(axis=0)
-    any_bad = bad_runs.any()
-    keyed_limbs = [(mech.name, split_limbs(contributions, n))] + [
-        (key, split_limbs(mat, n))
-        for key, mat in zip(cfg.tiebreak, tiebreak_run_matrices(d, cfg.tiebreak))
-    ]
-    finish = MECHANISMS[mech.name].finish
-
+    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, n)
+    draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
     scores = np.empty((k, len(d.solvers)), dtype=np.float64)
     chains = [np.empty((k, len(d.solvers)), dtype=np.float64) for _ in cfg.tiebreak]
 
@@ -236,25 +210,29 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         counts = np.zeros((stop - start, n), dtype=np.float64)
         failures = []
         for i in range(start, stop):
-            entries = _draw_entries(d, cfg.stratified, cfg.master_seed, i)
-            if any_bad and not failures and bad_runs[entries].any():
-                failures.append((i, find_missing_entry(d, mech, contributions, entries)))
+            entries = draw(d, ReplicateStream(cfg.master_seed, i))
+            message = None if failures else scorer.missing(entries)
+            if message is not None:
+                failures.append((i, message))
             counts[i - start] = np.bincount(entries, minlength=n)
-        for (what, limbs), out in zip(keyed_limbs, (scores, *chains)):
-            out[start:stop] = aggregate_from_counts(limbs, counts)
-            found = non_finite_total(out[start:stop], d.solvers, what)
-            if found is not None:
-                failures.append((start + found[0], found[1]))
+        # aggregate_from_counts is looked up in this module at every call,
+        # so a wrapper set on the module sees each one.
+        block_scores, block_chains, overflow = scorer.rows(
+            lambda limbs: aggregate_from_counts(limbs, counts), n
+        )
+        if overflow is not None:
+            failures.append((start + overflow[0], overflow[1]))
         if failures:  # the first failing replicate; a missing entry first
             index, message = min(failures, key=lambda failure: failure[0])
             raise ScoringError(f"replicate {index}: {message}")
-        scores[start:stop] = finish(scores[start:stop], n)
+        for out, rows in zip((scores, *chains), (block_scores, *block_chains)):
+            out[start:stop] = rows
 
     # Counts and per-limb totals fit one block, except that a wide input
     # gets as many rows as its limb matrices have, up to 256: every GEMM
     # packs its limb again, which made 100 x 5000 5% slower at 52 rows, and
     # the count block is then no larger than those limbs.
-    limb_rows = sum(len(limbs) for _, limbs in keyed_limbs) * len(d.solvers)
+    limb_rows = sum(len(limbs) for _, limbs in scorer.limbs) * len(d.solvers)
     block = max(block_rows(max(n, len(d.solvers))), min(limb_rows, 256))
     for start in range(0, k, block):
         fill_block(start, min(start + block, k))
@@ -268,7 +246,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         provenance={
             "master_seed": cfg.master_seed,
             "stratified": cfg.stratified,
-            "mechanism": mech.id,
+            "mechanism": scorer.mechanism.id,
         },
     )
 

@@ -6,10 +6,11 @@ mechanisms are per-run additive: each (solver, run) pair has a fixed
 contribution and a multiset is scored by summing (or averaging) the
 contributions of its entries, so duplicated entries count twice.
 
-:data:`MECHANISMS` is the one table of mechanisms; official scores,
-bootstrap replicates and leave-one-out all score and rank through the
-functions of this module, and every total they rank is the exact sum of
-its contributions rounded once (:func:`aggregate_from_counts`).
+:data:`MECHANISMS` is the one table of mechanisms and :class:`Scorer` the
+one path that scores rows of run multisets: official scores, bootstrap
+replicates and leave-one-out all go through it, and every total they rank
+is the exact sum of its contributions rounded once
+(:func:`aggregate_from_counts`, :func:`drop_one_totals`).
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ __all__ = [
     "MECHANISMS",
     "MechanismRule",
     "OfficialRanking",
+    "Scorer",
     "ScoringError",
     "UnknownMechanismError",
     "aggregate_from_counts",
     "combine_limbs",
     "compute_scores",
-    "find_missing_entry",
+    "drop_one_totals",
     "min_ranks_rows",
-    "non_finite_total",
     "official_ranking",
     "ranking_rows",
     "resolve_mechanism",
@@ -234,7 +235,7 @@ def combine_limbs(totals: list[tuple[int, np.ndarray]]) -> np.ndarray:
     per-limb totals of :func:`split_limbs` limbs (highest first).
 
     The total arrays are overwritten.  A sum beyond the float64 range
-    comes out non-finite, without a warning (see :func:`non_finite_total`).
+    comes out non-finite, without a warning (see :meth:`Scorer.rows`).
     """
     exponents = [exponent for exponent, _ in totals]
     digits = [total for _, total in totals]
@@ -279,7 +280,22 @@ def aggregate_from_counts(
     return combine_limbs([(exponent, counts @ limb.T) for exponent, limb in limbs])
 
 
-def non_finite_total(
+def drop_one_totals(limbs: list[tuple[int, np.ndarray]], groups: tuple) -> np.ndarray:
+    """(groups + 1, matrix rows) totals of a :func:`split_limbs` matrix over
+    all its columns, then over all but each group of an ``(order, counts,
+    starts)`` grouping such as :attr:`Dataset.instance_layout`.  A drop-one
+    limb total is the whole one minus the group's, which is exact, so each
+    row is rounded once."""
+    order, _, starts = groups
+    totals = []
+    for exponent, limb in limbs:
+        per_group = np.add.reduceat(limb[:, order], starts, axis=1).T
+        whole = per_group.sum(axis=0)
+        totals.append((exponent, np.vstack([whole, whole - per_group])))
+    return combine_limbs(totals)
+
+
+def _non_finite_total(
     totals: np.ndarray, solvers: tuple[str, ...], what: str
 ) -> tuple[int, str] | None:
     """Row and message of the first non-finite entry of (rows x S) ``totals``.
@@ -297,27 +313,51 @@ def non_finite_total(
     )
 
 
-def _raise_non_finite(totals: np.ndarray, solvers: tuple[str, ...], what: str) -> None:
-    found = non_finite_total(totals, solvers, what)
-    if found is not None:
-        raise ScoringError(found[1])
+class Scorer:
+    """Scores rows of run multisets of one competition.
 
+    Built once per (dataset, mechanism, tiebreak chain, ``n``), it holds the
+    contributions, the runs with a NaN contribution, and the ``(what,
+    limbs)`` of the mechanism and of each tiebreak key, split for multisets
+    of at most ``n`` entries.
+    """
 
-def find_missing_entry(
-    d: Dataset, mechanism: Mechanism, contributions: np.ndarray, entries: np.ndarray
-) -> str | None:
-    """Message for the first NaN contribution selected by ``entries``, if any."""
-    selected = contributions[:, entries]
-    if not np.isnan(selected).any():
-        return None
-    bad = np.argwhere(np.isnan(selected))
-    # First failing entry in multiset order, then solver order.
-    entry_pos, solver_idx = min((int(e), int(s)) for s, e in bad)
-    solver = d.solvers[solver_idx]
-    rk = d.runs[int(entries[entry_pos])]
-    where = f"solver {solver!r} on run {rk.label()}"
-    explain = MECHANISMS[mechanism.name].explain_nan
-    return f"{mechanism.name}: {explain(d.results[(solver, rk)], where, rk)}"
+    def __init__(self, d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...], n: int):
+        self.d = d
+        self.mechanism = resolve_mechanism(mechanism)
+        self.contributions = run_contributions(d, self.mechanism)
+        self._nan_runs = np.isnan(self.contributions).any(axis=0)
+        self._any_nan = self._nan_runs.any()  # hoisted out of every missing() call
+        matrices = (self.contributions, *tiebreak_run_matrices(d, tiebreak))
+        whats = (self.mechanism.name, *tiebreak)
+        self.limbs = [(what, split_limbs(matrix, n)) for what, matrix in zip(whats, matrices)]
+
+    def missing(self, entries: np.ndarray) -> str | None:
+        """Message for the first NaN contribution that ``entries`` selects,
+        in multiset order and then solver order, or None."""
+        if not (self._any_nan and self._nan_runs[entries].any()):
+            return None
+        run = int(entries[np.argmax(self._nan_runs[entries])])
+        solver = self.d.solvers[int(np.argmax(np.isnan(self.contributions[:, run])))]
+        rk = self.d.runs[run]
+        where = f"solver {solver!r} on run {rk.label()}"
+        explain = MECHANISMS[self.mechanism.name].explain_nan
+        return f"{self.mechanism.name}: {explain(self.d.results[(solver, rk)], where, rk)}"
+
+    def rows(self, aggregate: Callable, sizes: int | np.ndarray) -> tuple:
+        """``(scores, chain totals, overflow)`` of the rows whose totals
+        ``aggregate(limbs)`` gives for each split matrix (for instance
+        :func:`aggregate_from_counts` or :func:`drop_one_totals`), each row
+        a multiset of ``sizes`` entries.  ``overflow`` is the smallest row
+        with a total beyond the float64 range and its message (on one row
+        the mechanism before the chain keys), or None."""
+        totals = [aggregate(limbs) for _, limbs in self.limbs]
+        found = [
+            _non_finite_total(total, self.d.solvers, what)
+            for (what, _), total in zip(self.limbs, totals)
+        ]
+        overflow = min(filter(None, found), key=lambda row_message: row_message[0], default=None)
+        return MECHANISMS[self.mechanism.name].finish(totals[0], sizes), totals[1:], overflow
 
 
 def compute_scores(
@@ -338,16 +378,19 @@ def compute_scores(
     entries = np.asarray(entries, dtype=np.int64)
     if len(entries) and (entries.min() < 0 or entries.max() >= n):
         raise ValueError("multiset entry out of range for dataset runs")
-    contributions = run_contributions(d, mech)
-    message = find_missing_entry(d, mech, contributions, entries)
+    scorer = Scorer(d, mech, (), len(entries))
+    message = scorer.missing(entries)
     if message is not None:
         raise ScoringError(message)
-    values = np.zeros(len(d.solvers))
+    values = np.zeros(len(d.solvers))  # an empty multiset scores +0.0 by every mechanism
     if len(entries):
         counts = np.bincount(entries, minlength=n)[None, :].astype(np.float64)
-        totals = aggregate_from_counts(split_limbs(contributions, len(entries)), counts)
-        _raise_non_finite(totals, d.solvers, mech.name)
-        values = MECHANISMS[mech.name].finish(totals[0], len(entries))
+        scores, _, overflow = scorer.rows(
+            lambda limbs: aggregate_from_counts(limbs, counts), len(entries)
+        )
+        if overflow is not None:
+            raise ScoringError(overflow[1])
+        values = scores[0]
     return {s: float(v) for s, v in zip(d.solvers, values)}
 
 
@@ -453,9 +496,6 @@ class OfficialRanking:
             ranks={solvers[i]: int(ranks[i]) for i in order},
         )
 
-    def top(self, depth: int) -> tuple[str, ...]:
-        return self.order[:depth]
-
 
 def official_ranking(
     scores: dict[str, float], d: Dataset, tiebreak: tuple[str, ...] = ()
@@ -471,7 +511,9 @@ def official_ranking(
     chain = []
     for key, spent in zip(tiebreak, tiebreak_run_matrices(d, tiebreak)):
         totals = aggregate_from_counts(split_limbs(spent, len(d.runs)), ones)
-        _raise_non_finite(totals, d.solvers, key)
+        found = _non_finite_total(totals, d.solvers, key)
+        if found is not None:
+            raise ScoringError(found[1])
         chain.append(totals[0])
     row = np.array([[scores[s] for s in d.solvers]], dtype=np.float64)
     orders, ranks = ranking_rows(d.solvers, row, chain)

@@ -15,19 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import AnalysisConfig, Dataset, write_csv
-from .scoring import (
-    MECHANISMS,
-    OfficialRanking,
-    ScoringError,
-    combine_limbs,
-    find_missing_entry,
-    non_finite_total,
-    ranking_rows,
-    resolve_mechanism,
-    run_contributions,
-    split_limbs,
-    tiebreak_run_matrices,
-)
+from .scoring import OfficialRanking, Scorer, ScoringError, drop_one_totals, ranking_rows
 
 __all__ = [
     "InstanceFlags",
@@ -89,45 +77,27 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
     """Remove each instance in turn and compare the re-scored listing.
 
     Row 0 scores every run (the baseline); row ``j + 1`` drops instance
-    ``j``.  Its limb totals are the baseline's minus instance ``j``'s, which
-    is exact, so every row is rounded once exactly as the official scores
-    are; all rows are ranked in one call.
+    ``j``.  Every row is rounded once, exactly as the official scores are
+    (:func:`~rankbench.scoring.drop_one_totals`); all rows are ranked in
+    one call.
     """
     if len(d.instances) < 2:
         raise ValueError("leave-one-out analysis needs at least 2 instances")
 
-    mech = resolve_mechanism(cfg.mechanism)
-    contributions = run_contributions(d, mech)
     n = len(d.runs)
+    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, n)
     # Every kept set is a subset of these runs, so one check covers them all.
-    message = find_missing_entry(d, mech, contributions, np.arange(n, dtype=np.int64))
+    message = scorer.missing(np.arange(n, dtype=np.int64))
     if message is not None:
         raise ScoringError(message)
-    by_instance, runs_per_instance, starts = d.instance_layout
-
-    def drop_one_totals(matrix: np.ndarray, what: str) -> np.ndarray:
-        """(instances + 1, S) totals: all runs, then without each instance."""
-        limb_totals = []
-        for exponent, limb in split_limbs(matrix, n):
-            per_instance = np.add.reduceat(limb[:, by_instance], starts, axis=1).T
-            whole = per_instance.sum(axis=0)
-            limb_totals.append((exponent, np.vstack([whole, whole - per_instance])))
-        totals = combine_limbs(limb_totals)
-        found = non_finite_total(totals, d.solvers, what)
-        if found is not None:
-            row, message = found
-            prefix = f"without instance {d.instances[row - 1]!r}: " if row else ""
-            raise ScoringError(prefix + message)
-        return totals
-
-    sizes = n - np.concatenate(([0], runs_per_instance))
-    scores = MECHANISMS[mech.name].finish(
-        drop_one_totals(contributions, mech.name), sizes[:, None]
+    sizes = n - np.concatenate(([0], d.instance_layout[1]))
+    scores, chains, overflow = scorer.rows(
+        lambda limbs: drop_one_totals(limbs, d.instance_layout), sizes[:, None]
     )
-    chains = [
-        drop_one_totals(spent, key)
-        for key, spent in zip(cfg.tiebreak, tiebreak_run_matrices(d, cfg.tiebreak))
-    ]
+    if overflow is not None:
+        row, message = overflow
+        prefix = f"without instance {d.instances[row - 1]!r}: " if row else ""
+        raise ScoringError(prefix + message)
 
     listings, ranks = ranking_rows(d.solvers, scores, chains)
     base, variants = listings[0], listings[1:]

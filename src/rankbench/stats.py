@@ -28,7 +28,6 @@ __all__ = [
     "holm_bonferroni",
     "holm_steps",
     "nearest_rank_index",
-    "nearest_rank_quantile",
     "percentile_ci",
 ]
 
@@ -60,11 +59,6 @@ def nearest_rank_index(q: float, k: int) -> int:
     return min(max(index, 1), k)
 
 
-def nearest_rank_quantile(sorted_samples: np.ndarray, q: float) -> float:
-    """Quantile of an ascending-sorted sample array (nearest-rank rule)."""
-    return float(sorted_samples[nearest_rank_index(q, len(sorted_samples)) - 1])
-
-
 def column_quantiles(matrix: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     """Nearest-rank quantiles ``qs`` of every column of a (k x S) matrix,
     as a (len(qs), S) array.
@@ -89,12 +83,8 @@ def percentile_ci(samples: Sequence[float] | np.ndarray, alpha: float) -> Confid
         raise ValueError("percentile_ci requires a non-empty sample list")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    ordered = np.sort(samples)
-    return ConfidenceInterval(
-        lower=nearest_rank_quantile(ordered, alpha / 2.0),
-        upper=nearest_rank_quantile(ordered, 1.0 - alpha / 2.0),
-        alpha=alpha,
-    )
+    lower, upper = column_quantiles(samples.reshape(-1, 1), (alpha / 2.0, 1.0 - alpha / 2.0))
+    return ConfidenceInterval(lower=float(lower[0]), upper=float(upper[0]), alpha=alpha)
 
 
 def bootstrap_p(m: "ScoreMatrix", s1: str, s2: str, alpha: float = 0.05) -> TestOutcome:

@@ -18,7 +18,6 @@ from rankbench.model import (
     RunRecord,
     RunStatus,
     default_stratified,
-    load_config,
     load_dataset,
 )
 
@@ -118,6 +117,10 @@ class TestCsvLoading:
         path.write_text("x", encoding="utf-8")
         with pytest.raises(ParseError, match="format"):
             load_dataset(path)
+        # the suffix alone decides, even for a file holding valid CSV
+        path = write_csv(tmp_path, BASIC_CSV, name="runs.txt")
+        with pytest.raises(ParseError, match="^unsupported dataset format 'txt'"):
+            load_dataset(path)
 
     def test_missing_file(self, tmp_path):
         from rankbench.model import DataError
@@ -132,20 +135,20 @@ class TestConfig:
             "cutoff_seconds": 5000,
             "strata": {"i1": "domA", "i2": "domB"},
             "reference": {
-                "i1@0": {"best_known_quality": 12.0, "reference_time": 30.0},
+                # B solves i1@0 with quality 7.0, so no higher best-known value
+                "i1@0": {"best_known_quality": 7.0, "reference_time": 30.0},
                 "i2@0": {"best_known_quality": 8.0},
             },
         }
-        path = write_json(tmp_path, cfg, "comp.json")
-        cutoff, strata, reference = load_config(path)
-        assert cutoff == 5000.0
-        assert strata == {"i1": "domA", "i2": "domB"}
-        assert reference[RunKey("i1", 0)] == ReferenceEntry(12.0, 30.0)
-        assert reference[RunKey("i2", 0)] == ReferenceEntry(8.0, None)
+        d = load_dataset(write_csv(tmp_path, BASIC_CSV), config=write_json(tmp_path, cfg))
+        assert d.cutoff == 5000.0
+        assert d.strata == {"i1": "domA", "i2": "domB"}
+        assert d.reference[RunKey("i1", 0)] == ReferenceEntry(7.0, 30.0)
+        assert d.reference[RunKey("i2", 0)] == ReferenceEntry(8.0, None)
 
     def test_null_cutoff_is_unbounded(self, tmp_path):
-        cutoff, _, _ = load_config(write_json(tmp_path, {"cutoff_seconds": None}))
-        assert math.isinf(cutoff)
+        comp = write_json(tmp_path, {"cutoff_seconds": None})
+        assert math.isinf(load_dataset(write_csv(tmp_path, BASIC_CSV), config=comp).cutoff)
 
     @pytest.mark.parametrize(
         "doc,fragment",
@@ -169,7 +172,7 @@ class TestConfig:
     )
     def test_config_errors(self, tmp_path, doc, fragment):
         with pytest.raises(ParseError, match=fragment):
-            load_config(write_json(tmp_path, doc))
+            load_dataset(write_csv(tmp_path, BASIC_CSV), config=write_json(tmp_path, doc))
 
     def test_csv_with_config(self, tmp_path):
         runs = write_csv(tmp_path, BASIC_CSV)

@@ -293,7 +293,7 @@ class TestGenerateScoreMatrix:
             def no_allocation(*args):
                 raise AssertionError("scored before the memory check")
 
-            patch.setattr(resampling, "run_contributions", no_allocation)
+            patch.setattr(scoring, "run_contributions", no_allocation)
             with pytest.raises(ValueError, match="physical memory"):
                 generate_score_matrix(d, config(replicates_k=1000))
         pages["SC_PHYS_PAGES"] = 48_000

@@ -290,10 +290,13 @@ class TestMultisets:
         rs = np.array([1, 1, 1])
         assert compute_scores(d, "solved_count", rs) == {"A": 3.0, "B": 0.0}
 
-    def test_empty_multiset_scores_zero(self):
+    @pytest.mark.parametrize("mechanism", list(scoring.MECHANISMS))
+    def test_empty_multiset_scores_zero(self, mechanism):
         d = self.dataset()
         rs = np.array([], dtype=np.int64)
-        assert compute_scores(d, "solved_count", rs) == {"A": 0.0, "B": 0.0}
+        scores = compute_scores(d, mechanism, rs)
+        assert scores == {"A": 0.0, "B": 0.0}
+        assert all(math.copysign(1.0, v) == 1.0 for v in scores.values())  # +0.0, not -0.0
 
     def test_out_of_range_entry(self):
         d = self.dataset()
@@ -549,11 +552,6 @@ class TestOfficialRanking:
             sv = compute_scores(d, "solved_count")
             ranking = official_ranking(sv, d)
             assert list(ranking.order) == oracle_official_order(sv)
-
-    def test_top_prefix(self):
-        d = success_table_dataset({"A": [True], "B": [False], "C": [False]})
-        ranking = official_ranking(compute_scores(d, "solved_count"), d)
-        assert ranking.top(2) == ranking.order[:2]
 
 
 class TestMinRanksRows:
