@@ -244,6 +244,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "rankbench: error:" in err and "status" in err
 
+    def test_oversized_csv_field_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("solver,instance,seed,status,cpu_time,quality\n"
+                       f"A,{'i' * 200_000},0,solved,1.0,\n", encoding="utf-8")
+        code = run_cli(["score", "--input", str(bad), "--mechanism", "solved_count"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"rankbench: error: {bad}:2: field larger than field limit (131072)\n"
+        )
+
     def test_config_naming_an_absent_instance_is_data_error(self, tmp_path, runs_csv, capsys):
         config = tmp_path / "comp.json"
         config.write_text(json.dumps({"strata": {"i_2": "d2"}}), encoding="utf-8")

@@ -2,9 +2,13 @@
 
 import json
 import math
+import random
 import re
 
+import numpy as np
 import pytest
+
+from rankbench import model
 
 from rankbench.model import (
     AnalysisConfig,
@@ -91,13 +95,31 @@ class TestCsvLoading:
             ("A,i1,0,solved,1.0,bad", "quality"),
             ("A,i1,0,solved,1.0,-3", "quality"),
             (",i1,0,solved,1.0,", "empty solver"),
+            # a quoted field spanning lines 2-3: the bad record is on line 4
+            ('A,"i\n1",0,solved,1.0,\nA,i2,0,solved,fast,', "cpu_time"),
         ],
     )
     def test_field_errors_name_the_line(self, tmp_path, row, fragment):
         path = write_csv(tmp_path, row + "\n")
         with pytest.raises(ParseError, match=fragment) as err:
             load_dataset(path)
-        assert f"{path}:2" in str(err.value)
+        # the bad record is the body's last; its physical line is named
+        assert f"{path}:{2 + row.count(chr(10))}:" in str(err.value)
+
+    def test_oversized_field_names_the_line(self, tmp_path):
+        path = write_csv(tmp_path, "A,i1,0,solved,1.0,\nA," + "i" * 200_000 + ",0,solved,1.0,\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}:3: field larger than field limit (131072)"
+
+    def test_invalid_utf8_csv_names_the_line(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"A,i1,0,solved,1.0,\r\nA,i\xff2,0,solved,1.0,\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == (
+            f"{path}:3: invalid UTF-8 (byte 0xff at offset 68: invalid start byte)"
+        )
 
     def test_duplicate_entry(self, tmp_path):
         body = "A,i1,0,solved,1.0,\nA,i1,0,solved,2.0,\n"
@@ -173,6 +195,15 @@ class TestConfig:
     def test_config_errors(self, tmp_path, doc, fragment):
         with pytest.raises(ParseError, match=fragment):
             load_dataset(write_csv(tmp_path, BASIC_CSV), config=write_json(tmp_path, doc))
+
+    def test_invalid_utf8_config_is_a_parse_error(self, tmp_path):
+        comp = tmp_path / "comp.json"
+        comp.write_bytes(b'{"cutoff_seconds": 5}\n\xff')
+        with pytest.raises(ParseError) as err:
+            load_dataset(write_csv(tmp_path, BASIC_CSV), config=comp)
+        assert str(err.value) == (
+            f"{comp}: invalid UTF-8 (byte 0xff at offset 22: invalid start byte)"
+        )
 
     def test_csv_with_config(self, tmp_path):
         runs = write_csv(tmp_path, BASIC_CSV)
@@ -307,6 +338,15 @@ class TestJsonDataset:
         comp = write_json(tmp_path, {"cutoff_seconds": 7.0}, "comp.json")
         assert load_dataset(path, config=comp).cutoff == 7.0
 
+    def test_invalid_utf8_dataset_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_bytes(b'{"results": [], "strata": {"i\xe9": "x"}}')
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == (
+            f"{path}: invalid UTF-8 (byte 0xe9 at offset 29: invalid continuation byte)"
+        )
+
     def test_results_array_required(self, tmp_path):
         with pytest.raises(ParseError, match="results"):
             load_dataset(write_json(tmp_path, {"cutoff_seconds": 1}))
@@ -434,3 +474,155 @@ class TestDefaultStratified:
     def test_no_strata_off(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True))
         assert default_stratified(d) is False
+
+
+class TestColumnarCsv:
+    """The columnar CSV reader against the per-row reader it falls back to."""
+
+    ROWS = "A,i1,0,solved,{},\nB,i1,0,timeout,2.0,\n"
+    AGREEMENT = {
+        # spellings of a number
+        "underscore": (ROWS.format("1_000"), True),
+        "padded": (ROWS.format(" 12.5 "), True),
+        "arabic_indic": (ROWS.format("١٢.٥"), True),
+        "overflow": (ROWS.format("1e999"), False),
+        "hex": (ROWS.format("0x10"), False),
+        "empty_time": (ROWS.format(""), False),
+        "nan": (ROWS.format("nan"), False),
+        "negative_zero": (ROWS.format("-0.0"), True),
+        "leading_dot": (ROWS.format(".5"), True),
+        "trailing_dot": (ROWS.format("5."), True),
+        "sixteen_digits": (ROWS.format("1234567890123456.5"), True),
+        "long_mantissa": (ROWS.format("0.1000000000000000055511151231257827"), True),
+        "exponent": (ROWS.format("2.5e-3"), True),
+        "negative": (ROWS.format("-1"), False),
+        "nan_quality": ("A,i1,0,solved,1.0,nan\n", False),
+        "padded_quality": ("A,i1,0,solved,1.0, 3\n", True),
+        # seeds and statuses
+        "seed_spellings_one_run": ("A,i1,01,solved,1.0,\nB,i1,1,solved,2.0,\n", True),
+        "seed_with_space": ("A,i1, 7,solved,1.0,\n", True),
+        "negative_seed": ("A,i1,-1,solved,1.0,\n", False),
+        "bad_seed": ("A,i1,x,solved,1.0,\n", False),
+        "bad_status": ("A,i1,0,Solved,1.0,\n", False),
+        "empty_instance": ("A,,0,solved,1.0,\n", False),
+        # layout
+        "crlf": ("A,i1,0,solved,1.0,\r\nB,i1,0,solved,2.0,3\r\n", True),
+        "quoted_id": ('A,"i,1",0,solved,1.0,\nB,"i,1",0,solved,2.0,\n', False),
+        "quoted_plain_id": ('A,"i1",0,solved,1.0,\nB,i1,0,solved,2.0,\n', False),
+        "blank_lines": ("A,i1,0,solved,1.0,\n\nB,i1,0,solved,2.0,\n\n", False),
+        "no_trailing_newline": ("A,i1,0,solved,1.0,\nB,i1,0,solved,2.0,", True),
+        "lone_carriage_return": ("A,i1,0,solved,1.0,\rB,i1,0,solved,2.0,\n", False),
+        "non_ascii_ids": ("éè,ü \x85,0,solved,1.0,\nB,ü \x85,0,solved,2.0,\n", True),
+        "four_fields": ("A,i1,0,solved\n", False),
+        "seven_fields": ("A,i1,0,solved,1.0,,\n", False),
+        "header_only": ("", False),
+        "short_run_after_long": (
+            "A," + "x" * 40 + "," + "1" * 20 + ",solved,1,\nA,i,0,solved,1,\n",
+            True,
+        ),
+        # errors raised after placement keep their line
+        "duplicate_late": ("A,i1,0,solved,1.0,\n" * 2 + "B,i1,0,solved,1.0,\n" * 3, True),
+        "missing_entry": ("A,i1,0,solved,1.0,\nB,i2,0,solved,1.0,\n", True),
+    }
+
+    @staticmethod
+    def outcome(path, config=None):
+        try:
+            d = load_dataset(path, config)
+        except model.DataError as exc:
+            return type(exc).__name__, str(exc)
+        arrays = tuple(column.tobytes() for column in (d.status, d.cpu_time, d.quality))
+        return d, arrays
+
+    def assert_agree(self, path, monkeypatch, accepted, config=None):
+        assert (model._columnar_table(path, str) is not None) == accepted
+        columnar = self.outcome(path, config)
+        with monkeypatch.context() as m:
+            m.setattr(model, "_columnar_table", lambda path, where: None)
+            per_row = self.outcome(path, config)
+        assert columnar == per_row
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("name", list(AGREEMENT))
+    def test_paths_agree(self, tmp_path, monkeypatch, name, block_bytes):
+        monkeypatch.setattr(model, "_CSV_BLOCK_BYTES", block_bytes)
+        body, accepted = self.AGREEMENT[name]
+        path = tmp_path / "runs.csv"
+        header = CSV_HEADER.replace("\n", "\r\n") if "crlf" in name else CSV_HEADER
+        path.write_bytes((header + body).encode())
+        self.assert_agree(path, monkeypatch, accepted)
+
+    @pytest.mark.parametrize(
+        "data,accepted",
+        [
+            (b"\xef\xbb\xbf" + CSV_HEADER.encode() + b"A,i1,0,solved,1.0,\n", False),
+            (CSV_HEADER.encode() + b"A,i\xff,0,solved,1.0,\n", False),
+            (CSV_HEADER.encode() + b"A,i1,0,solved,1\xc3.0,\n", False),
+            (CSV_HEADER.encode() + b"A,i,0,solved,1.0,\nA,i\x00,0,solved,1.0,\n", False),
+            (CSV_HEADER.encode() + b"A," + b"i" * 200_000 + b",0,solved,1.0,\n", False),
+        ],
+        ids=["bom", "bad_utf8_id", "bad_utf8_number", "nul", "oversized_field"],
+    )
+    def test_paths_agree_on_bytes(self, tmp_path, monkeypatch, data, accepted):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(data)
+        self.assert_agree(path, monkeypatch, accepted)
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 1 << 18])
+    def test_best_known_quality_error_after_a_block_boundary(
+        self, tmp_path, monkeypatch, block_bytes
+    ):
+        monkeypatch.setattr(model, "_CSV_BLOCK_BYTES", block_bytes)
+        path = write_csv(
+            tmp_path,
+            "A,i1,0,solved,1.0,9.0\nB,i1,0,solved,1.0,8.0\n"
+            "A,i2,0,solved,1.0,3\nB,i2,0,solved,1.0,1.5\n",
+        )
+        reference = {"reference": {"i2@0": {"best_known_quality": 2.0}}}
+        comp = write_json(tmp_path, reference, "comp.json")
+        self.assert_agree(path, monkeypatch, True, comp)
+        with pytest.raises(ParseError, match=r"runs\.csv:5: successful run of solver 'B'"):
+            load_dataset(path, comp)
+
+    def test_duplicate_after_a_block_boundary_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "_CSV_BLOCK_BYTES", 40)  # two 19-byte lines a block
+        body = "A,i1,0,solved,1.0,\nA,i2,0,solved,1.0,\nB,i1,0,solved,1.0,\nA,i2,0,solved,1.0,\n"
+        path = write_csv(tmp_path, body)
+        assert model._columnar_table(path, str) is not None
+        message = r"runs\.csv:5: duplicate result for solver 'A' on run i2@0"
+        with pytest.raises(DuplicateEntryError, match=message):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 18])
+    def test_runs_with_the_same_bytes_in_other_fields_stay_apart(
+        self, tmp_path, monkeypatch, block_bytes
+    ):
+        # Both rows' instance and seed bytes read "abcdefgh", "12345678", "9".
+        monkeypatch.setattr(model, "_CSV_BLOCK_BYTES", block_bytes)
+        path = write_csv(
+            tmp_path, "A,abcdefgh12345678,9,solved,1.0,\nA,abcdefgh,123456789,solved,2.0,\n"
+        )
+        self.assert_agree(path, monkeypatch, True)
+        runs = load_dataset(path).runs
+        assert runs == (RunKey("abcdefgh12345678", 9), RunKey("abcdefgh", 123456789))
+
+    def test_decimals_match_float_bit_for_bit(self):
+        rng = random.Random(15)
+        texts = []
+        for _ in range(200_000):
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 17)))
+            cut = rng.randint(0, len(digits))
+            text = digits if rng.random() < 0.2 else f"{digits[:cut]}.{digits[cut:]}"
+            texts.append(text)
+        block = np.frombuffer(",".join(texts).encode() + bytes(24), dtype=np.uint8)
+        lengths = np.array([len(t) for t in texts])
+        firsts = np.concatenate(([0], np.cumsum(lengths[:-1] + 1)))
+        values, exact = model._decimals(block, firsts, lengths)
+        pattern = re.compile(r"\d+(\.\d+)?")
+        expected_exact = [
+            bool(pattern.fullmatch(t)) and len(t) - t.count(".") <= 15 for t in texts
+        ]
+        assert exact.tolist() == expected_exact
+        assert sum(expected_exact) > 100_000
+        want = np.array([float(t) if e else 0.0 for t, e in zip(texts, expected_exact)])
+        assert values[exact].tobytes() == want[exact].tobytes()
