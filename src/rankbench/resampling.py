@@ -17,7 +17,12 @@ implementations and across runs):
   the run list, one word per drawn entry.
 
 Because a replicate is a pure function of ``(master_seed, i)``, evaluation
-order can never change a row.
+order can never change a row.  :func:`generate_score_matrix` therefore
+draws the words of consecutive replicates ahead, a chunk of
+``_BLOCK_ENTRY_BUDGET / 16`` words at a time, and multiply-shifts the whole
+chunk at once; they are the same words and entries a
+:class:`ReplicateStream` gives, and each replicate still passes through
+its public draw function.
 """
 
 from __future__ import annotations
@@ -49,25 +54,80 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _local = threading.local()
 
 
-def _thread_philox() -> tuple[np.random.Philox, dict]:
-    """This thread's Philox generator and the state dict it is re-keyed with.
+def _philox(key: list[int], block: int) -> np.random.Philox:
+    """This thread's Philox generator, re-keyed to ``key`` with its counter
+    at ``block`` and an empty buffer (``buffer_pos`` 4).
 
-    The dict is a fresh generator's state: its buffer is empty
-    (``buffer_pos`` 4) and only the key and counter are ever changed.
+    The generator is set from one state dict whose counter, key and buffer
+    are Python ints, which numpy reads faster than uint64 arrays.
     """
     try:
-        return _local.philox
+        generator, state = _local.philox
     except AttributeError:
         generator = np.random.Philox(key=0)
-        _local.philox = generator, generator.state
-        return _local.philox
+        state = generator.state
+        state["state"] = {"counter": [0, 0, 0, 0], "key": [0, 0]}
+        state["buffer"] = [0, 0, 0, 0]
+        _local.philox = generator, state
+    state["state"]["key"] = key
+    state["state"]["counter"][0] = block
+    generator.state = state
+    return generator
+
+
+def _key(master_seed: int, index: int) -> list[int]:
+    """The substream key as Python ints, converted (and range-checked) as
+    a uint64 array converts them."""
+    return np.array([master_seed, index], dtype=np.uint64).tolist()
+
+
+def _checked_moduli(moduli: int | np.ndarray) -> np.uint64 | np.ndarray:
+    """One modulus in [1, 2**31) as a uint64, or a uint64 array of one
+    modulus per word whose range the caller checked."""
+    if isinstance(moduli, np.ndarray):
+        return moduli
+    if not 0 < moduli < 2**31:
+        raise ValueError(f"run count {moduli} out of supported range [1, 2**31)")
+    return np.uint64(moduli)
+
+
+def _multiply_shift(words: np.ndarray, moduli, spare: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit words to [0, n) in place via multiply-shift (exact,
+    no bias loop), and return them viewed as int64.
+
+    Computes floor(word * n / 2**64) in uint64 arithmetic by splitting the
+    word into 32-bit halves, the low halves in ``spare`` (same shape as
+    ``words``); ``moduli`` is from :func:`_checked_moduli` and broadcasts
+    against ``words``.
+    """
+    np.bitwise_and(words, _MASK32, out=spare)
+    spare *= moduli
+    spare >>= _U32
+    words >>= _U32
+    words *= moduli
+    words += spare
+    words >>= _U32
+    return words.view(np.int64)  # every index is below 2**31
+
+
+def _bounded_indices(words: np.ndarray, n: int | np.ndarray) -> np.ndarray:
+    """``words`` mapped to [0, n) by :func:`_multiply_shift`, as a new
+    array; ``n`` is one modulus below 2**31, or a uint64 array of one
+    modulus per word whose range the caller checked."""
+    n = _checked_moduli(n)
+    return _multiply_shift(words.copy(), n, np.empty_like(words))
+
+
+def _word_count(moduli: int | np.ndarray) -> int:
+    """Words one replicate draws: one per modulus, or ``moduli`` of one."""
+    return len(moduli) if isinstance(moduli, np.ndarray) else moduli
 
 
 class ReplicateStream:
     """The deterministic substream of one bootstrap replicate."""
 
     def __init__(self, master_seed: int, index: int):
-        self._key = np.array([master_seed, index], dtype=np.uint64)
+        self._key = _key(master_seed, index)
         self._used = 0
 
     def words(self, count: int) -> np.ndarray:
@@ -78,34 +138,67 @@ class ReplicateStream:
         ``used // 4`` of the keyed stream; the first ``used % 4`` words of
         that block were drawn before and are dropped.
         """
-        generator, state = _thread_philox()
-        state["state"]["key"][:] = self._key
-        state["state"]["counter"][0] = self._used // 4
-        generator.state = state
+        generator = _philox(self._key, self._used // 4)
         skip = self._used % 4
         self._used += count
         return generator.random_raw(skip + count)[skip:]
 
+    def indices(self, moduli: int | np.ndarray) -> np.ndarray:
+        """Next entries of the substream: ``moduli`` words mapped to
+        ``[0, moduli)``, or one word per element of a uint64 ``moduli``
+        array, mapped to ``[0, modulus)``."""
+        moduli = _checked_moduli(moduli)
+        return _bounded_indices(self.words(_word_count(moduli)), moduli)
 
-def _bounded_indices(words: np.ndarray, n: int | np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to [0, n) via multiply-shift (exact, no bias loop).
 
-    Computes floor(word * n / 2**64) in uint64 arithmetic by splitting the
-    word into 32-bit halves; requires n < 2**31.  ``n`` is one modulus, or
-    a uint64 array of one modulus per word whose range the caller checked.
+def _same_moduli(a: int | np.ndarray, b: int | np.ndarray) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return a == b
+
+
+class _DrawnAhead:
+    """The entries of replicates ``0 .. k-1`` of ``master_seed``, drawn
+    ahead a chunk of consecutive replicates at a time.
+
+    :meth:`at` makes replicate ``i`` current, first refilling the chunk
+    from ``i`` when ``i`` is not in it; :meth:`indices` then returns that
+    replicate's row, which the next refill overwrites.  A row holds the
+    entries ``ReplicateStream(master_seed, i).indices(moduli)`` gives.  The
+    chunk and its spare hold ``block_rows(16 * width)`` rows (at least one,
+    at most k): with the default block budget two 128 KiB buffers.
     """
-    if not isinstance(n, np.ndarray):
-        if not 0 < n < 2**31:
-            raise ValueError(f"run count {n} out of supported range [1, 2**31)")
-        n = np.uint64(n)
-    hi = words >> _U32
-    lo = words & _MASK32
-    lo *= n
-    lo >>= _U32
-    hi *= n
-    hi += lo
-    hi >>= _U32
-    return hi.view(np.int64)  # every index is below 2**31
+
+    def __init__(self, master_seed: int, k: int, moduli: int | np.ndarray):
+        self._key = _key(master_seed, 0)
+        self._k = k
+        self._moduli = moduli
+        self._mapped_with = _checked_moduli(moduli)
+        width = _word_count(self._mapped_with)
+        self._chunk = np.empty((min(block_rows(16 * width), k), width), dtype=np.uint64)
+        self._spare = np.empty_like(self._chunk)
+        self._entries = self._chunk.view(np.int64)
+        self._first = self._stop = self._row = 0
+
+    def at(self, index: int) -> "_DrawnAhead":
+        if not self._first <= index < self._stop:
+            self._fill(index)
+        self._row = index - self._first
+        return self
+
+    def _fill(self, first: int) -> None:
+        rows = min(len(self._chunk), self._k - first)
+        width = self._chunk.shape[1]
+        for row in range(rows):
+            self._key[1] = first + row
+            self._chunk[row] = _philox(self._key, 0).random_raw(width)
+        _multiply_shift(self._chunk[:rows], self._mapped_with, self._spare[:rows])
+        self._first, self._stop = first, first + rows
+
+    def indices(self, moduli: int | np.ndarray) -> np.ndarray:
+        if moduli is not self._moduli and not _same_moduli(moduli, self._moduli):
+            raise ValueError("these replicates were drawn ahead for other moduli")
+        return self._entries[self._row]
 
 
 def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
@@ -113,7 +206,7 @@ def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     n = len(d.runs)
     if n < 1:
         raise ValueError("dataset has no runs to resample")
-    return _bounded_indices(rng.words(n), n)
+    return rng.indices(n)
 
 
 def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
@@ -129,7 +222,7 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
     runs, sizes, starts = d.stratum_layout
-    return runs[starts + _bounded_indices(rng.words(len(runs)), sizes)]
+    return runs[starts + rng.indices(sizes)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +264,13 @@ def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
     over the replicate counts works in blocks of :func:`block_rows` rows;
     ``tracemalloc`` measures the largest block workspace (count block and
     limb totals, or the min-ranks sort) at under 17 bytes per block entry,
-    so three float64 blocks are counted for it.  (A wide input's count
-    block may instead match its limb matrices, which are dataset-sized.)
+    so three float64 blocks are counted for it.  The drawn-ahead words and
+    their spare, two uint64 buffers of ``block_rows(16)`` entries (128 KiB
+    each at the default budget), live beside that workspace and are counted
+    too.  (A wide input's count block and draw chunk may instead match its
+    limb matrices and its run count, which are dataset-sized.)
     """
-    need = k * solvers * (8 * (1 + chain_keys) + 4) + 24 * block_rows(1)
+    need = k * solvers * (8 * (1 + chain_keys) + 4) + 24 * block_rows(1) + 16 * block_rows(16)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -202,6 +298,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     _check_memory(k, len(d.solvers), len(cfg.tiebreak))
     scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, n)
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
+    ahead = _DrawnAhead(cfg.master_seed, k, d.stratum_layout[1] if cfg.stratified else n)
     scores = np.empty((k, len(d.solvers)), dtype=np.float64)
     chains = [np.empty((k, len(d.solvers)), dtype=np.float64) for _ in cfg.tiebreak]
 
@@ -210,7 +307,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         counts = np.zeros((stop - start, n), dtype=np.float64)
         failures = []
         for i in range(start, stop):
-            entries = draw(d, ReplicateStream(cfg.master_seed, i))
+            entries = draw(d, ahead.at(i))
             message = None if failures else scorer.missing(entries)
             if message is not None:
                 failures.append((i, message))

@@ -425,8 +425,13 @@ def tiebreak_run_matrices(d: Dataset, tiebreak: tuple[str, ...]) -> list[np.ndar
 
 def _min_ranks_block(scores: np.ndarray, chain: list[np.ndarray], out: np.ndarray) -> None:
     """Write the min-ranks of a block of rows into ``out``; its workspace
-    is freed on return."""
-    order = np.lexsort([*reversed(chain), -scores], axis=1).astype(np.int32)
+    is freed on return.  Ranks depend only on the tie classes, so the order
+    inside a tie does not matter, and a row without a chain is sorted by
+    score alone."""
+    if chain:
+        order = np.lexsort([*reversed(chain), -scores], axis=1).astype(np.int32)
+    else:
+        order = np.argsort(-scores, axis=1).astype(np.int32)
     block_start = np.zeros(scores.shape, dtype=bool)  # True where a new tie block starts
     for key in (scores, *chain):
         in_order = np.take_along_axis(key, order, axis=1)

@@ -16,6 +16,7 @@ from rankbench.resampling import (
     ReplicateStream,
     ScoreMatrix,
     _bounded_indices,
+    _DrawnAhead,
     draw_stratified_replicate,
     draw_uniform_replicate,
     generate_score_matrix,
@@ -283,10 +284,11 @@ class TestGenerateScoreMatrix:
 
     def test_memory_preflight_counts_the_ranking_peak(self, monkeypatch):
         # 1000 x 2 cells: 24,000 bytes of kept scores and ranks, plus three
-        # float64 blocks of 1,000 entries.
+        # float64 blocks of 1,000 entries, plus the draw chunk and its spare:
+        # two uint64 buffers of 1,000 // 16 = 62 entries.
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
         d = success_table_dataset({"A": [True, False], "B": [True, True]})
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 47_999}
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 48_991}
         monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
         with monkeypatch.context() as patch:
 
@@ -296,7 +298,7 @@ class TestGenerateScoreMatrix:
             patch.setattr(scoring, "run_contributions", no_allocation)
             with pytest.raises(ValueError, match="physical memory"):
                 generate_score_matrix(d, config(replicates_k=1000))
-        pages["SC_PHYS_PAGES"] = 48_000
+        pages["SC_PHYS_PAGES"] = 48_992
         assert generate_score_matrix(d, config(replicates_k=1000)).k == 1000
 
     @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
@@ -497,6 +499,128 @@ class TestGenerateScoreMatrix:
         assert np.all(m.scores <= 0)
         # A solves everything at 10 or 20s: scores in [-20, -10]
         assert np.all(m.scores[:, 0] >= -20.0) and np.all(m.scores[:, 0] <= -10.0)
+
+
+def uneven_strata_dataset():
+    """Two-decimal times over 17 runs in strata of 6, 2, 1 and 8 runs,
+    interleaved in run order and first seen out of label order."""
+    rng = random.Random(31)
+    labels = "CBACCDDCDDBDCDDCD"
+    runs = [(f"i{j:02d}", 0) for j in range(len(labels))]
+    strata = {instance: label for (instance, _), label in zip(runs, labels)}
+    return build_dataset(
+        ["a", "b", "c"],
+        runs,
+        lambda s, rk: record(rng.random() < 0.7, cpu_time=round(rng.uniform(0.5, 150.0), 2)),
+        strata=strata,
+        cutoff=100.0,
+    )
+
+
+class TestDrawnAheadChunks:
+    """Replicate words are drawn and mapped a chunk of consecutive
+    replicates at a time; a chunk holds ``_BLOCK_ENTRY_BUDGET // 16`` words,
+    so patching the budget moves chunk and count-block boundaries alike."""
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("budget", [16 * 17 * 5, 2000])
+    def test_rows_at_chunk_boundaries_are_direct_draws(self, monkeypatch, stratified, budget):
+        d = uneven_strata_dataset()
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
+        fills, blocks = [], []
+        fill = _DrawnAhead._fill
+
+        def spy_fill(self, first):
+            fills.append(first)
+            fill(self, first)
+
+        def spy_aggregate(limbs, counts):
+            blocks.append(len(counts))
+            return aggregate_from_counts(limbs, counts)
+
+        monkeypatch.setattr(_DrawnAhead, "_fill", spy_fill)
+        monkeypatch.setattr(resampling, "aggregate_from_counts", spy_aggregate)
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
+        chunk = scoring.block_rows(16 * len(d.runs))  # 5 rows, or 7 rows of 2000 words
+        block = budget // len(d.runs)  # 80 rows, or 117 rows
+        assert block % chunk == (0 if budget < 2000 else 5)
+        for k in (chunk - 1, chunk, chunk + 1, 2 * block + 3):
+            cfg = config("par_k", replicates_k=k, master_seed=8, stratified=stratified)
+            fills.clear()
+            blocks.clear()
+            m = generate_score_matrix(d, cfg)
+            assert fills == list(range(0, k, chunk)), k
+            assert blocks[0] == min(block, k), k
+            for i in range(k):
+                want = compute_scores(d, "par_k", draw(d, ReplicateStream(8, i)))
+                assert [x.hex() for x in m.scores[i]] == [want[s].hex() for s in d.solvers], (k, i)
+
+    def test_missing_entry_in_a_later_chunk_is_reported_at_its_replicate(self, monkeypatch):
+        runs = [(f"i{j:02d}", 0) for j in range(12)] + [("bad", 0)]
+
+        def quality(s, rk):
+            return None if rk.instance_id == "bad" and s == "A" else 2.0
+
+        d = build_dataset(["A", "B"], runs, lambda s, rk: record(True, 1.0, quality(s, rk)))
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * len(runs) * 4)
+        blocks = []
+
+        def spy(limbs, counts):
+            blocks.append(len(counts))
+            return aggregate_from_counts(limbs, counts)
+
+        monkeypatch.setattr(resampling, "aggregate_from_counts", spy)
+
+        def missing(seed, i):
+            return 12 in draw_uniform_replicate(d, ReplicateStream(seed, i)).tolist()
+
+        # Chunks of 4 replicates in one count block of 64: the first
+        # replicate that selects run ``bad`` is in a later chunk.
+        seed = next(s for s in range(1000) if not any(missing(s, i) for i in range(4)))
+        first = next(i for i in range(4, 60) if missing(seed, i))
+        cfg = config("mean_metric", replicates_k=60, master_seed=seed)
+        with pytest.raises(ScoringError, match=rf"^replicate {first}: mean_metric: solver 'A' on run bad@0"):
+            generate_score_matrix(d, cfg)
+        assert blocks == [60]  # one count block, chunks 0, 4, 8, ... inside it
+
+    @pytest.mark.parametrize(
+        "seed, index", [(2**64 - 1, 2**64 - 1), (-1, 0), (0, -1), (2**64, 0), (0, 2**64)]
+    )
+    def test_keys_convert_as_a_uint64_array_does(self, seed, index):
+        try:
+            key = np.array([seed, index], dtype=np.uint64)
+        except Exception as error:  # the same exception, from the same conversion
+            with pytest.raises(type(error)):
+                ReplicateStream(seed, index)
+            if index == 0:
+                with pytest.raises(type(error)):
+                    _DrawnAhead(seed, 1, 7)
+            return
+        want = np.random.Philox(key=key).random_raw(9)
+        assert np.array_equal(ReplicateStream(seed, index).words(9), want)
+
+    def test_drawn_ahead_rows_match_streams_at_the_largest_seed(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * 7 * 3)
+        sizes = np.array([2, 2, 3, 3, 3, 1, 9], dtype=np.uint64)
+        for moduli in (7, sizes):
+            ahead = _DrawnAhead(2**64 - 1, 10, moduli)
+            for i in range(10):
+                want = ReplicateStream(2**64 - 1, i).indices(moduli)
+                assert ahead.at(i).indices(moduli).tolist() == want.tolist(), (moduli, i)
+
+    def test_foreign_moduli_are_rejected(self):
+        sizes = np.array([2, 2, 1], dtype=np.uint64)
+        uniform, stratified = _DrawnAhead(3, 10, 3).at(0), _DrawnAhead(3, 10, sizes).at(0)
+        assert uniform.indices(3).tolist() == ReplicateStream(3, 0).indices(3).tolist()
+        assert stratified.indices(sizes.copy()).tolist() == ReplicateStream(3, 0).indices(sizes).tolist()
+        for ahead, foreign in (
+            (uniform, 4),
+            (uniform, np.array([3, 3, 3], dtype=np.uint64)),
+            (stratified, 3),
+            (stratified, np.array([2, 2, 2], dtype=np.uint64)),
+        ):
+            with pytest.raises(ValueError, match="other moduli"):
+                ahead.indices(foreign)
 
 
 class TestScoreMatrixAccess:

@@ -583,6 +583,19 @@ class TestMinRanksRows:
                 assert ranks.dtype == np.int32 and ranks.shape == (k, solvers)
                 assert ranks.tolist() == self.oracle(scores, chain), (k, len(chain))
 
+    def test_heavy_ties_and_signed_zeros_match_the_oracle(self, monkeypatch):
+        # Few distinct values, -0.0 beside 0.0 in one tie class, and rows
+        # wider than the sort's small-array cutoff.
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 700)
+        rng = np.random.default_rng(16)
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 2.0**-1074, 1.0])
+        for solvers in (2, 7, 40):
+            scores = values[rng.integers(0, len(values), (300, solvers))]
+            scores[::3] = rng.choice([-0.0, 0.0], (100, solvers))  # rows of zeros only
+            ranks = min_ranks_rows(scores, [])
+            assert ranks.tolist() == self.oracle(scores, []), solvers
+            assert (ranks[::3] == 1).all()
+
     @pytest.mark.parametrize("chained", [False, True])
     def test_workspace_is_one_block(self, chained):
         k, s = 20_000, 100
