@@ -87,10 +87,14 @@ def _ipc_quality(d: Dataset, mech: Mechanism) -> np.ndarray:
 
 
 def _ipc_agile(d: Dataset, mech: Mechanism) -> np.ndarray:
-    # Runs at or faster than the reference (ratio <= 1) score 1.
+    # Runs at or faster than the reference (ratio <= 1) score 1.  The log
+    # is libm's, once per distinct ratio: numpy's log10 kernels differ in
+    # the last bit between CPU dispatch levels.
     times = np.maximum(d.cpu_time, 1.0)
     ref = np.maximum(d.reference_time_vector, 1.0)[None, :]
-    value = 1.0 / (1.0 + np.log10(np.maximum(times / ref, 1.0)))
+    ratios, inverse = np.unique(np.maximum(times / ref, 1.0), return_inverse=True)
+    logs = np.fromiter(map(math.log10, ratios.tolist()), dtype=np.float64, count=len(ratios))
+    value = 1.0 / (1.0 + logs[inverse.reshape(times.shape)])
     return np.where(_solved_within(d), value, 0.0)
 
 
