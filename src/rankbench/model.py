@@ -247,8 +247,6 @@ class Dataset:
         code = {label: j for j, label in enumerate(self.stratum_order)}
         labels = (self.stratum_of(rk.instance_id) for rk in self.runs)
         runs, lengths, starts = _grouped([code[label] for label in labels])
-        if lengths.max(initial=1) >= 2**31:
-            raise ValueError(f"run count {lengths.max()} out of supported range [1, 2**31)")
         return runs, np.repeat(lengths, lengths).astype(np.uint64), np.repeat(starts, lengths)
 
     def _reference_vector(self, name: str) -> np.ndarray:
@@ -413,6 +411,9 @@ def _checked_row(solver, instance, seed_raw, status_raw, cpu_raw, quality_raw) -
     # int() would silently truncate a JSON bool or float and could merge distinct runs.
     if isinstance(seed_raw, (bool, float)):
         raise _RowError(f"seed {seed_raw!r} is not an integer")
+    for what, value in (("solver", solver), ("instance", instance)):
+        if value is not None and not isinstance(value, str):
+            raise _RowError(f"{what} {value!r} is not a string")
     if not solver or not instance:
         raise _RowError("empty solver or instance identifier")
     try:
@@ -486,6 +487,14 @@ def _reference_value(entry: dict, key: str, label: str, where: str) -> float | N
     return float(value)
 
 
+def _object_or_none(doc: dict, key: str, what: str, where: str) -> dict:
+    """``doc[key]``: a JSON object, or an empty one for null or absent."""
+    value = {} if doc.get(key) is None else doc[key]
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: {key} must be an object mapping {what}")
+    return value
+
+
 class _Config(NamedTuple):
     """A parsed config.  ``where`` names its source; ``named`` lists its
     strata instances and reference runs in file order, each as (what,
@@ -512,15 +521,14 @@ def _parse_config(doc: dict, where: str) -> _Config:
         cutoff = float(cutoff_raw)
         if not cutoff > 0:
             raise ParseError(f"{where}: cutoff_seconds must be > 0, got {cutoff}")
-    strata = doc.get("strata") or {}
-    if not isinstance(strata, dict):
-        raise ParseError(f"{where}: strata must be an object mapping instance to stratum")
+    strata = _object_or_none(doc, "strata", "instance to stratum", where)
     for instance, label in strata.items():
         if not isinstance(label, str):
             raise ParseError(f"{where}: stratum of {instance!r} must be a string, got {label!r}")
     reference: dict[RunKey, ReferenceEntry] = {}
     reference_runs = []
-    for label, entry in (doc.get("reference") or {}).items():
+    references = _object_or_none(doc, "reference", "instance@seed to run data", where)
+    for label, entry in references.items():
         rk = RunKey.from_label(label)
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: reference entry for {label!r} must be an object")
@@ -880,7 +888,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def _load_json(path: Path) -> tuple[_Table, _Config]:
     doc = _read_json(path)
-    if not isinstance(doc, dict) or "results" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("results"), list):
         raise ParseError(f"{path}: dataset JSON must be an object with a 'results' array")
     config = _parse_config(doc, str(path))
 

@@ -6,29 +6,25 @@ implementations and across runs):
 * Replicate ``i`` draws from its own substream: a Philox-4x64-10 counter
   generator keyed with the two 64-bit words ``(master_seed, i)``, counter
   starting at zero, consuming the standard Philox output word sequence.
-  Each thread keeps one generator and re-keys it to ``(master_seed, i)``
-  for every draw instead of constructing one per replicate; a counter
-  generator is a pure function of its key and counter, so the words are
-  the same.
 * A raw 64-bit word ``x`` maps to a run index in ``[0, n)`` rejection-free
   via the multiply-shift ``floor(x * n / 2**64)``.
 * Uniform replicates consume ``|R|`` words.  Stratified replicates consume
   the words stratum by stratum, strata in order of first appearance over
   the run list, one word per drawn entry.
 
-Because a replicate is a pure function of ``(master_seed, i)``, evaluation
-order can never change a row.  :func:`generate_score_matrix` therefore
-draws the words of consecutive replicates ahead, a chunk of
-``_BLOCK_ENTRY_BUDGET / 16`` words at a time, and multiply-shifts the whole
-chunk at once; they are the same words and entries a
-:class:`ReplicateStream` gives, and each replicate still passes through
-its public draw function.
+A counter generator is a pure function of its key and counter, so a
+replicate is a pure function of ``(master_seed, i)`` and evaluation order
+can never change a row.  One fill serves every draw: it re-keys one
+generator, owned by the chunk it fills, to each replicate of a range of
+consecutive replicates and multiply-shifts the whole chunk at once.
+:func:`generate_score_matrix` fills a chunk of ``_BLOCK_ENTRY_BUDGET / 16``
+words at a time, and a :class:`ReplicateStream` fills a one-row chunk;
+each replicate still passes through its public draw function.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -51,44 +47,16 @@ __all__ = [
 _U32 = np.uint64(32)
 _MASK32 = np.uint64(0xFFFFFFFF)
 
-_local = threading.local()
-
-
-def _philox(key: list[int], block: int) -> np.random.Philox:
-    """This thread's Philox generator, re-keyed to ``key`` with its counter
-    at ``block`` and an empty buffer (``buffer_pos`` 4).
-
-    The generator is set from one state dict whose counter, key and buffer
-    are Python ints, which numpy reads faster than uint64 arrays.
-    """
-    try:
-        generator, state = _local.philox
-    except AttributeError:
-        generator = np.random.Philox(key=0)
-        state = generator.state
-        state["state"] = {"counter": [0, 0, 0, 0], "key": [0, 0]}
-        state["buffer"] = [0, 0, 0, 0]
-        _local.philox = generator, state
-    state["state"]["key"] = key
-    state["state"]["counter"][0] = block
-    generator.state = state
-    return generator
-
-
-def _key(master_seed: int, index: int) -> list[int]:
-    """The substream key as Python ints, converted (and range-checked) as
-    a uint64 array converts them."""
-    return np.array([master_seed, index], dtype=np.uint64).tolist()
-
 
 def _checked_moduli(moduli: int | np.ndarray) -> np.uint64 | np.ndarray:
-    """One modulus in [1, 2**31) as a uint64, or a uint64 array of one
-    modulus per word whose range the caller checked."""
-    if isinstance(moduli, np.ndarray):
-        return moduli
-    if not 0 < moduli < 2**31:
-        raise ValueError(f"run count {moduli} out of supported range [1, 2**31)")
-    return np.uint64(moduli)
+    """One modulus as a uint64, or a uint64 array of one modulus per word,
+    each a run count in [1, 2**31): :func:`_multiply_shift` multiplies a
+    modulus by 32-bit halves of a word in uint64 arithmetic."""
+    array = isinstance(moduli, np.ndarray)
+    for modulus in (moduli.min(initial=1), moduli.max(initial=1)) if array else (moduli,):
+        if not 0 < modulus < 2**31:
+            raise ValueError(f"run count {modulus} out of supported range [1, 2**31)")
+    return moduli if array else np.uint64(moduli)
 
 
 def _multiply_shift(words: np.ndarray, moduli, spare: np.ndarray) -> np.ndarray:
@@ -110,47 +78,6 @@ def _multiply_shift(words: np.ndarray, moduli, spare: np.ndarray) -> np.ndarray:
     return words.view(np.int64)  # every index is below 2**31
 
 
-def _bounded_indices(words: np.ndarray, n: int | np.ndarray) -> np.ndarray:
-    """``words`` mapped to [0, n) by :func:`_multiply_shift`, as a new
-    array; ``n`` is one modulus below 2**31, or a uint64 array of one
-    modulus per word whose range the caller checked."""
-    n = _checked_moduli(n)
-    return _multiply_shift(words.copy(), n, np.empty_like(words))
-
-
-def _word_count(moduli: int | np.ndarray) -> int:
-    """Words one replicate draws: one per modulus, or ``moduli`` of one."""
-    return len(moduli) if isinstance(moduli, np.ndarray) else moduli
-
-
-class ReplicateStream:
-    """The deterministic substream of one bootstrap replicate."""
-
-    def __init__(self, master_seed: int, index: int):
-        self._key = _key(master_seed, index)
-        self._used = 0
-
-    def words(self, count: int) -> np.ndarray:
-        """Next ``count`` raw 64-bit words of the substream.
-
-        Philox bumps its counter before it makes each block of 4 words, so
-        counter ``used // 4`` with an empty buffer resumes at block
-        ``used // 4`` of the keyed stream; the first ``used % 4`` words of
-        that block were drawn before and are dropped.
-        """
-        generator = _philox(self._key, self._used // 4)
-        skip = self._used % 4
-        self._used += count
-        return generator.random_raw(skip + count)[skip:]
-
-    def indices(self, moduli: int | np.ndarray) -> np.ndarray:
-        """Next entries of the substream: ``moduli`` words mapped to
-        ``[0, moduli)``, or one word per element of a uint64 ``moduli``
-        array, mapped to ``[0, modulus)``."""
-        moduli = _checked_moduli(moduli)
-        return _bounded_indices(self.words(_word_count(moduli)), moduli)
-
-
 def _same_moduli(a: int | np.ndarray, b: int | np.ndarray) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
@@ -158,26 +85,37 @@ def _same_moduli(a: int | np.ndarray, b: int | np.ndarray) -> bool:
 
 
 class _DrawnAhead:
-    """The entries of replicates ``0 .. k-1`` of ``master_seed``, drawn
+    """The entries of replicates ``first .. k-1`` of ``master_seed``, drawn
     ahead a chunk of consecutive replicates at a time.
 
     :meth:`at` makes replicate ``i`` current, first refilling the chunk
     from ``i`` when ``i`` is not in it; :meth:`indices` then returns that
-    replicate's row, which the next refill overwrites.  A row holds the
-    entries ``ReplicateStream(master_seed, i).indices(moduli)`` gives.  The
-    chunk and its spare hold ``block_rows(16 * width)`` rows (at least one,
-    at most k): with the default block budget two 128 KiB buffers.
+    replicate's row, which the next refill overwrites: ``moduli`` words of
+    the replicate's substream mapped to ``[0, moduli)``, or one word per
+    element of a uint64 ``moduli`` array, mapped to ``[0, modulus)``.
+    ``master_seed`` and ``k - 1`` convert (and are range-checked) as a
+    uint64 array converts them.  The chunk and its spare hold
+    ``block_rows(16 * width)`` rows (at least one, at most ``k - first``):
+    with the default block budget two 128 KiB buffers.
+
+    The chunk owns its generator, re-keyed through one state dict whose
+    counter, key and buffer are Python ints, which numpy reads faster than
+    uint64 arrays.
     """
 
-    def __init__(self, master_seed: int, k: int, moduli: int | np.ndarray):
-        self._key = _key(master_seed, 0)
-        self._k = k
+    def __init__(self, master_seed: int, k: int, moduli: int | np.ndarray, first: int = 0):
+        self._key = np.array([master_seed, k - 1], dtype=np.uint64).tolist()
+        self._generator = np.random.Philox(key=0)
+        self._state = self._generator.state
+        self._state["state"] = {"counter": [0, 0, 0, 0], "key": self._key}
+        self._state["buffer"] = [0, 0, 0, 0]  # with buffer_pos 4: empty
         self._moduli = moduli
         self._mapped_with = _checked_moduli(moduli)
-        width = _word_count(self._mapped_with)
-        self._chunk = np.empty((min(block_rows(16 * width), k), width), dtype=np.uint64)
+        width = len(moduli) if isinstance(moduli, np.ndarray) else moduli
+        self._chunk = np.empty((min(block_rows(16 * width), k - first), width), dtype=np.uint64)
         self._spare = np.empty_like(self._chunk)
         self._entries = self._chunk.view(np.int64)
+        self._k = k
         self._first = self._stop = self._row = 0
 
     def at(self, index: int) -> "_DrawnAhead":
@@ -191,7 +129,8 @@ class _DrawnAhead:
         width = self._chunk.shape[1]
         for row in range(rows):
             self._key[1] = first + row
-            self._chunk[row] = _philox(self._key, 0).random_raw(width)
+            self._generator.state = self._state
+            self._chunk[row] = self._generator.random_raw(width)
         _multiply_shift(self._chunk[:rows], self._mapped_with, self._spare[:rows])
         self._first, self._stop = first, first + rows
 
@@ -199,6 +138,18 @@ class _DrawnAhead:
         if moduli is not self._moduli and not _same_moduli(moduli, self._moduli):
             raise ValueError("these replicates were drawn ahead for other moduli")
         return self._entries[self._row]
+
+
+class ReplicateStream:
+    """The deterministic substream of one bootstrap replicate."""
+
+    def __init__(self, master_seed: int, index: int):
+        self._seed, self._index = np.array([master_seed, index], dtype=np.uint64).tolist()
+
+    def indices(self, moduli: int | np.ndarray) -> np.ndarray:
+        """The replicate's entries for ``moduli``, from a one-row :class:`_DrawnAhead`."""
+        ahead = _DrawnAhead(self._seed, self._index + 1, moduli, self._index)
+        return ahead.at(self._index).indices(moduli)
 
 
 def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:

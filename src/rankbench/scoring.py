@@ -88,14 +88,15 @@ def _ipc_quality(d: Dataset, mech: Mechanism) -> np.ndarray:
 
 def _ipc_agile(d: Dataset, mech: Mechanism) -> np.ndarray:
     # Runs at or faster than the reference (ratio <= 1) score 1.  The log
-    # is libm's, once per distinct ratio: numpy's log10 kernels differ in
-    # the last bit between CPU dispatch levels.
-    times = np.maximum(d.cpu_time, 1.0)
-    ref = np.maximum(d.reference_time_vector, 1.0)[None, :]
-    ratios, inverse = np.unique(np.maximum(times / ref, 1.0), return_inverse=True)
-    logs = np.fromiter(map(math.log10, ratios.tolist()), dtype=np.float64, count=len(ratios))
-    value = 1.0 / (1.0 + logs[inverse.reshape(times.shape)])
-    return np.where(_solved_within(d), value, 0.0)
+    # is libm's, of the credited runs' ratios only: numpy's log10 kernels
+    # differ in the last bit between CPU dispatch levels.
+    credited = _solved_within(d)
+    ref = np.broadcast_to(np.maximum(d.reference_time_vector, 1.0), credited.shape)[credited]
+    ratios = np.maximum(np.maximum(d.cpu_time[credited], 1.0) / ref, 1.0).tolist()
+    logs = np.fromiter(map(math.log10, ratios), dtype=np.float64, count=len(ratios))
+    value = np.zeros(credited.shape)
+    value[credited] = 1.0 / (1.0 + logs)
+    return value
 
 
 def _mean_metric(d: Dataset, mech: Mechanism) -> np.ndarray:

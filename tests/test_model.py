@@ -190,11 +190,23 @@ class TestConfig:
             ({"strata": {"i1": 5}}, "stratum of 'i1'"),
             ({"cutoff_seconds": 10**400}, "cutoff_seconds must be a finite number"),
             ({"cutoff_seconds": math.inf}, "cutoff_seconds must be a finite number"),
+            # Each of these loaded, as no strata or reference, or failed outside ParseError.
+            ({"strata": []}, "strata must be an object"),
+            ({"strata": False}, "strata must be an object"),
+            ({"reference": [1]}, "reference must be an object"),
+            ({"reference": "x"}, "reference must be an object"),
+            ({"reference": 0}, "reference must be an object"),
         ],
     )
     def test_config_errors(self, tmp_path, doc, fragment):
-        with pytest.raises(ParseError, match=fragment):
-            load_dataset(write_csv(tmp_path, BASIC_CSV), config=write_json(tmp_path, doc))
+        comp = write_json(tmp_path, doc, "comp.json")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(comp))}: .*{fragment}"):
+            load_dataset(write_csv(tmp_path, BASIC_CSV), config=comp)
+
+    def test_null_sections_are_empty(self, tmp_path):
+        comp = write_json(tmp_path, {"strata": None, "reference": None}, "comp.json")
+        d = load_dataset(write_csv(tmp_path, BASIC_CSV), config=comp)
+        assert (d.strata, d.reference) == ({"i1": "default", "i2": "default"}, {})
 
     def test_invalid_utf8_config_is_a_parse_error(self, tmp_path):
         comp = tmp_path / "comp.json"
@@ -365,6 +377,30 @@ class TestJsonDataset:
     def seeded_results(seed):
         row = {"solver": "A", "instance": "i1", "status": "solved", "cpu_time": 1.0}
         return {"results": [{**row, "seed": 1}, {**row, "seed": seed}]}
+
+    ROW = {"solver": "A", "instance": "i1", "seed": 0, "status": "solved", "cpu_time": 1.0}
+
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ({"results": 5}, "an object with a 'results' array"),
+            ({"results": {"x": 1}}, "an object with a 'results' array"),
+            ({"results": None}, "an object with a 'results' array"),
+            ({"results": [ROW], "reference": [1]}, "reference must be an object"),
+            ({"results": [ROW], "reference": "x"}, "reference must be an object"),
+            ({"results": [ROW], "reference": 0}, "reference must be an object"),
+            ({"results": [ROW], "strata": []}, "strata must be an object"),
+            ({"results": [ROW, {**ROW, "solver": 5}]}, r"results\[1\]: solver 5 is not a string"),
+            ({"results": [{**ROW, "instance": ["x"]}]}, r"results\[0\]: instance \['x'\] is not"),
+            # An int id would load, and then match no string key of "strata".
+            ({"results": [{**ROW, "instance": 7}], "strata": {"7": "g"}},
+             r"results\[0\]: instance 7 is not a string"),
+        ],
+    )
+    def test_malformed_structure_rejected(self, tmp_path, doc, fragment):
+        path = write_json(tmp_path, doc)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*{fragment}"):
+            load_dataset(path)
 
     def test_bool_seed_rejected(self, tmp_path):
         path = write_json(tmp_path, self.seeded_results(True))

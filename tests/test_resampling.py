@@ -15,8 +15,9 @@ from rankbench.model import Mechanism, ReferenceEntry, RunKey
 from rankbench.resampling import (
     ReplicateStream,
     ScoreMatrix,
-    _bounded_indices,
+    _checked_moduli,
     _DrawnAhead,
+    _multiply_shift,
     draw_stratified_replicate,
     draw_uniform_replicate,
     generate_score_matrix,
@@ -38,70 +39,73 @@ from helpers import (
     success_table_dataset,
 )
 
-UNEVEN_SPLITS = (3, 5, 7, 1, 2, 9, 6, 0, 13, 4, 11, 1)
-
-
 def fresh_philox_words(seed: int, index: int, count: int) -> np.ndarray:
     """The first ``count`` words of a newly constructed Philox keyed ``(seed, index)``."""
     return np.random.Philox(key=np.array([seed, index], dtype=np.uint64)).random_raw(count)
 
 
+def oracle_indices(seed: int, index: int, moduli) -> list[int]:
+    """Replicate ``(seed, index)``'s entries for one modulus ``n`` (``n``
+    words) or a sequence of one modulus per word: each word ``w`` with its
+    modulus ``m`` gives ``floor(w * m / 2**64)``, in big-integer arithmetic."""
+    moduli = [moduli] * moduli if isinstance(moduli, int) else [int(m) for m in moduli]
+    words = fresh_philox_words(seed, index, len(moduli)).tolist()
+    return [(w * m) >> 64 for w, m in zip(words, moduli)]
+
+
+def oracle_entries(d, seed: int, index: int, stratified: bool) -> np.ndarray:
+    """A uniform or stratified replicate of ``d``, from the oracles alone."""
+    if stratified:
+        words = fresh_philox_words(seed, index, len(d.runs)).tolist()
+        return np.array(oracle_stratified_draw(d, words))
+    return np.array(oracle_indices(seed, index, len(d.runs)))
+
+
+def multiply_shift(words: np.ndarray, moduli) -> np.ndarray:
+    return _multiply_shift(words.copy(), _checked_moduli(moduli), np.empty_like(words))
+
+
+PER_POSITION = np.array([2, 2, 3, 3, 3, 1, 9, 2**31 - 1], dtype=np.uint64)
+
+
 class TestReplicateStream:
     def test_same_key_same_words(self):
-        a = ReplicateStream(42, 7).words(16)
-        b = ReplicateStream(42, 7).words(16)
+        a = ReplicateStream(42, 7).indices(1000)
+        b = ReplicateStream(42, 7).indices(1000)
         assert np.array_equal(a, b)
 
     def test_different_indices_differ(self):
-        a = ReplicateStream(42, 7).words(16)
-        b = ReplicateStream(42, 8).words(16)
+        a = ReplicateStream(42, 7).indices(1000)
+        b = ReplicateStream(42, 8).indices(1000)
         assert not np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = ReplicateStream(1, 0).words(16)
-        b = ReplicateStream(2, 0).words(16)
+        a = ReplicateStream(1, 0).indices(1000)
+        b = ReplicateStream(2, 0).indices(1000)
         assert not np.array_equal(a, b)
 
-    def test_words_are_sequential(self):
-        whole = ReplicateStream(9, 3).words(10)
-        stream = ReplicateStream(9, 3)
-        parts = np.concatenate([stream.words(4), stream.words(6)])
-        assert np.array_equal(whole, parts)
-
     def test_seed_at_u64_boundary(self):
-        words = ReplicateStream(2**64 - 1, 2**64 - 1).words(4)
-        assert words.shape == (4,)
+        entries = ReplicateStream(2**64 - 1, 2**64 - 1).indices(4)
+        assert entries.tolist() == oracle_indices(2**64 - 1, 2**64 - 1, 4)
 
     @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
-    def test_uneven_splits_match_a_fresh_generator(self, seed):
+    def test_indices_match_a_fresh_generator(self, seed):
         for index in (0, 1, 12345, 2**64 - 1):
-            stream = ReplicateStream(seed, index)
-            got = np.concatenate([stream.words(count) for count in UNEVEN_SPLITS])
-            assert np.array_equal(got, fresh_philox_words(seed, index, sum(UNEVEN_SPLITS)))
-
-    def test_interleaved_streams_in_one_thread(self):
-        streams = [ReplicateStream(2**63, index) for index in (4, 5, 6)]
-        drawn = [[] for _ in streams]
-        for count in UNEVEN_SPLITS:
-            for stream, parts in zip(streams, drawn):
-                parts.append(stream.words(count))
-        for index, parts in zip((4, 5, 6), drawn):
-            want = fresh_philox_words(2**63, index, sum(UNEVEN_SPLITS))
-            assert np.array_equal(np.concatenate(parts), want), index
+            for moduli in (1, 7, 500, PER_POSITION):
+                got = ReplicateStream(seed, index).indices(moduli)
+                assert got.tolist() == oracle_indices(seed, index, moduli), (index, moduli)
 
     def test_streams_in_threads_at_once(self):
         # More threads than cores, switching often: a generator shared
         # between threads would hand one stream's words to another.
         indices = (0, 1, 2, 3)
         start = threading.Barrier(len(indices))
-        drawn: dict[int, list[np.ndarray]] = {index: [] for index in indices}
+        drawn: dict[int, list[list[int]]] = {index: [] for index in indices}
 
         def draw(index: int) -> None:
             start.wait()
             for _ in range(200):
-                stream = ReplicateStream(77, index)
-                parts = [stream.words(count) for count in UNEVEN_SPLITS]
-                drawn[index].append(np.concatenate(parts))
+                drawn[index].append(ReplicateStream(77, index).indices(61).tolist())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -115,9 +119,9 @@ class TestReplicateStream:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         for index in indices:
-            want = fresh_philox_words(77, index, sum(UNEVEN_SPLITS))
+            want = oracle_indices(77, index, 61)
             assert len(drawn[index]) == 200
-            assert all(np.array_equal(words, want) for words in drawn[index]), index
+            assert all(entries == want for entries in drawn[index]), index
 
 
 class TestBoundedIndices:
@@ -136,21 +140,28 @@ class TestBoundedIndices:
             ]
         )
         for n in (1, 2, 3, 17, 500, 5000, 2**31 - 1, per_position):
-            got = _bounded_indices(words, n)
+            got = multiply_shift(words, n)
             moduli = np.broadcast_to(n, words.shape)
             want = [(int(w) * int(m)) >> 64 for w, m in zip(words, moduli)]
             assert got.tolist() == want, n
 
     def test_range(self):
-        words = ReplicateStream(3, 0).words(10_000)
-        idx = _bounded_indices(words, 7)
+        idx = multiply_shift(fresh_philox_words(3, 0, 10_000), 7)
         assert idx.min() >= 0 and idx.max() <= 6
         assert set(idx.tolist()) == set(range(7))
 
     @pytest.mark.parametrize("n", [0, -1, 2**31])
     def test_out_of_range_n(self, n):
-        with pytest.raises(ValueError):
-            _bounded_indices(np.zeros(1, dtype=np.uint64), n)
+        with pytest.raises(ValueError, match=rf"run count {n} out of supported range"):
+            _checked_moduli(n)
+
+    @pytest.mark.parametrize("bad", [0, 2**31, 2**64 - 1])
+    def test_out_of_range_per_position_moduli(self, bad):
+        moduli = np.array([3, bad, 2**31 - 1], dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"run count {bad} out of supported range"):
+            _checked_moduli(moduli)
+        with pytest.raises(ValueError, match="out of supported range"):
+            ReplicateStream(0, 0).indices(moduli)
 
 
 def three_stratum_dataset():
@@ -520,13 +531,14 @@ def uneven_strata_dataset():
 class TestDrawnAheadChunks:
     """Replicate words are drawn and mapped a chunk of consecutive
     replicates at a time; a chunk holds ``_BLOCK_ENTRY_BUDGET // 16`` words,
-    so patching the budget moves chunk and count-block boundaries alike."""
+    so patching the budget moves chunk and count-block boundaries alike.
+    The expected entries come from a fresh Philox and the big-integer
+    oracles, not from :class:`ReplicateStream`, which shares the fill."""
 
     @pytest.mark.parametrize("stratified", [False, True])
     @pytest.mark.parametrize("budget", [16 * 17 * 5, 2000])
     def test_rows_at_chunk_boundaries_are_direct_draws(self, monkeypatch, stratified, budget):
         d = uneven_strata_dataset()
-        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
         fills, blocks = [], []
         fill = _DrawnAhead._fill
 
@@ -552,7 +564,7 @@ class TestDrawnAheadChunks:
             assert fills == list(range(0, k, chunk)), k
             assert blocks[0] == min(block, k), k
             for i in range(k):
-                want = compute_scores(d, "par_k", draw(d, ReplicateStream(8, i)))
+                want = compute_scores(d, "par_k", oracle_entries(d, 8, i, stratified))
                 assert [x.hex() for x in m.scores[i]] == [want[s].hex() for s in d.solvers], (k, i)
 
     def test_missing_entry_in_a_later_chunk_is_reported_at_its_replicate(self, monkeypatch):
@@ -572,7 +584,7 @@ class TestDrawnAheadChunks:
         monkeypatch.setattr(resampling, "aggregate_from_counts", spy)
 
         def missing(seed, i):
-            return 12 in draw_uniform_replicate(d, ReplicateStream(seed, i)).tolist()
+            return 12 in oracle_indices(seed, i, len(runs))
 
         # Chunks of 4 replicates in one count block of 64: the first
         # replicate that selects run ``bad`` is in a later chunk.
@@ -588,31 +600,31 @@ class TestDrawnAheadChunks:
     )
     def test_keys_convert_as_a_uint64_array_does(self, seed, index):
         try:
-            key = np.array([seed, index], dtype=np.uint64)
+            np.array([seed, index], dtype=np.uint64)
         except Exception as error:  # the same exception, from the same conversion
             with pytest.raises(type(error)):
                 ReplicateStream(seed, index)
-            if index == 0:
-                with pytest.raises(type(error)):
-                    _DrawnAhead(seed, 1, 7)
+            with pytest.raises(type(error)):  # the key of its last replicate
+                _DrawnAhead(seed, index + 1, 7, index)
             return
-        want = np.random.Philox(key=key).random_raw(9)
-        assert np.array_equal(ReplicateStream(seed, index).words(9), want)
+        want = oracle_indices(seed, index, 7)
+        assert ReplicateStream(seed, index).indices(7).tolist() == want
+        assert _DrawnAhead(seed, index + 1, 7, index).at(index).indices(7).tolist() == want
 
     def test_drawn_ahead_rows_match_streams_at_the_largest_seed(self, monkeypatch):
-        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * 7 * 3)
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * 7 * 3)  # chunks of 3 rows
         sizes = np.array([2, 2, 3, 3, 3, 1, 9], dtype=np.uint64)
         for moduli in (7, sizes):
             ahead = _DrawnAhead(2**64 - 1, 10, moduli)
             for i in range(10):
-                want = ReplicateStream(2**64 - 1, i).indices(moduli)
-                assert ahead.at(i).indices(moduli).tolist() == want.tolist(), (moduli, i)
+                want = oracle_indices(2**64 - 1, i, moduli)
+                assert ahead.at(i).indices(moduli).tolist() == want, (moduli, i)
 
     def test_foreign_moduli_are_rejected(self):
         sizes = np.array([2, 2, 1], dtype=np.uint64)
         uniform, stratified = _DrawnAhead(3, 10, 3).at(0), _DrawnAhead(3, 10, sizes).at(0)
-        assert uniform.indices(3).tolist() == ReplicateStream(3, 0).indices(3).tolist()
-        assert stratified.indices(sizes.copy()).tolist() == ReplicateStream(3, 0).indices(sizes).tolist()
+        assert uniform.indices(3).tolist() == oracle_indices(3, 0, 3)
+        assert stratified.indices(sizes.copy()).tolist() == oracle_indices(3, 0, sizes)
         for ahead, foreign in (
             (uniform, 4),
             (uniform, np.array([3, 3, 3], dtype=np.uint64)),
