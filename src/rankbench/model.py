@@ -507,9 +507,16 @@ class _Config(NamedTuple):
     named: tuple[tuple[str, str | RunKey], ...]
 
 
+def _unknown(keys, known: tuple[str, ...]) -> str | None:
+    return next((key for key in keys if key not in known), None)
+
+
 def _parse_config(doc: dict, where: str) -> _Config:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: config must be a JSON object")
+    key = _unknown(doc, ("cutoff_seconds", "strata", "reference"))
+    if key is not None:
+        raise ParseError(f"{where}: unknown config key {key!r}")
     cutoff_raw = doc.get("cutoff_seconds")
     if cutoff_raw is None:
         cutoff = math.inf
@@ -528,11 +535,17 @@ def _parse_config(doc: dict, where: str) -> _Config:
     reference: dict[RunKey, ReferenceEntry] = {}
     reference_runs = []
     references = _object_or_none(doc, "reference", "instance@seed to run data", where)
+    fields = ReferenceEntry._fields
     for label, entry in references.items():
-        rk = RunKey.from_label(label)
+        try:
+            rk = RunKey.from_label(label)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: reference entry for {label!r} must be an object")
-        fields = ReferenceEntry._fields
+        field = _unknown(entry, fields)
+        if field is not None:
+            raise ParseError(f"{where}: unknown field {field!r} in reference entry for {label!r}")
         reference[rk] = ReferenceEntry(*(_reference_value(entry, f, label, where) for f in fields))
         reference_runs.append((f"reference run {label!r}", rk))
     named = {
@@ -890,7 +903,7 @@ def _load_json(path: Path) -> tuple[_Table, _Config]:
     doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("results"), list):
         raise ParseError(f"{path}: dataset JSON must be an object with a 'results' array")
-    config = _parse_config(doc, str(path))
+    config = _parse_config({key: doc[key] for key in doc if key != "results"}, str(path))
 
     def rows() -> Iterator[tuple[int, list]]:
         for i, row in enumerate(doc["results"]):

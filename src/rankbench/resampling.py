@@ -210,18 +210,20 @@ class ScoreMatrix:
 def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
     """Refuse a replicate count whose peak cannot fit in physical memory.
 
-    The kept arrays are the k x S float64 scores, one k x S float64 array
-    per tiebreak key and the k x S int32 ranks.  Every pass over them or
-    over the replicate counts works in blocks of :func:`block_rows` rows;
-    ``tracemalloc`` measures the largest block workspace (count block and
-    limb totals, or the min-ranks sort) at under 17 bytes per block entry,
-    so three float64 blocks are counted for it.  The drawn-ahead words and
+    The kept arrays are the k x S float64 scores and the k x S int32 ranks.
+    Every pass over them or over the replicate counts works in blocks of
+    :func:`block_rows` rows, and a block is ranked as soon as it is scored,
+    so a tiebreak key's totals live for one block only.  ``tracemalloc``
+    measures the largest block workspace (count block and limb totals, or a
+    block's ranks, chain totals and min-ranks sort) at under 21 bytes per
+    block entry plus 8 per tiebreak key, so three float64 blocks and one
+    more per key are counted for it.  The drawn-ahead words and
     their spare, two uint64 buffers of ``block_rows(16)`` entries (128 KiB
     each at the default budget), live beside that workspace and are counted
     too.  (A wide input's count block and draw chunk may instead match its
     limb matrices and its run count, which are dataset-sized.)
     """
-    need = k * solvers * (8 * (1 + chain_keys) + 4) + 24 * block_rows(1) + 16 * block_rows(16)
+    need = k * solvers * 12 + 8 * (3 + chain_keys) * block_rows(1) + 16 * block_rows(16)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -251,9 +253,10 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
     ahead = _DrawnAhead(cfg.master_seed, k, d.stratum_layout[1] if cfg.stratified else n)
     scores = np.empty((k, len(d.solvers)), dtype=np.float64)
-    chains = [np.empty((k, len(d.solvers)), dtype=np.float64) for _ in cfg.tiebreak]
+    ranks = np.empty((k, len(d.solvers)), dtype=np.int32)
 
-    def fill_block(start: int, stop: int) -> None:
+    def fill_block(start: int, stop: int) -> list[np.ndarray]:
+        """Write the block's scores and return its chain totals."""
         # Block-local, so it is freed before min_ranks_rows' workspace.
         counts = np.zeros((stop - start, n), dtype=np.float64)
         failures = []
@@ -273,8 +276,8 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         if failures:  # the first failing replicate; a missing entry first
             index, message = min(failures, key=lambda failure: failure[0])
             raise ScoringError(f"replicate {index}: {message}")
-        for out, rows in zip((scores, *chains), (block_scores, *block_chains)):
-            out[start:stop] = rows
+        scores[start:stop] = block_scores
+        return block_chains
 
     # Counts and per-limb totals fit one block, except that a wide input
     # gets as many rows as its limb matrices have, up to 256: every GEMM
@@ -283,9 +286,9 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     limb_rows = sum(len(limbs) for _, limbs in scorer.limbs) * len(d.solvers)
     block = max(block_rows(max(n, len(d.solvers))), min(limb_rows, 256))
     for start in range(0, k, block):
-        fill_block(start, min(start + block, k))
-
-    ranks = min_ranks_rows(scores, chains)
+        stop = min(start + block, k)
+        # The chain totals are a temporary, freed once the block is ranked.
+        ranks[start:stop] = min_ranks_rows(scores[start:stop], fill_block(start, stop))
     return ScoreMatrix(
         k=k,
         scores=scores,

@@ -322,18 +322,17 @@ class Scorer:
     """Scores rows of run multisets of one competition.
 
     Built once per (dataset, mechanism, tiebreak chain, ``n``), it holds the
-    contributions, the runs with a NaN contribution, and the ``(what,
-    limbs)`` of the mechanism and of each tiebreak key, split for multisets
-    of at most ``n`` entries.
+    runs with a NaN contribution and the ``(what, limbs)`` of the mechanism
+    and of each tiebreak key, split for multisets of at most ``n`` entries.
     """
 
     def __init__(self, d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...], n: int):
         self.d = d
         self.mechanism = resolve_mechanism(mechanism)
-        self.contributions = run_contributions(d, self.mechanism)
-        self._nan_runs = np.isnan(self.contributions).any(axis=0)
+        contributions = run_contributions(d, self.mechanism)
+        self._nan_runs = np.isnan(contributions).any(axis=0)
         self._any_nan = self._nan_runs.any()  # hoisted out of every missing() call
-        matrices = (self.contributions, *tiebreak_run_matrices(d, tiebreak))
+        matrices = (contributions, *tiebreak_run_matrices(d, tiebreak))
         whats = (self.mechanism.name, *tiebreak)
         self.limbs = [(what, split_limbs(matrix, n)) for what, matrix in zip(whats, matrices)]
 
@@ -343,7 +342,9 @@ class Scorer:
         if not (self._any_nan and self._nan_runs[entries].any()):
             return None
         run = int(entries[np.argmax(self._nan_runs[entries])])
-        solver = self.d.solvers[int(np.argmax(np.isnan(self.contributions[:, run])))]
+        # Only this error path reads a contribution, so it is rebuilt here.
+        column = run_contributions(self.d, self.mechanism)[:, run]
+        solver = self.d.solvers[int(np.argmax(np.isnan(column)))]
         rk = self.d.runs[run]
         where = f"solver {solver!r} on run {rk.label()}"
         explain = MECHANISMS[self.mechanism.name].explain_nan

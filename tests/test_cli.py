@@ -264,6 +264,17 @@ class TestExitCodes:
             f"rankbench: error: {config}: strata instance 'i_2' is not in the data\n"
         )
 
+    def test_misspelled_config_key_is_data_error(self, tmp_path, runs_csv, capsys):
+        # This ran unstratified, the misspelled "strata" dropped.
+        config = tmp_path / "comp.json"
+        config.write_text(json.dumps({"stata": {"i1": "d1"}, "cutoff_seconds": 5}),
+                          encoding="utf-8")
+        code = run_cli(analyze_args(runs_csv, tmp_path / "r.json", config=config))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"rankbench: error: {config}: unknown config key 'stata'\n"
+        )
+
     def test_mechanism_without_reference_data_is_data_error(self, runs_csv, capsys):
         code = run_cli(["score", "--input", str(runs_csv),
                         "--mechanism", "ipc_quality"])

@@ -196,6 +196,17 @@ class TestConfig:
             ({"reference": [1]}, "reference must be an object"),
             ({"reference": "x"}, "reference must be an object"),
             ({"reference": 0}, "reference must be an object"),
+            # Each of these failed without naming the config file.
+            ({"reference": {"plain": {}}}, "run label 'plain' is not of the form instance@seed"),
+            ({"reference": {"i1@x": {}}}, "run label 'i1@x' has a non-integer seed"),
+            ({"reference": {"i1@-1": {}}}, "run label 'i1@-1' has a negative seed"),
+            # Each of these loaded, the unknown key dropped.
+            ({"stata": {"i1": "x"}, "cutoff_seconds": 5}, "unknown config key 'stata'"),
+            ({"cutoff_seconds": 5, "results": []}, "unknown config key 'results'"),
+            ({"reference": {"i1@0": {"bogus": 1}}},
+             "unknown field 'bogus' in reference entry for 'i1@0'"),
+            ({"reference": {"i1@0": {"reference_time": 3, "best_known": 2}}},
+             "unknown field 'best_known' in reference entry for 'i1@0'"),
         ],
     )
     def test_config_errors(self, tmp_path, doc, fragment):
@@ -395,6 +406,9 @@ class TestJsonDataset:
             # An int id would load, and then match no string key of "strata".
             ({"results": [{**ROW, "instance": 7}], "strata": {"7": "g"}},
              r"results\[0\]: instance 7 is not a string"),
+            ({"results": [ROW], "solvers": ["A"]}, "unknown config key 'solvers'"),
+            ({"results": [ROW], "reference": {"i1@0": {"quality": 1}}},
+             "unknown field 'quality' in reference entry for 'i1@0'"),
         ],
     )
     def test_malformed_structure_rejected(self, tmp_path, doc, fragment):

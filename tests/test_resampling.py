@@ -312,6 +312,20 @@ class TestGenerateScoreMatrix:
         pages["SC_PHYS_PAGES"] = 48_992
         assert generate_score_matrix(d, config(replicates_k=1000)).k == 1000
 
+    def test_memory_preflight_charges_no_array_per_tiebreak_key(self, monkeypatch):
+        # A tiebreak key's totals live one block at a time: the 1000 x 2 cells
+        # need one float64 block of 1,000 entries more than without a key, not
+        # a 16,000-byte array.
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
+        d = success_table_dataset({"A": [True, False], "B": [True, True]})
+        cfg = config(replicates_k=1000, tiebreak=("total_time",))
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 56_991}
+        monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
+        with pytest.raises(ValueError, match="physical memory"):
+            generate_score_matrix(d, cfg)
+        pages["SC_PHYS_PAGES"] = 56_992
+        assert generate_score_matrix(d, cfg).k == 1000
+
     @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
     def test_workspace_is_a_few_blocks(self, tiebreak):
         rng = random.Random(4)
@@ -337,6 +351,33 @@ class TestGenerateScoreMatrix:
         # one draw); 20,000 x 50 cells need at most three float64 blocks more.
         block = scoring._BLOCK_ENTRY_BUDGET
         assert peak_beyond_kept(20_000) - peak_beyond_kept(1) <= 24 * block
+
+    def test_tiebreak_key_workspace_does_not_grow_with_k(self):
+        # The table of test_workspace_is_a_few_blocks.
+        rng = random.Random(4)
+        solvers = [f"s{i}" for i in range(50)]
+        d = success_table_dataset(
+            {s: [rng.random() < 0.6 for _ in range(20)] for s in solvers},
+            times={s: [round(rng.uniform(1, 99), 2) for _ in range(20)] for s in solvers},
+            strata={f"i{j}": f"g{j % 3}" for j in range(20)},
+        )
+
+        def peak(k: int, tiebreak: tuple[str, ...]) -> int:
+            cfg = config("par_k", replicates_k=k, stratified=True, tiebreak=tiebreak)
+            tracemalloc.start()
+            try:
+                generate_score_matrix(d, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def key_adds(k: int) -> int:
+            return peak(k, ("total_time",)) - peak(k, ())
+
+        key_adds(1)  # one-time allocations and cached dataset layouts
+        # A k x S array per key would add 8 * 40,000 * 50 bytes (16 MB).
+        block = 8 * scoring._BLOCK_ENTRY_BUDGET
+        assert abs(key_adds(60_000) - key_adds(20_000)) < block
 
     def test_rows_are_pure_functions_of_seed_and_index(self):
         d = success_table_dataset({"A": [True, True, False], "B": [True, False, True]})
