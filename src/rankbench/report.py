@@ -181,13 +181,22 @@ def build_report(
     }
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+
+
 def canonical_json(obj) -> str:
     """Sorted keys, two-space indent, shortest round-trip floats."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return "".join(_CANONICAL.iterencode(obj)) + "\n"
 
 
 def emit_json(r: dict, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(r), encoding="utf-8")
+    """Write :func:`canonical_json` of ``r`` chunk by chunk, never holding
+    the whole document.  A non-finite value would raise part way through
+    the file; none can reach a report, whose totals are checked finite
+    where they are scored."""
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.writelines(_CANONICAL.iterencode(r))
+        out.write("\n")
 
 
 def emit_plot_data(r: dict, path: str | Path, top: int = 10) -> None:

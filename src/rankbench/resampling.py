@@ -180,6 +180,9 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
 class ScoreMatrix:
     """k bootstrap replicates x solvers, scores plus per-replicate min-ranks.
 
+    ``scores`` is float64.  :func:`generate_score_matrix` keeps
+    ``replicate_ranks`` in the narrowest signed integer type that holds a
+    rank of S solvers: int8 when S < 2**7, int16 when S < 2**15, else int32.
     Column order is fixed by ``solver_order`` (the dataset solver list);
     ``provenance`` records the master seed, stratification flag and
     mechanism id the matrix was generated under.
@@ -207,10 +210,17 @@ class ScoreMatrix:
         return column_quantiles(self.scores, (0.5,))[0]
 
 
+def _rank_dtype(solvers: int) -> np.dtype:
+    """The narrowest signed integer type that holds a rank of ``solvers``."""
+    fitting = (t for t in (np.int8, np.int16) if solvers <= np.iinfo(t).max)
+    return np.dtype(next(fitting, np.int32))
+
+
 def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
     """Refuse a replicate count whose peak cannot fit in physical memory.
 
-    The kept arrays are the k x S float64 scores and the k x S int32 ranks.
+    The kept arrays are the k x S float64 scores and the k x S ranks, 1, 2
+    or 4 bytes a cell by :func:`_rank_dtype`, so ``k * S * (8 + rank bytes)``.
     Every pass over them or over the replicate counts works in blocks of
     :func:`block_rows` rows, and a block is ranked as soon as it is scored,
     so a tiebreak key's totals live for one block only.  ``tracemalloc``
@@ -223,7 +233,8 @@ def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
     too.  (A wide input's count block and draw chunk may instead match its
     limb matrices and its run count, which are dataset-sized.)
     """
-    need = k * solvers * 12 + 8 * (3 + chain_keys) * block_rows(1) + 16 * block_rows(16)
+    kept = k * solvers * (8 + _rank_dtype(solvers).itemsize)
+    need = kept + 8 * (3 + chain_keys) * block_rows(1) + 16 * block_rows(16)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -253,7 +264,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
     ahead = _DrawnAhead(cfg.master_seed, k, d.stratum_layout[1] if cfg.stratified else n)
     scores = np.empty((k, len(d.solvers)), dtype=np.float64)
-    ranks = np.empty((k, len(d.solvers)), dtype=np.int32)
+    ranks = np.empty((k, len(d.solvers)), dtype=_rank_dtype(len(d.solvers)))
 
     def fill_block(start: int, stop: int) -> list[np.ndarray]:
         """Write the block's scores and return its chain totals."""
@@ -287,7 +298,8 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     block = max(block_rows(max(n, len(d.solvers))), min(limb_rows, 256))
     for start in range(0, k, block):
         stop = min(start + block, k)
-        # The chain totals are a temporary, freed once the block is ranked.
+        # The chain totals are a temporary, freed once the block is ranked;
+        # min_ranks_rows' int32 ranks are cast into the kept rank type.
         ranks[start:stop] = min_ranks_rows(scores[start:stop], fill_block(start, stop))
     return ScoreMatrix(
         k=k,

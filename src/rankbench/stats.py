@@ -71,8 +71,12 @@ def column_quantiles(matrix: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     rows = [nearest_rank_index(q, k) - 1 for q in qs]
     out = np.empty((len(rows), s), dtype=matrix.dtype)
     step = block_rows(k)  # columns per block
+    # numpy's stable sort of 1-byte values is a radix sort, about ten times
+    # faster than its default sort of them; for wider types the default wins.
+    kind = "stable" if matrix.dtype.itemsize == 1 else None
     for start in range(0, s, step):
-        out[:, start : start + step] = np.sort(matrix[:, start : start + step], axis=0)[rows]
+        columns = matrix[:, start : start + step]
+        out[:, start : start + step] = np.sort(columns, axis=0, kind=kind)[rows]
     return out
 
 

@@ -27,6 +27,7 @@ from rankbench.scoring import (
     ScoringError,
     aggregate_from_counts,
     compute_scores,
+    min_ranks_rows,
     tiebreak_run_matrices,
 )
 
@@ -285,7 +286,7 @@ class TestGenerateScoreMatrix:
         assert m.scores.shape == (25, 2)
         assert m.replicate_ranks.shape == (25, 2)
         assert m.scores.dtype == np.float64
-        assert m.replicate_ranks.dtype == np.int32
+        assert m.replicate_ranks.dtype == np.int8
         assert m.solver_order == ("A", "B")
         assert m.provenance == {
             "master_seed": 77,
@@ -293,13 +294,31 @@ class TestGenerateScoreMatrix:
             "mechanism": "solved_count",
         }
 
+    @pytest.mark.parametrize(
+        "solvers, runs, k, dtype",
+        [(2, 3, 25, np.int8), (128, 3, 25, np.int16), (2**15, 1, 2, np.int32)],
+    )
+    def test_ranks_kept_in_the_narrowest_type_for_the_solver_count(
+        self, solvers, runs, k, dtype
+    ):
+        # The last solver never solves and the first only run 0; the rest
+        # solve every run, so some replicate ranks the last at S, which the
+        # next narrower type cannot hold.
+        table = {f"s{i}": [True] * runs for i in range(solvers)}
+        table["s0"] = [j == 0 for j in range(runs)]
+        table[f"s{solvers - 1}"] = [False] * runs
+        m = generate_score_matrix(success_table_dataset(table), config(replicates_k=k))
+        assert m.replicate_ranks.dtype == dtype
+        assert m.replicate_ranks.max() == solvers
+        assert np.array_equal(m.replicate_ranks, min_ranks_rows(m.scores, []))
+
     def test_memory_preflight_counts_the_ranking_peak(self, monkeypatch):
-        # 1000 x 2 cells: 24,000 bytes of kept scores and ranks, plus three
+        # 1000 x 2 cells: 18,000 bytes of kept scores and int8 ranks, plus three
         # float64 blocks of 1,000 entries, plus the draw chunk and its spare:
         # two uint64 buffers of 1,000 // 16 = 62 entries.
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
         d = success_table_dataset({"A": [True, False], "B": [True, True]})
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 48_991}
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 42_991}
         monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
         with monkeypatch.context() as patch:
 
@@ -309,7 +328,7 @@ class TestGenerateScoreMatrix:
             patch.setattr(scoring, "run_contributions", no_allocation)
             with pytest.raises(ValueError, match="physical memory"):
                 generate_score_matrix(d, config(replicates_k=1000))
-        pages["SC_PHYS_PAGES"] = 48_992
+        pages["SC_PHYS_PAGES"] = 42_992
         assert generate_score_matrix(d, config(replicates_k=1000)).k == 1000
 
     def test_memory_preflight_charges_no_array_per_tiebreak_key(self, monkeypatch):
@@ -319,11 +338,11 @@ class TestGenerateScoreMatrix:
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
         d = success_table_dataset({"A": [True, False], "B": [True, True]})
         cfg = config(replicates_k=1000, tiebreak=("total_time",))
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 56_991}
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 50_991}
         monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
         with pytest.raises(ValueError, match="physical memory"):
             generate_score_matrix(d, cfg)
-        pages["SC_PHYS_PAGES"] = 56_992
+        pages["SC_PHYS_PAGES"] = 50_992
         assert generate_score_matrix(d, cfg).k == 1000
 
     @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
@@ -344,13 +363,15 @@ class TestGenerateScoreMatrix:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak - m.scores.nbytes * (1 + len(tiebreak)) - m.replicate_ranks.nbytes
+            return peak - m.scores.nbytes - m.replicate_ranks.nbytes
 
         peak_beyond_kept(1)  # one-time allocations and cached dataset layouts
         # One replicate needs the dataset-sized arrays (contributions, limbs,
-        # one draw); 20,000 x 50 cells need at most three float64 blocks more.
+        # one draw); 20,000 x 50 cells need at most the float64 blocks
+        # _check_memory charges: three, and one more per tiebreak key.
         block = scoring._BLOCK_ENTRY_BUDGET
-        assert peak_beyond_kept(20_000) - peak_beyond_kept(1) <= 24 * block
+        growth = peak_beyond_kept(20_000) - peak_beyond_kept(1)
+        assert growth <= 8 * (3 + len(tiebreak)) * block, growth / block
 
     def test_tiebreak_key_workspace_does_not_grow_with_k(self):
         # The table of test_workspace_is_a_few_blocks.

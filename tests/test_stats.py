@@ -224,3 +224,14 @@ class TestColumnQuantiles:
         got = column_quantiles(ranks, (0.25,))
         assert got.dtype == np.int32
         assert got[0].tolist() == np.sort(ranks, axis=0)[2].tolist()
+
+    def test_rank_types_give_equal_quartiles(self):
+        # Replicate ranks are kept as int8, int16 or int32 by solver count;
+        # few distinct values per column make heavy ties, as ranks do.
+        ranks = np.random.default_rng(19).integers(1, 5, (1001, 7))
+        rows = [oracle_nearest_rank_index(q, 1001) - 1 for q in ("0.25", "0.5", "0.75")]
+        expected = np.sort(ranks, axis=0)[rows].tolist()
+        for dtype in (np.int8, np.int16, np.int32):
+            got = column_quantiles(ranks.astype(dtype), (0.25, 0.5, 0.75))
+            assert got.dtype == dtype
+            assert got.tolist() == expected, dtype
