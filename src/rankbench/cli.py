@@ -91,7 +91,7 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
         "--stratified",
         choices=("auto", "on", "off"),
         default="auto",
-        help="per-stratum resampling; auto = on iff the dataset declares >= 2 strata",
+        help="per-stratum resampling of instances; auto = on iff the dataset declares >= 2 strata",
     )
 
 

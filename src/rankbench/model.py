@@ -169,8 +169,9 @@ class Dataset:
     per-run CPU-time limit in seconds (``math.inf``: none configured).
     Construction does not reject invalid data: :func:`load_dataset` checks
     its input, a programmatically built dataset is taken as given.
-    ``instance_layout`` and ``stratum_layout`` group the runs by instance
-    and by stratum through one helper.
+    ``instance_layout`` groups the runs by instance, ``run_table`` lists
+    each instance's runs, and ``stratum_layout`` groups that table's rows
+    by stratum, through one grouping helper.
     """
 
     solvers: tuple[str, ...]
@@ -239,15 +240,33 @@ class Dataset:
         return _grouped([code[rk.instance_id] for rk in self.runs])
 
     @cached_property
+    def run_table(self) -> np.ndarray:
+        """Read-only (instances x most runs of an instance) int64 array:
+        row ``j`` holds the run indices of ``instances[j]`` in run order,
+        padded with -1 after the instance's last run.  With one run per
+        instance it is the column ``0 .. |R|-1``."""
+        runs, counts, starts = self.instance_layout
+        table = np.full((len(counts), counts.max(initial=0)), -1, dtype=np.int64)
+        instance = np.repeat(np.arange(len(counts)), counts)
+        table[instance, np.arange(len(runs)) - starts[instance]] = runs
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def stratum_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(runs, sizes, starts)``: the run indices stratum by stratum
-        (strata in ``stratum_order``, runs in run order), and per position
-        the size (uint64) and first position of its stratum.  Grouped by
-        :func:`_grouped`, as ``instance_layout`` is."""
+        """``(table, sizes, starts)``: the rows of ``run_table`` stratum by
+        stratum (strata in ``stratum_order``, instances in ``instances``
+        order), and per position the instance count (uint64) and first
+        position of its stratum.  Grouped by :func:`_grouped`, as
+        ``instance_layout`` is."""
         code = {label: j for j, label in enumerate(self.stratum_order)}
-        labels = (self.stratum_of(rk.instance_id) for rk in self.runs)
-        runs, lengths, starts = _grouped([code[label] for label in labels])
-        return runs, np.repeat(lengths, lengths).astype(np.uint64), np.repeat(starts, lengths)
+        labels = (self.stratum_of(instance) for instance in self.instances)
+        order, lengths, starts = _grouped([code[label] for label in labels])
+        return (
+            self.run_table[order],
+            np.repeat(lengths, lengths).astype(np.uint64),
+            np.repeat(starts, lengths),
+        )
 
     def _reference_vector(self, name: str) -> np.ndarray:
         values = (getattr(self.reference.get(rk), name, None) for rk in self.runs)

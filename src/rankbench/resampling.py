@@ -1,16 +1,20 @@
 """Deterministic bootstrap replicate generation and the replicate score matrix.
 
-Reproducibility scheme (fixed, so matrices are comparable across
-implementations and across runs):
+Reproducibility scheme, stream spec v2 (fixed, so matrices are comparable
+across implementations and across runs):
 
 * Replicate ``i`` draws from its own substream: a Philox-4x64-10 counter
   generator keyed with the two 64-bit words ``(master_seed, i)``, counter
   starting at zero, consuming the standard Philox output word sequence.
-* A raw 64-bit word ``x`` maps to a run index in ``[0, n)`` rejection-free
+* A raw 64-bit word ``x`` maps to an index in ``[0, n)`` rejection-free
   via the multiply-shift ``floor(x * n / 2**64)``.
-* Uniform replicates consume ``|R|`` words.  Stratified replicates consume
-  the words stratum by stratum, strata in order of first appearance over
-  the run list, one word per drawn entry.
+* A replicate resamples instances, not runs: each drawn instance brings
+  all of its runs, in run order, and the runs of the drawn instances are
+  returned in draw order.  Uniform replicates consume ``I`` words (``I``
+  instances), each mapped to an instance in ``Dataset.instances`` order.
+  Stratified replicates consume one word per position of
+  :attr:`Dataset.stratum_layout` (instances stratum by stratum), each
+  mapped to an instance of that position's stratum.
 
 A counter generator is a pure function of its key and counter, so a
 replicate is a pure function of ``(master_seed, i)`` and evaluation order
@@ -50,7 +54,7 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 
 def _checked_moduli(moduli: int | np.ndarray) -> np.uint64 | np.ndarray:
     """One modulus as a uint64, or a uint64 array of one modulus per word,
-    each a run count in [1, 2**31): :func:`_multiply_shift` multiplies a
+    each a count in [1, 2**31): :func:`_multiply_shift` multiplies a
     modulus by 32-bit halves of a word in uint64 arithmetic."""
     array = isinstance(moduli, np.ndarray)
     for modulus in (moduli.min(initial=1), moduli.max(initial=1)) if array else (moduli,):
@@ -135,7 +139,13 @@ class _DrawnAhead:
         self._first, self._stop = first, first + rows
 
     def indices(self, moduli: int | np.ndarray) -> np.ndarray:
-        if moduli is not self._moduli and not _same_moduli(moduli, self._moduli):
+        # An int modulus from len() is a new object at every call, so ints
+        # are compared by value before the array path.
+        if moduli is not self._moduli and not (
+            moduli == self._moduli
+            if type(moduli) is type(self._moduli) is int
+            else _same_moduli(moduli, self._moduli)
+        ):
             raise ValueError("these replicates were drawn ahead for other moduli")
         return self._entries[self._row]
 
@@ -152,28 +162,45 @@ class ReplicateStream:
         return ahead.at(self._index).indices(moduli)
 
 
+def _runs_of(d: Dataset, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The runs of ``rows`` of a :attr:`Dataset.run_table`-shaped ``table``,
+    row by row, each in run order; the -1 padding of a dataset whose
+    instances have different run counts is dropped."""
+    runs = np.take(table, rows, axis=0).ravel()
+    return runs[runs >= 0] if table.size > len(d.runs) else runs
+
+
 def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
-    """|R| run indices drawn i.i.d. uniformly over R, with replacement."""
-    n = len(d.runs)
-    if n < 1:
+    """The runs of ``I`` instances drawn i.i.d. uniformly, with replacement.
+
+    One word per instance picks an instance of ``Dataset.instances``; the
+    runs of the drawn instances are returned in draw order, each
+    instance's in run order.  With one run per instance, instance ``j`` is
+    run ``j`` and the drawn indices are returned as they are.
+    """
+    if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
-    return rng.indices(n)
+    table = d.run_table
+    drawn = rng.indices(len(table))
+    return drawn if table.shape[1] == 1 else _runs_of(d, table, drawn)
 
 
 def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     """Per-stratum resampling: each stratum contributes exactly as many
-    run indices as it has runs, drawn with replacement within the stratum;
-    indices are concatenated in stratum order.
+    instances as it has, drawn with replacement within the stratum, and
+    each drawn instance all of its runs; runs are concatenated in stratum
+    order, then draw order, then run order.
 
-    One word per position of :attr:`Dataset.stratum_layout` (the runs
-    grouped by stratum with the same stable grouping as
+    One word per position of :attr:`Dataset.stratum_layout` (the run
+    table's rows grouped by stratum with the same stable grouping as
     :attr:`Dataset.instance_layout`), mapped into that position's stratum,
-    gives the words and entries of a stratum by stratum draw in one pass.
+    gives the words and instances of a stratum by stratum draw in one pass;
+    the table is in layout order, so ``starts + drawn`` indexes it.
     """
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
-    runs, sizes, starts = d.stratum_layout
-    return runs[starts + rng.indices(sizes)]
+    table, sizes, starts = d.stratum_layout
+    return _runs_of(d, table, starts + rng.indices(sizes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +258,7 @@ def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
     their spare, two uint64 buffers of ``block_rows(16)`` entries (128 KiB
     each at the default budget), live beside that workspace and are counted
     too.  (A wide input's count block and draw chunk may instead match its
-    limb matrices and its run count, which are dataset-sized.)
+    limb matrices and its instance count, which are dataset-sized.)
     """
     kept = k * solvers * (8 + _rank_dtype(solvers).itemsize)
     need = kept + 8 * (3 + chain_keys) * block_rows(1) + 16 * block_rows(16)
@@ -249,7 +276,8 @@ def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
 def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> ScoreMatrix:
     """Score ``cfg.replicates_k`` bootstrap replicates of the competition.
 
-    Row ``i`` comes from the substream keyed ``(cfg.master_seed, i)``.
+    Row ``i`` comes from the substream keyed ``(cfg.master_seed, i)``; a
+    mean mechanism divides each row by the number of runs it drew.
     Replicates are generated on one thread: ``threads`` is accepted for
     compatibility and changes neither the output nor the speed.  Scoring
     failures (a selected run without a contribution, a total beyond the
@@ -260,9 +288,11 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         raise ValueError("dataset has no runs to resample")
     k = cfg.replicates_k
     _check_memory(k, len(d.solvers), len(cfg.tiebreak))
-    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, n)
+    # The largest replicate draws the instance with the most runs I times.
+    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, d.run_table.size)
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
-    ahead = _DrawnAhead(cfg.master_seed, k, d.stratum_layout[1] if cfg.stratified else n)
+    moduli = d.stratum_layout[1] if cfg.stratified else len(d.run_table)
+    ahead = _DrawnAhead(cfg.master_seed, k, moduli)
     scores = np.empty((k, len(d.solvers)), dtype=np.float64)
     ranks = np.empty((k, len(d.solvers)), dtype=_rank_dtype(len(d.solvers)))
 
@@ -270,6 +300,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         """Write the block's scores and return its chain totals."""
         # Block-local, so it is freed before min_ranks_rows' workspace.
         counts = np.zeros((stop - start, n), dtype=np.float64)
+        sizes = []  # runs drawn per replicate, a mean's divisor
         failures = []
         for i in range(start, stop):
             entries = draw(d, ahead.at(i))
@@ -277,10 +308,11 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
             if message is not None:
                 failures.append((i, message))
             counts[i - start] = np.bincount(entries, minlength=n)
+            sizes.append(len(entries))
         # aggregate_from_counts is looked up in this module at every call,
         # so a wrapper set on the module sees each one.
         block_scores, block_chains, overflow = scorer.rows(
-            lambda limbs: aggregate_from_counts(limbs, counts), n
+            lambda limbs: aggregate_from_counts(limbs, counts), np.array(sizes)[:, None]
         )
         if overflow is not None:
             failures.append((start + overflow[0], overflow[1]))

@@ -113,7 +113,10 @@ def _mean(totals: np.ndarray, size) -> np.ndarray:
 
 
 def _neg_mean(totals: np.ndarray, size) -> np.ndarray:
-    return -totals / size
+    # Negated in place: numpy reuses the temporary of ``-totals`` only for
+    # a scalar ``size``, not for per-row sizes it must broadcast.
+    means = totals / size
+    return np.negative(means, out=means)
 
 
 def _why_no_quality_ratio(rec: RunRecord, where: str, rk: RunKey) -> str:

@@ -235,20 +235,26 @@ def brute_scores(d: Dataset, mech: Mechanism, entries: list[int] | None = None) 
     return out
 
 
-def oracle_stratified_draw(d: Dataset, words: list[int]) -> list[int]:
-    """A stratified replicate's run indices from its raw 64-bit words.
+def oracle_draw(d: Dataset, words: list[int], stratified: bool) -> list[int]:
+    """A replicate's run indices from its raw 64-bit words (stream spec v2).
 
-    Strata come in order of first appearance over ``d.runs`` and each
-    stratum's runs in run order; stratum by stratum, each of its runs takes
-    the next word ``w`` and draws member ``floor(w * m / 2**64)`` of the
-    stratum's ``m`` runs, in big-integer arithmetic.
+    Instances come in order of first appearance over ``d.runs``, each with
+    its runs in run order.  A uniform draw is one group of every instance;
+    a stratified draw has one group per stratum, strata in order of first
+    appearance and each stratum's instances in instance order.  Group by
+    group, each of its instances takes the next word ``w`` and draws member
+    ``floor(w * m / 2**64)`` of the group's ``m`` instances, in big-integer
+    arithmetic; the drawn instance brings all of its runs.
     """
-    members: dict[str, list[int]] = {}
+    runs_of: dict[str, list[int]] = {}
     for j, rk in enumerate(d.runs):
-        members.setdefault(d.stratum_of(rk.instance_id), []).append(j)
+        runs_of.setdefault(rk.instance_id, []).append(j)
+    groups: dict[str, list[str]] = {}
+    for instance in runs_of:
+        groups.setdefault(d.stratum_of(instance) if stratified else "", []).append(instance)
     words = iter(words)
     drawn = []
-    for runs in members.values():
-        for _ in runs:
-            drawn.append(runs[(int(next(words)) * len(runs)) >> 64])
+    for members in groups.values():
+        for _ in members:
+            drawn.extend(runs_of[members[(int(next(words)) * len(members)) >> 64]])
     return drawn

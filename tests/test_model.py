@@ -451,6 +451,30 @@ class TestDatasetArrays:
             [0, 2, 1, 4, 3], [2, 2, 1], [0, 2, 4]
         )
 
+    def test_run_table_lists_each_instances_runs_padded(self):
+        d = build_dataset(
+            ["A"], [("i1", 0), ("i2", 0), ("i1", 1), ("i3", 0), ("i2", 1), ("i1", 2)],
+            lambda s, rk: record(True),
+        )
+        assert d.run_table.tolist() == [[0, 2, 5], [1, 4, -1], [3, -1, -1]]
+        with pytest.raises(ValueError):
+            d.run_table[0, 0] = 1
+
+    def test_run_table_of_one_run_per_instance_is_the_run_column(self):
+        d = build_dataset(["A"], [("i2", 0), ("i1", 3), ("i3", 1)], lambda s, rk: record(True))
+        assert d.run_table.tolist() == [[0], [1], [2]]
+
+    def test_stratum_layout_groups_run_table_rows_by_stratum(self):
+        # Strata first seen in the order Y, X; instances of X keep their order.
+        d = build_dataset(
+            ["A"], [("i1", 0), ("i2", 0), ("i1", 1), ("i3", 0), ("i2", 1)],
+            lambda s, rk: record(True),
+            strata={"i1": "Y", "i2": "X", "i3": "X"},
+        )
+        table, sizes, starts = d.stratum_layout
+        assert table.tolist() == [[0, 2], [1, 4], [3, -1]]
+        assert (sizes.dtype, sizes.tolist(), starts.tolist()) == (np.uint64, [1, 2, 2], [0, 1, 1])
+
 
 class TestRunKey:
     def test_label_round_trip(self):

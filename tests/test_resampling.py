@@ -11,7 +11,7 @@ import pytest
 
 import rankbench.resampling as resampling
 import rankbench.scoring as scoring
-from rankbench.model import Mechanism, ReferenceEntry, RunKey
+from rankbench.model import Dataset, Mechanism, ReferenceEntry, RunKey, RunStatus
 from rankbench.resampling import (
     ReplicateStream,
     ScoreMatrix,
@@ -30,12 +30,14 @@ from rankbench.scoring import (
     min_ranks_rows,
     tiebreak_run_matrices,
 )
+from rankbench.stats import bootstrap_p
 
 from helpers import (
+    brute_scores,
     build_dataset,
     config,
+    oracle_draw,
     oracle_min_ranks,
-    oracle_stratified_draw,
     record,
     success_table_dataset,
 )
@@ -55,11 +57,11 @@ def oracle_indices(seed: int, index: int, moduli) -> list[int]:
 
 
 def oracle_entries(d, seed: int, index: int, stratified: bool) -> np.ndarray:
-    """A uniform or stratified replicate of ``d``, from the oracles alone."""
-    if stratified:
-        words = fresh_philox_words(seed, index, len(d.runs)).tolist()
-        return np.array(oracle_stratified_draw(d, words))
-    return np.array(oracle_indices(seed, index, len(d.runs)))
+    """A uniform or stratified replicate of ``d``, from the oracles alone:
+    one fresh Philox word per instance."""
+    instances = len({rk.instance_id for rk in d.runs})
+    words = fresh_philox_words(seed, index, instances).tolist()
+    return np.array(oracle_draw(d, words, stratified), dtype=np.int64)
 
 
 def multiply_shift(words: np.ndarray, moduli) -> np.ndarray:
@@ -174,10 +176,11 @@ def three_stratum_dataset():
 
 
 def stratum_blocks(d) -> dict[str, list[int]]:
-    """Run indices of each stratum, read from the dataset's stratum layout."""
-    runs, sizes, starts = d.stratum_layout
+    """Run indices of each stratum, read from the dataset's stratum layout:
+    the run table's rows of the stratum, without their -1 padding."""
+    table, sizes, starts = d.stratum_layout
     return {
-        label: runs[first : first + int(sizes[first])].tolist()
+        label: [run for run in table[first : first + int(sizes[first])].ravel() if run >= 0]
         for label, first in zip(d.stratum_order, np.unique(starts))
     }
 
@@ -262,13 +265,144 @@ class TestDrawStratified:
             for i in range(300):
                 got = draw_stratified_replicate(d, ReplicateStream(seed, i))
                 words = fresh_philox_words(seed, i, len(runs)).tolist()
-                assert got.tolist() == oracle_stratified_draw(d, words), (seed, i)
+                assert got.tolist() == oracle_draw(d, words, stratified=True), (seed, i)
 
     def test_forced_single_member_stratum(self):
         d = three_stratum_dataset()
         for i in range(50):
             rs = draw_stratified_replicate(d, ReplicateStream(1, i))
             assert rs[0] == 0  # stratum A has only run a1@0
+
+
+def two_seed_dataset():
+    """Two-decimal times and qualities over 12 instances x 2 seeds in two
+    strata; seed 1 of every instance is listed first, so an instance's runs
+    are apart in run order."""
+    rng = random.Random(23)
+    runs = [RunKey(f"i{j:02d}", seed) for seed in (1, 0) for j in range(12)]
+    return build_dataset(
+        ["a", "b", "c"],
+        runs,
+        lambda s, rk: record(
+            rng.random() < 0.7,
+            cpu_time=round(rng.uniform(0.5, 150.0), 2),
+            quality=round(rng.uniform(5.0, 20.0), 3),
+        ),
+        strata={f"i{j:02d}": "odd" if j % 2 else "even" for j in range(12)},
+        cutoff=100.0,
+    )
+
+
+def ragged_dataset():
+    """Two-decimal times and qualities over 8 instances of 1, 2 and 3
+    seeds in strata of 3, 3 and 2 instances, runs in a shuffled order."""
+    rng = random.Random(29)
+    seeds = {"p": 1, "q": 3, "r": 2, "s": 1, "t": 3, "u": 2, "v": 2, "w": 1}
+    strata = {"p": "X", "q": "Y", "r": "X", "s": "Z", "t": "Y", "u": "Z", "v": "X", "w": "Y"}
+    runs = [RunKey(instance, seed) for instance, count in seeds.items() for seed in range(count)]
+    rng.shuffle(runs)
+    return build_dataset(
+        ["a", "b", "c"],
+        runs,
+        lambda s, rk: record(
+            rng.random() < 0.7,
+            cpu_time=round(rng.uniform(0.5, 150.0), 2),
+            quality=round(rng.uniform(5.0, 20.0), 3),
+        ),
+        strata=strata,
+        cutoff=100.0,
+    )
+
+
+class TestInstanceDraws:
+    """A replicate draws instances, and each drawn instance brings all of
+    its runs (stream spec v2)."""
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("dataset", [two_seed_dataset, ragged_dataset])
+    def test_draws_match_the_oracle(self, dataset, stratified):
+        d = dataset()
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
+        for seed in (0, 2**64 - 1):
+            for i in range(200):
+                got = draw(d, ReplicateStream(seed, i))
+                assert got.tolist() == oracle_entries(d, seed, i, stratified).tolist(), (seed, i)
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_drawn_instances_bring_every_run(self, stratified):
+        d = ragged_dataset()
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
+        runs_of = {}
+        for j, rk in enumerate(d.runs):
+            runs_of.setdefault(rk.instance_id, []).append(j)
+        sizes = set()
+        for i in range(300):
+            entries = draw(d, ReplicateStream(11, i))
+            counts = np.bincount(entries, minlength=len(d.runs))
+            drawn = {instance: set(counts[runs].tolist()) for instance, runs in runs_of.items()}
+            assert all(len(times) == 1 for times in drawn.values()), i
+            times = {instance: times.pop() for instance, times in drawn.items()}
+            assert sum(times.values()) == 8, i
+            if stratified:
+                per_stratum = {}
+                for instance, n in times.items():
+                    label = d.stratum_of(instance)
+                    per_stratum[label] = per_stratum.get(label, 0) + n
+                assert per_stratum == {"X": 3, "Y": 3, "Z": 2}, i
+            sizes.add(len(entries))
+        assert len(sizes) > 1 and min(sizes) >= 8 and max(sizes) <= 24
+
+    @pytest.mark.parametrize("budget", [None, 16 * 8 * 3])
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("mechanism", ["mean_metric", "par_k"])
+    @pytest.mark.parametrize("dataset", [two_seed_dataset, ragged_dataset])
+    def test_mean_rows_divide_by_the_drawn_run_count(
+        self, monkeypatch, dataset, mechanism, stratified, budget
+    ):
+        # A budget of 384 entries draws chunks of 3 replicates of 8
+        # instances and counts blocks of 25 or 16 replicates.
+        if budget is not None:
+            monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
+        d = dataset()
+        cfg = config(mechanism, replicates_k=60, master_seed=14, stratified=stratified)
+        m = generate_score_matrix(d, cfg)
+        for i in range(m.k):
+            want = brute_scores(d, cfg.mechanism, oracle_entries(d, 14, i, stratified).tolist())
+            assert m.scores[i].tolist() == pytest.approx([want[s] for s in d.solvers], rel=1e-12), i
+
+
+def favoured_pair_dataset(rng: np.random.Generator, instances: int, seeds: int) -> Dataset:
+    """Two solvers with equal solve rates: each instance favours one of
+    them at random, which solves each seed with probability 0.9 against
+    the other's 0.1."""
+    favoured = rng.random(instances) < 0.5
+    rate = np.where(favoured, 0.9, 0.1)
+    solved = rng.random((2, instances, seeds)) < np.stack([rate, 1 - rate])[:, :, None]
+    timeout = tuple(RunStatus).index(RunStatus.TIMEOUT)
+    shape = (2, instances * seeds)
+    return Dataset(
+        solvers=("s1", "s2"),
+        runs=tuple(RunKey(f"i{j}", seed) for j in range(instances) for seed in range(seeds)),
+        status=np.where(solved.reshape(shape), 0, timeout),
+        cpu_time=np.ones(shape),
+        quality=np.full(shape, np.nan),
+        cutoff=10.0,
+    )
+
+
+def test_multi_seed_true_null_is_rejected_at_about_alpha():
+    # The seeds of one instance are not independent: drawing runs, not
+    # instances, falsely rejects this null in about a fifth of datasets.
+    meta = np.random.default_rng(555)
+    datasets = 200
+    rejections = {"s1": 0, "s2": 0}
+    for index in range(datasets):
+        d = favoured_pair_dataset(meta, instances=100, seeds=5)
+        m = generate_score_matrix(d, config(replicates_k=400, master_seed=index))
+        rejections["s1"] += bootstrap_p(m, "s1", "s2", alpha=0.05).rejected
+        rejections["s2"] += bootstrap_p(m, "s2", "s1", alpha=0.05).rejected
+    rates = {solver: count / datasets for solver, count in rejections.items()}
+    assert max(rates.values()) <= 0.10, rates
 
 
 class TestGenerateScoreMatrix:
@@ -681,6 +815,18 @@ class TestDrawnAheadChunks:
             for i in range(10):
                 want = oracle_indices(2**64 - 1, i, moduli)
                 assert ahead.at(i).indices(moduli).tolist() == want, (moduli, i)
+
+    def test_int_moduli_are_compared_by_value_alone(self, monkeypatch):
+        # Above 256, len() returns a new int object at every call.
+        ahead = _DrawnAhead(3, 10, 1000).at(0)
+
+        def no_call(a, b):
+            raise AssertionError("int moduli took the array comparison")
+
+        monkeypatch.setattr(resampling, "_same_moduli", no_call)
+        assert ahead.indices(int("1000")).tolist() == oracle_indices(3, 0, 1000)
+        with pytest.raises(ValueError, match="other moduli"):
+            ahead.indices(int("999"))
 
     def test_foreign_moduli_are_rejected(self):
         sizes = np.array([2, 2, 1], dtype=np.uint64)
