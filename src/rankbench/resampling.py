@@ -20,10 +20,13 @@ A counter generator is a pure function of its key and counter, so a
 replicate is a pure function of ``(master_seed, i)`` and evaluation order
 can never change a row.  One fill serves every draw: it re-keys one
 generator, owned by the chunk it fills, to each replicate of a range of
-consecutive replicates and multiply-shifts the whole chunk at once.
-:func:`generate_score_matrix` fills a chunk of ``_BLOCK_ENTRY_BUDGET / 16``
-words at a time, and a :class:`ReplicateStream` fills a one-row chunk;
-each replicate still passes through its public draw function.
+consecutive replicates and multiply-shifts the whole chunk at once; the
+runs of the drawn instances are then gathered from the run table once for
+the whole chunk.  :func:`generate_score_matrix` fills a chunk of
+``_BLOCK_ENTRY_BUDGET / 16`` words at a time, and a :class:`ReplicateStream`
+fills a one-row chunk; each replicate still passes through its public draw
+function, and is scored from how often it drew each instance, counted from
+the runs that function returns.
 """
 
 from __future__ import annotations
@@ -100,7 +103,9 @@ class _DrawnAhead:
     ``master_seed`` and ``k - 1`` convert (and are range-checked) as a
     uint64 array converts them.  The chunk and its spare hold
     ``block_rows(16 * width)`` rows (at least one, at most ``k - first``):
-    with the default block budget two 128 KiB buffers.
+    with the default block budget two 128 KiB buffers.  :meth:`rows`
+    gathers the drawn rows of a table for the whole chunk at once, into a
+    third buffer of a table's width times as many entries.
 
     The chunk owns its generator, re-keyed through one state dict whose
     counter, key and buffer are Python ints, which numpy reads faster than
@@ -121,6 +126,7 @@ class _DrawnAhead:
         self._entries = self._chunk.view(np.int64)
         self._k = k
         self._first = self._stop = self._row = 0
+        self._gathered = self._gathered_from = None
 
     def at(self, index: int) -> "_DrawnAhead":
         if not self._first <= index < self._stop:
@@ -137,6 +143,7 @@ class _DrawnAhead:
             self._chunk[row] = self._generator.random_raw(width)
         _multiply_shift(self._chunk[:rows], self._mapped_with, self._spare[:rows])
         self._first, self._stop = first, first + rows
+        self._gathered_from = None
 
     def indices(self, moduli: int | np.ndarray) -> np.ndarray:
         # An int modulus from len() is a new object at every call, so ints
@@ -149,6 +156,29 @@ class _DrawnAhead:
             raise ValueError("these replicates were drawn ahead for other moduli")
         return self._entries[self._row]
 
+    def rows(self, moduli: int | np.ndarray, table: np.ndarray, starts=None) -> np.ndarray:
+        """The current replicate's drawn rows of ``table``, concatenated:
+        row ``j``, or ``starts[p] + j`` with per-position ``starts``, for
+        the index ``j`` drawn at each position ``p``.  The whole chunk's
+        rows are gathered at the first call for the chunk and ``(table,
+        starts)``; the row returned is a view that the next gather
+        overwrites."""
+        self.indices(moduli)  # checks the moduli
+        was = self._gathered_from
+        if was is None or was[0] is not table or was[1] is not starts:
+            chunk = self._entries[: self._stop - self._first]
+            if starts is not None:  # the spare is free once the words are mapped
+                chunk = np.add(chunk, starts, out=self._spare[: len(chunk)].view(np.int64))
+            size = chunk.shape[1] * table.shape[1]
+            if self._gathered is None or self._gathered.shape[1] != size:
+                self._gathered = np.empty((len(self._chunk), size), dtype=np.int64)
+            out = self._gathered[: len(chunk)].reshape(*chunk.shape, table.shape[1])
+            # Every index is in range; mode "raise" would gather through a
+            # temporary as large as ``out``, at twice the time.
+            np.take(table, chunk, axis=0, out=out, mode="clip")
+            self._gathered_from = (table, starts)
+        return self._gathered[self._row]
+
 
 class ReplicateStream:
     """The deterministic substream of one bootstrap replicate."""
@@ -156,17 +186,22 @@ class ReplicateStream:
     def __init__(self, master_seed: int, index: int):
         self._seed, self._index = np.array([master_seed, index], dtype=np.uint64).tolist()
 
+    def _ahead(self, moduli: int | np.ndarray) -> _DrawnAhead:
+        return _DrawnAhead(self._seed, self._index + 1, moduli, self._index).at(self._index)
+
     def indices(self, moduli: int | np.ndarray) -> np.ndarray:
         """The replicate's entries for ``moduli``, from a one-row :class:`_DrawnAhead`."""
-        ahead = _DrawnAhead(self._seed, self._index + 1, moduli, self._index)
-        return ahead.at(self._index).indices(moduli)
+        return self._ahead(moduli).indices(moduli)
+
+    def rows(self, moduli: int | np.ndarray, table: np.ndarray, starts=None) -> np.ndarray:
+        """The replicate's drawn rows of ``table``, as :meth:`_DrawnAhead.rows` gathers them."""
+        return self._ahead(moduli).rows(moduli, table, starts)
 
 
-def _runs_of(d: Dataset, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The runs of ``rows`` of a :attr:`Dataset.run_table`-shaped ``table``,
-    row by row, each in run order; the -1 padding of a dataset whose
-    instances have different run counts is dropped."""
-    runs = np.take(table, rows, axis=0).ravel()
+def _runs_of(d: Dataset, table: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Drawn rows ``runs`` of a :attr:`Dataset.run_table`-shaped ``table``
+    without the -1 padding of a dataset whose instances have different run
+    counts."""
     return runs[runs >= 0] if table.size > len(d.runs) else runs
 
 
@@ -181,8 +216,9 @@ def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
     table = d.run_table
-    drawn = rng.indices(len(table))
-    return drawn if table.shape[1] == 1 else _runs_of(d, table, drawn)
+    if table.shape[1] == 1:
+        return rng.indices(len(table))
+    return _runs_of(d, table, rng.rows(len(table), table))
 
 
 def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
@@ -200,7 +236,7 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
     table, sizes, starts = d.stratum_layout
-    return _runs_of(d, table, starts + rng.indices(sizes))
+    return _runs_of(d, table, rng.rows(sizes, table, starts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +279,7 @@ def _rank_dtype(solvers: int) -> np.dtype:
     return np.dtype(next(fitting, np.int32))
 
 
-def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
+def _check_memory(k: int, solvers: int, chain_keys: int, gathered_width: int) -> None:
     """Refuse a replicate count whose peak cannot fit in physical memory.
 
     The kept arrays are the k x S float64 scores and the k x S ranks, 1, 2
@@ -251,17 +287,22 @@ def _check_memory(k: int, solvers: int, chain_keys: int) -> None:
     Every pass over them or over the replicate counts works in blocks of
     :func:`block_rows` rows, and a block is ranked as soon as it is scored,
     so a tiebreak key's totals live for one block only.  ``tracemalloc``
-    measures the largest block workspace (count block and limb totals, or a
-    block's ranks, chain totals and min-ranks sort) at under 21 bytes per
-    block entry plus 8 per tiebreak key, so three float64 blocks and one
-    more per key are counted for it.  The drawn-ahead words and
-    their spare, two uint64 buffers of ``block_rows(16)`` entries (128 KiB
-    each at the default budget), live beside that workspace and are counted
-    too.  (A wide input's count block and draw chunk may instead match its
-    limb matrices and its instance count, which are dataset-sized.)
+    puts a block's workspace, beyond 8 bytes per block entry per tiebreak
+    key, at under 20 bytes per block entry while the block is counted and
+    summed (count block, limb products, scores) and under 17 while it is
+    ranked (the min-ranks sort, written straight into the kept ranks), so
+    three float64 blocks and one more per key are counted for it.  The
+    drawn-ahead words and their spare, two uint64 buffers of
+    ``block_rows(16)`` entries (128 KiB each at the default budget), live
+    beside that workspace and are counted too, and so are the runs gathered
+    for them, ``gathered_width`` int64 entries a word (none when a uniform
+    draw of one run per instance returns its words).  (A wide input's count
+    block and draw chunk may instead match its limb matrices and its
+    instance count, which are dataset-sized.)
     """
     kept = k * solvers * (8 + _rank_dtype(solvers).itemsize)
-    need = kept + 8 * (3 + chain_keys) * block_rows(1) + 16 * block_rows(16)
+    blocks = 8 * (3 + chain_keys) * block_rows(1)
+    need = kept + blocks + 8 * (2 + gathered_width) * block_rows(16)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -277,29 +318,41 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     """Score ``cfg.replicates_k`` bootstrap replicates of the competition.
 
     Row ``i`` comes from the substream keyed ``(cfg.master_seed, i)``; a
-    mean mechanism divides each row by the number of runs it drew.
-    Replicates are generated on one thread: ``threads`` is accepted for
-    compatibility and changes neither the output nor the speed.  Scoring
-    failures (a selected run without a contribution, a total beyond the
-    float64 range) report the smallest failing replicate index.
+    mean mechanism divides each row by the number of runs it drew.  Each
+    row's runs come from its public draw function, and the row is scored
+    from how often each instance was drawn, over per-instance totals of
+    the contributions (:func:`~rankbench.scoring.instance_limbs`): exact
+    sums, so the scores are those of the runs.  Replicates are generated
+    on one thread: ``threads`` is accepted for compatibility and changes
+    neither the output nor the speed.  Scoring failures (a selected run
+    without a contribution, a total beyond the float64 range) report the
+    smallest failing replicate index.
     """
     n = len(d.runs)
     if n < 1:
         raise ValueError("dataset has no runs to resample")
     k = cfg.replicates_k
-    _check_memory(k, len(d.solvers), len(cfg.tiebreak))
+    table = d.run_table
+    instances, width = table.shape
+    gathered = width if cfg.stratified or width > 1 else 0
+    _check_memory(k, len(d.solvers), len(cfg.tiebreak), gathered)
     # The largest replicate draws the instance with the most runs I times.
-    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, d.run_table.size)
+    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, table.size, d.instance_layout)
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
-    moduli = d.stratum_layout[1] if cfg.stratified else len(d.run_table)
+    moduli = d.stratum_layout[1] if cfg.stratified else instances
     ahead = _DrawnAhead(cfg.master_seed, k, moduli)
     scores = np.empty((k, len(d.solvers)), dtype=np.float64)
     ranks = np.empty((k, len(d.solvers)), dtype=_rank_dtype(len(d.solvers)))
+    # A drawn instance brings its first run once, so the count of its first
+    # run is its count: every width-th entry of a draw is a first run when
+    # no instance has fewer runs than the widest.
+    firsts = table[:, 0]
+    stride = width if table.size == n else 1
 
     def fill_block(start: int, stop: int) -> list[np.ndarray]:
         """Write the block's scores and return its chain totals."""
         # Block-local, so it is freed before min_ranks_rows' workspace.
-        counts = np.zeros((stop - start, n), dtype=np.float64)
+        counts = np.zeros((stop - start, instances), dtype=np.float64)
         sizes = []  # runs drawn per replicate, a mean's divisor
         failures = []
         for i in range(start, stop):
@@ -307,7 +360,10 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
             message = None if failures else scorer.missing(entries)
             if message is not None:
                 failures.append((i, message))
-            counts[i - start] = np.bincount(entries, minlength=n)
+            if width == 1:  # instance j is run j
+                counts[i - start] = np.bincount(entries, minlength=n)
+            else:
+                counts[i - start] = np.bincount(entries[::stride], minlength=n)[firsts]
             sizes.append(len(entries))
         # aggregate_from_counts is looked up in this module at every call,
         # so a wrapper set on the module sees each one.
@@ -327,12 +383,12 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     # packs its limb again, which made 100 x 5000 5% slower at 52 rows, and
     # the count block is then no larger than those limbs.
     limb_rows = sum(len(limbs) for _, limbs in scorer.limbs) * len(d.solvers)
-    block = max(block_rows(max(n, len(d.solvers))), min(limb_rows, 256))
+    block = max(block_rows(max(instances, len(d.solvers))), min(limb_rows, 256))
     for start in range(0, k, block):
         stop = min(start + block, k)
-        # The chain totals are a temporary, freed once the block is ranked;
-        # min_ranks_rows' int32 ranks are cast into the kept rank type.
-        ranks[start:stop] = min_ranks_rows(scores[start:stop], fill_block(start, stop))
+        # The chain totals are a temporary, freed once the block is ranked
+        # straight into the kept ranks.
+        min_ranks_rows(scores[start:stop], fill_block(start, stop), out=ranks[start:stop])
     return ScoreMatrix(
         k=k,
         scores=scores,

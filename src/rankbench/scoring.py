@@ -10,7 +10,8 @@ contributions of its entries, so duplicated entries count twice.
 one path that scores rows of run multisets: official scores, bootstrap
 replicates and leave-one-out all go through it, and every total they rank
 is the exact sum of its contributions rounded once
-(:func:`aggregate_from_counts`, :func:`drop_one_totals`).
+(:func:`aggregate_from_counts`, :func:`drop_one_totals`); rows that count
+instances sum over exact per-instance totals (:func:`instance_limbs`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "combine_limbs",
     "compute_scores",
     "drop_one_totals",
+    "instance_limbs",
     "min_ranks_rows",
     "official_ranking",
     "ranking_rows",
@@ -288,18 +290,32 @@ def aggregate_from_counts(
     return combine_limbs([(exponent, counts @ limb.T) for exponent, limb in limbs])
 
 
-def drop_one_totals(limbs: list[tuple[int, np.ndarray]], groups: tuple) -> np.ndarray:
-    """(groups + 1, matrix rows) totals of a :func:`split_limbs` matrix over
-    all its columns, then over all but each group of an ``(order, counts,
-    starts)`` grouping such as :attr:`Dataset.instance_layout`.  A drop-one
-    limb total is the whole one minus the group's, which is exact, so each
-    row is rounded once."""
-    order, _, starts = groups
+def instance_limbs(
+    limbs: list[tuple[int, np.ndarray]], groups: tuple
+) -> list[tuple[int, np.ndarray]]:
+    """Per-group totals of :func:`split_limbs` limbs over an ``(order,
+    counts, starts)`` grouping of their columns such as
+    :attr:`Dataset.instance_layout`: ``(exponent, (matrix rows, groups))``
+    pairs.  A group of ``c`` columns totals below ``c * 2**w``, so when the
+    split's ``n`` is at least the largest group's column count times the
+    groups a count row selects (repeats included), every product of such a
+    row with the totals is still exact and equals the product of the
+    matching run counts with the limbs bit for bit."""
+    order, counts, starts = groups
+    if len(counts) == len(order) and np.array_equal(order, np.arange(len(order))):
+        return limbs  # a column a group, in column order: the limbs are the totals
+    return [(exponent, np.add.reduceat(limb[:, order], starts, axis=1)) for exponent, limb in limbs]
+
+
+def drop_one_totals(limbs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """(groups + 1, matrix rows) totals of :func:`instance_limbs` limbs over
+    all groups, then over all but each group.  A drop-one limb total is the
+    whole one minus the group's, which is exact, so each row is rounded
+    once."""
     totals = []
-    for exponent, limb in limbs:
-        per_group = np.add.reduceat(limb[:, order], starts, axis=1).T
-        whole = per_group.sum(axis=0)
-        totals.append((exponent, np.vstack([whole, whole - per_group])))
+    for exponent, per_group in limbs:
+        whole = per_group.sum(axis=1)
+        totals.append((exponent, np.vstack([whole, whole - per_group.T])))
     return combine_limbs(totals)
 
 
@@ -326,10 +342,20 @@ class Scorer:
 
     Built once per (dataset, mechanism, tiebreak chain, ``n``), it holds the
     runs with a NaN contribution and the ``(what, limbs)`` of the mechanism
-    and of each tiebreak key, split for multisets of at most ``n`` entries.
+    and of each tiebreak key, split for multisets of at most ``n`` entries;
+    with ``groups``, a grouping of the runs such as
+    :attr:`Dataset.instance_layout`, the limbs are their
+    :func:`instance_limbs` totals, for rows that count groups.
     """
 
-    def __init__(self, d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...], n: int):
+    def __init__(
+        self,
+        d: Dataset,
+        mechanism: Mechanism | str,
+        tiebreak: tuple[str, ...],
+        n: int,
+        groups: tuple | None = None,
+    ):
         self.d = d
         self.mechanism = resolve_mechanism(mechanism)
         contributions = run_contributions(d, self.mechanism)
@@ -338,6 +364,8 @@ class Scorer:
         matrices = (contributions, *tiebreak_run_matrices(d, tiebreak))
         whats = (self.mechanism.name, *tiebreak)
         self.limbs = [(what, split_limbs(matrix, n)) for what, matrix in zip(whats, matrices)]
+        if groups is not None:
+            self.limbs = [(what, instance_limbs(limbs, groups)) for what, limbs in self.limbs]
 
     def missing(self, entries: np.ndarray) -> str | None:
         """Message for the first NaN contribution that ``entries`` selects,
@@ -452,18 +480,21 @@ def _min_ranks_block(scores: np.ndarray, chain: list[np.ndarray], out: np.ndarra
     np.put_along_axis(out, order, block_start, axis=1)
 
 
-def min_ranks_rows(scores: np.ndarray, chain: list[np.ndarray]) -> np.ndarray:
-    """Row-wise competition min-ranks of a (k x S) score matrix, as int32.
+def min_ranks_rows(
+    scores: np.ndarray, chain: list[np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise competition min-ranks of a (k x S) score matrix, as int32,
+    or written into ``out``, a (k x S) integer array that holds rank S.
 
     ``chain`` holds tiebreak key arrays, each (S,) or (k x S), ascending
     is better; ranks depend only on equality classes of (score, chain),
     never on solver ids.  Rows are ranked in blocks of :func:`block_rows`
     rows, written straight into the result, so the workspace beyond the
-    4-byte ranks is one block's sort order, gathered keys and tie-block
-    starts (``tracemalloc``: at most 16 bytes per block entry), whatever k.
+    ranks is one block's sort order, gathered keys and tie-block starts
+    (``tracemalloc``: at most 16 bytes per block entry), whatever k.
     """
     k, s = scores.shape
-    ranks = np.empty((k, s), dtype=np.int32)
+    ranks = np.empty((k, s), dtype=np.int32) if out is None else out
     step = block_rows(s)
     for start in range(0, k, step):
         rows = slice(start, start + step)

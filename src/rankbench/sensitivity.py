@@ -85,15 +85,13 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
         raise ValueError("leave-one-out analysis needs at least 2 instances")
 
     n = len(d.runs)
-    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, n)
+    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, n, d.instance_layout)
     # Every kept set is a subset of these runs, so one check covers them all.
     message = scorer.missing(np.arange(n, dtype=np.int64))
     if message is not None:
         raise ScoringError(message)
     sizes = n - np.concatenate(([0], d.instance_layout[1]))
-    scores, chains, overflow = scorer.rows(
-        lambda limbs: drop_one_totals(limbs, d.instance_layout), sizes[:, None]
-    )
+    scores, chains, overflow = scorer.rows(drop_one_totals, sizes[:, None])
     if overflow is not None:
         row, message = overflow
         prefix = f"without instance {d.instances[row - 1]!r}: " if row else ""

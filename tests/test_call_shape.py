@@ -1,0 +1,88 @@
+"""The call shape of ``analyze`` as the benchmark's traced run sees it.
+
+``perfbench/traced.py`` wraps module-level names where each caller looks
+them up and counts the calls that go through them; a traced run whose
+product code stops calling through one of those seams, or calls it a
+different number of times, fails without a result.  This test wraps the
+same names with the same tracer around one in-process ``analyze``.
+"""
+
+import importlib
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from rankbench.cli import run_cli
+
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+
+def load_traced():
+    spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def two_seed_table(tmp_path):
+    """5 solvers x 12 instances x 2 seeds in two strata, as CSV and config."""
+    rng = random.Random(41)
+    lines = ["solver,instance,seed,status,cpu_time,quality"]
+    for solver in ("s1", "s2", "s3", "s4", "s5"):
+        for j in range(12):
+            for seed in (0, 1):
+                solved = rng.random() < 0.6
+                status = "solved" if solved else "timeout"
+                time = round(rng.uniform(1.0, 90.0), 2) if solved else 100.0
+                lines.append(f"{solver},i{j:02d},{seed},{status},{time},")
+    runs = tmp_path / "runs.csv"
+    runs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "comp.json"
+    strata = {f"i{j:02d}": "even" if j % 2 == 0 else "odd" for j in range(12)}
+    config.write_text(json.dumps({"cutoff_seconds": 100.0, "strata": strata}), encoding="utf-8")
+    return runs, config
+
+
+def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
+    monkeypatch, tmp_path, two_seed_table
+):
+    traced = load_traced()
+    tracer = traced.Tracer()
+    for module_name, attr, name in traced.WRAPPED:
+        module = importlib.import_module(f"rankbench.{module_name}")
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, getattr(module, attr))  # undone after the test
+        tracer.wrap(module, attr, name)
+    runs, config = two_seed_table
+    out = tmp_path / "report.json"
+    argv = [
+        "analyze", "--input", str(runs), "--config", str(config), "--mechanism", "par_k",
+        "--tiebreak", "total_time", "--replicates", "300", "--seed", "7",
+        "--with-sensitivity", "--output", str(out),
+    ]
+    assert run_cli(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["config"]["stratified"] is True
+
+    names = {name for _, _, name in traced.WRAPPED}
+    called = {span[0] for span in tracer.spans}
+    assert tracer.wrapped == names  # every span name has a seam the package still has
+    assert called == names
+
+    def calls(name):
+        return sum(span[0] == name for span in tracer.spans)
+
+    metrics = traced.layer_metrics(tracer.spans, [])
+    dataset = report["dataset"]
+    assert (dataset["solvers"], dataset["runs"], dataset["instances"]) == (5, 24, 12)
+    tests = sum(len(iteration["tests"]) for iteration in report["iterations"])
+    assert metrics["resampling.draw_calls"] == 300
+    assert metrics["resampling.words"] == 300 * dataset["runs"]
+    assert metrics["stats.bootstrap_p_calls"] == tests > 0
+    assert calls("stats.percentile_ci") == dataset["solvers"]
+    assert metrics["sensitivity.rescorings"] == dataset["instances"]
+    assert metrics["report.bytes"] == out.stat().st_size

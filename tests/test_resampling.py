@@ -1,5 +1,6 @@
 """Deterministic replicate drawing and score matrix generation."""
 
+import math
 import random
 import sys
 import threading
@@ -371,6 +372,82 @@ class TestInstanceDraws:
             assert m.scores[i].tolist() == pytest.approx([want[s] for s in d.solvers], rel=1e-12), i
 
 
+def seeded_dataset(seeds: dict[str, int]) -> Dataset:
+    """Two-decimal times, qualities and reference entries for instances
+    with the given seed counts, in three strata; some solved runs are
+    optimal, and runs are shuffled, so an instance's runs are apart."""
+    rng = random.Random(37)
+    runs = [RunKey(instance, seed) for instance, count in seeds.items() for seed in range(count)]
+    rng.shuffle(runs)
+    reference = {
+        rk: ReferenceEntry(round(rng.uniform(1.0, 5.0), 2), round(rng.uniform(1.0, 60.0), 2))
+        for rk in runs
+    }
+
+    def run_record(solver, rk):
+        solved = rng.random() < 0.7
+        return record(
+            solved,
+            cpu_time=round(rng.uniform(0.5, 150.0), 2),
+            quality=round(rng.uniform(5.0, 20.0), 3),
+            optimal=solved and rng.random() < 0.4,
+        )
+
+    return build_dataset(
+        ["a", "b", "c", "d"],
+        runs,
+        run_record,
+        strata={instance: "XYZ"[j % 3] for j, instance in enumerate(seeds)},
+        cutoff=100.0,
+        reference=reference,
+    )
+
+
+def three_seed_dataset():
+    """10 instances of 3 seeds each: a run table without padding."""
+    return seeded_dataset({f"i{j:02d}": 3 for j in range(10)})
+
+
+def one_two_three_seed_dataset():
+    """10 instances of 1, 2 and 3 seeds: a padded run table."""
+    return seeded_dataset({f"i{j:02d}": 1 + j % 3 for j in range(10)})
+
+
+class TestInstanceCountScoring:
+    """A replicate is scored from how often it drew each instance, over
+    per-instance totals of the contributions; the sums are exact, so each
+    row is the score of the runs its public draw function returns."""
+
+    @pytest.mark.parametrize("budget", [None, 384])
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("dataset", [three_seed_dataset, one_two_three_seed_dataset])
+    def test_rows_are_the_scores_of_their_drawn_runs(
+        self, monkeypatch, dataset, stratified, budget
+    ):
+        # A budget of 384 entries draws chunks of 2 replicates of 10
+        # instances and counts blocks of 38 replicates.
+        if budget is not None:
+            monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
+        d = dataset()
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
+        drawn = [draw(d, ReplicateStream(19, i)) for i in range(45)]
+        (times,) = tiebreak_run_matrices(d, ("total_time",))
+        for mechanism in scoring.MECHANISMS:
+            for tiebreak in ((), ("total_time",)):
+                cfg = config(
+                    mechanism, replicates_k=45, master_seed=19, stratified=stratified,
+                    tiebreak=tiebreak,
+                )
+                m = generate_score_matrix(d, cfg)
+                for i, entries in enumerate(drawn):
+                    want = compute_scores(d, mechanism, entries)
+                    assert m.scores[i].tolist() == [want[s] for s in d.solvers], (mechanism, i)
+                    keys = [(-score,) for score in m.scores[i]]
+                    if tiebreak:  # the correctly rounded total of the drawn runs
+                        keys = [(*key, math.fsum(times[j, entries])) for j, key in enumerate(keys)]
+                    assert m.replicate_ranks[i].tolist() == oracle_min_ranks(keys), (mechanism, i)
+
+
 def favoured_pair_dataset(rng: np.random.Generator, instances: int, seeds: int) -> Dataset:
     """Two solvers with equal solve rates: each instance favours one of
     them at random, which solves each seed with probability 0.9 against
@@ -478,6 +555,54 @@ class TestGenerateScoreMatrix:
             generate_score_matrix(d, cfg)
         pages["SC_PHYS_PAGES"] = 50_992
         assert generate_score_matrix(d, cfg).k == 1000
+
+    def test_memory_preflight_charges_the_gathered_runs(self, monkeypatch):
+        # A stratified draw gathers its runs a chunk at a time: 62 more int64
+        # entries beside the words of test_memory_preflight_counts_the_ranking_peak.
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
+        d = success_table_dataset(
+            {"A": [True, False], "B": [True, True]}, strata={"i0": "x", "i1": "y"}
+        )
+        cfg = config(replicates_k=1000, stratified=True)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 43_487}
+        monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
+        with pytest.raises(ValueError, match="physical memory"):
+            generate_score_matrix(d, cfg)
+        pages["SC_PHYS_PAGES"] = 43_488
+        assert generate_score_matrix(d, cfg).k == 1000
+
+    @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
+    def test_blocks_are_ranked_straight_into_the_kept_ranks(self, monkeypatch, tiebreak):
+        # The table of test_workspace_is_a_few_blocks, where a rank block is
+        # as wide as a count block (S > |R|): ranking a block allocates only
+        # min_ranks_rows' 16 bytes of sort workspace per entry, no int32
+        # ranks to copy into the kept int8 ones.
+        rng = random.Random(4)
+        solvers = [f"s{i}" for i in range(50)]
+        d = success_table_dataset(
+            {s: [rng.random() < 0.6 for _ in range(20)] for s in solvers},
+            times={s: [round(rng.uniform(1, 99), 2) for _ in range(20)] for s in solvers},
+            strata={f"i{j}": f"g{j % 3}" for j in range(20)},
+        )
+        per_entry = []
+
+        def spy(scores, *args, **kwargs):
+            at_entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ranks = min_ranks_rows(scores, *args, **kwargs)
+            growth = tracemalloc.get_traced_memory()[1] - at_entry
+            per_entry.append(growth / scoring._BLOCK_ENTRY_BUDGET)
+            return ranks
+
+        monkeypatch.setattr(resampling, "min_ranks_rows", spy)
+        cfg = config("par_k", replicates_k=6000, stratified=True, tiebreak=tiebreak)
+        tracemalloc.start()
+        try:
+            m = generate_score_matrix(d, cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(per_entry) == 2 and max(per_entry) < 17, per_entry
+        assert m.replicate_ranks.dtype == np.int8
 
     @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
     def test_workspace_is_a_few_blocks(self, tiebreak):
@@ -762,6 +887,47 @@ class TestDrawnAheadChunks:
             for i in range(k):
                 want = compute_scores(d, "par_k", oracle_entries(d, 8, i, stratified))
                 assert [x.hex() for x in m.scores[i]] == [want[s].hex() for s in d.solvers], (k, i)
+
+    @pytest.mark.parametrize("budget", [None, 16 * 10 * 3])
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("dataset", [three_seed_dataset, one_two_three_seed_dataset])
+    def test_drawn_ahead_draws_are_one_row_stream_draws(
+        self, monkeypatch, dataset, stratified, budget
+    ):
+        # A budget of 480 entries draws chunks of 3 replicates of 10
+        # instances; 14 replicates end inside the fifth chunk.
+        if budget is not None:
+            monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
+        fills = []
+        fill = _DrawnAhead._fill
+
+        def spy_fill(self, first):
+            if self is ahead:  # not a stream's one-row chunk
+                fills.append(first)
+            fill(self, first)
+
+        monkeypatch.setattr(_DrawnAhead, "_fill", spy_fill)
+        d = dataset()
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
+        moduli = d.stratum_layout[1] if stratified else len(d.run_table)
+        ahead = _DrawnAhead(5, 14, moduli)
+        for i in range(14):
+            got = draw(d, ahead.at(i)).tolist()
+            assert got == draw(d, ReplicateStream(5, i)).tolist(), i
+            assert got == oracle_entries(d, 5, i, stratified).tolist(), i
+        assert fills == ([0, 3, 6, 9, 12] if budget else [0])
+
+    def test_rows_are_gathered_again_from_another_table(self):
+        table = np.arange(12, dtype=np.int64).reshape(4, 3)
+        other = table[::-1].copy()
+        ahead = _DrawnAhead(9, 5, 4)
+        for i in range(5):
+            drawn = np.array(oracle_indices(9, i, 4))
+            ahead.at(i)
+            assert ahead.rows(4, table).tolist() == table[drawn].ravel().tolist(), i
+            assert ahead.rows(4, other).tolist() == other[drawn].ravel().tolist(), i
+            starts = np.array([0, 0, 0, 0])
+            assert ahead.rows(4, table, starts).tolist() == table[drawn].ravel().tolist(), i
 
     def test_missing_entry_in_a_later_chunk_is_reported_at_its_replicate(self, monkeypatch):
         runs = [(f"i{j:02d}", 0) for j in range(12)] + [("bad", 0)]
