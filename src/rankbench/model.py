@@ -654,15 +654,6 @@ _CSV_BLOCK_BYTES = 1 << 18
 
 _CSV_HEADER_LINES = tuple(",".join(RESULTS_CSV_HEADER).encode() + end for end in (b"\n", b"\r\n"))
 
-# Byte -> its digit's value, _DOT for ".", -1 for any other byte.
-_DOT = -2
-_DIGITS = np.full(256, -1, dtype=np.int64)
-_DIGITS[ord("0") : ord("9") + 1] = range(10)
-_DIGITS[ord(".")] = _DOT
-
-# 10**f for the fraction digits f <= 15 of an exact decimal: every one is a double.
-_POWERS_OF_TEN = np.array([float(10**f) for f in range(16)])
-
 
 def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
     """The table of a plain CSV file, read, split and converted in numpy
@@ -677,10 +668,10 @@ def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
     status text of the file is decoded and converted once, with the
     per-row parser's own ``int()`` and ``_STATUS_CODES``, and runs are
     coded by ``(instance, int(seed))``, so ``01`` and ``1`` are one run.
-    :func:`_decimals` converts the times and qualities it can convert
-    exactly; ``float()`` converts every other spelling, once a block.  A
-    None sends the file to the per-row reader, so what is accepted and
-    every message stay the per-row reader's.
+    :func:`_numbers` reads the times and qualities with numpy's casts,
+    which give ``float()``'s values.  A None sends the file to the per-row
+    reader, so what is accepted and every message stay the per-row
+    reader's.
     """
     solvers, runs = {}, {}  # solver and (instance, seed) -> code
 
@@ -712,9 +703,10 @@ def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
             return None
         here = slice(row, row + lengths.shape[1])  # past the end if the file grew: a ValueError
         for column, ((first, last), coder) in zip((solver_codes, run_codes, status), coders):
-            column[here] = coder(block, lines, firsts[first], firsts[last] + lengths[last])
-        cpu_time[here] = _numbers(block, firsts[4], lengths[4])
-        quality[here] = _numbers(block, firsts[5], lengths[5])
+            spans = firsts[last] + lengths[last] - firsts[first]
+            column[here] = coder(_words(block, firsts[first], spans))
+        cpu_time[here] = _numbers(_words(block, firsts[4], lengths[4]))
+        quality[here] = _numbers(_words(block, firsts[5], lengths[5]))
         return here.stop
 
     with path.open("rb") as fh:
@@ -759,7 +751,7 @@ def _split(lines: bytes) -> tuple | None:
     """A block's lines split at their commas, as ``(block, firsts,
     lengths)``: field ``f`` of line ``i`` is the ``lengths[f, i]`` bytes
     from ``block[firsts[f, i]]``, and ``block`` holds the lines' bytes
-    and 16 zero bytes, so that the 16 bytes from any field start are
+    and 8 zero bytes, so that the 8 bytes from any field start are
     inside.  None when a line does not hold exactly five commas, or the
     block holds 1 GB or more."""
     if len(lines) >= 2**30:  # offsets into the block, plus a field, stay int32
@@ -785,7 +777,7 @@ def _split(lines: bytes) -> tuple | None:
     lengths[:5] = commas
     lengths[5] = ends
     lengths -= firsts
-    block = np.zeros(len(lines) + 16, dtype=np.uint8)
+    block = np.zeros(len(lines) + 8, dtype=np.uint8)
     block[: len(lines)] = raw
     return block, firsts, lengths
 
@@ -804,6 +796,12 @@ def _words(block: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nda
         at[np.minimum(starts + 8 * j, len(at) - 1)] & _KEEP[np.clip(lengths - 8 * j, 0, 8)]
         for j in range(max(-(-int(lengths.max()) // 8), 1))
     ])
+
+
+def _texts(words: np.ndarray) -> np.ndarray:
+    """The rows of ``words`` viewed as one NUL-padded bytes array (dtype
+    ``S{8w}``, no copy): element ``i`` is row ``i``'s text."""
+    return words.view(f"S{8 * words.shape[1]}")[:, 0]
 
 
 def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -832,14 +830,11 @@ class _Coder:
         self.code_of = code_of
         self.known = {}  # text -> code
 
-    def __call__(
-        self, block: np.ndarray, lines: bytes, starts: np.ndarray, stops: np.ndarray
-    ) -> np.ndarray:
-        """The codes of the texts ``lines[starts[i]:stops[i]]`` of a block
-        that :func:`_split` made ``block``."""
-        firsts, local = _distinct(_words(block, starts, stops - starts))
-        spans = map(slice, starts[firsts].tolist(), stops[firsts].tolist())
-        texts = list(map(lines.__getitem__, spans))
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        """The codes of a block's texts, given as :func:`_words` rows; only
+        the block's distinct texts become bytes objects."""
+        firsts, local = _distinct(words)
+        texts = _texts(words[firsts]).tolist()
         codes = list(map(self.known.get, texts))
         if None in codes:
             for n, text in enumerate(texts):
@@ -855,58 +850,25 @@ def _seed_value(raw: bytes) -> int:
     return seed
 
 
-def _numbers(block: np.ndarray, firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The fields ``block[firsts[i]:firsts[i] + lengths[i]]`` as finite
-    numbers >= 0, NaN for an empty one: :func:`_decimals` where it is
-    exact, else ``float()`` of the decoded text, once per distinct text of
-    the block.  A field that ``float()`` rejects, or a value out of range,
-    raises ValueError."""
-    values, exact = _decimals(block, firsts, lengths)
-    parsed = {}
-    empty = lengths == 0
-    values[empty] = math.nan
-    slow = np.flatnonzero(~exact & ~empty)
-    for i, first, length in zip(slow.tolist(), firsts[slow].tolist(), lengths[slow].tolist()):
-        text = block[first : first + length].tobytes()
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = float(text.decode())
-        values[i] = value
+def _numbers(words: np.ndarray) -> np.ndarray:
+    """The texts of :func:`_words` rows as finite numbers >= 0, NaN for an
+    empty text (whose row it overwrites with ``nan``): numpy's bytes ->
+    float64 cast of the texts, or where that raises (a non-ASCII digit or
+    space), the str -> float64 cast of their UTF-8 decoding.  Both give
+    ``float()``'s value.  A text that ``float()`` rejects, or a value out
+    of range, raises ValueError."""
+    empty = words[:, 0] == 0  # the file holds no NUL: only an empty text starts with one
+    if empty.all():
+        return np.full(len(words), math.nan)
+    words[empty, 0] = int.from_bytes(b"nan", "little")
+    texts = _texts(words)
+    try:
+        values = texts.astype(np.float64)
+    except ValueError:
+        values = np.char.decode(texts, "utf-8").astype(np.float64)
     if not (empty | ((values >= 0) & (values < math.inf))).all():
         raise ValueError("number out of range")
     return values
-
-
-def _decimals(
-    block: np.ndarray, firsts: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, exact)``: each field ``block[firsts[i]:firsts[i] +
-    lengths[i]]`` read as ``digits[.digits]`` with at most 15 digits, and
-    whether it is one.
-
-    Such a decimal is ``m / 10**f`` with ``m < 10**15 < 2**53`` and
-    ``f <= 15``.  Both are doubles, so the one IEEE division rounds the
-    exact quotient correctly, which is the double ``float()`` returns
-    (Clinger's fast path, "How to Read Floating Point Numbers Accurately",
-    PLDI 1990).  ``values`` is meaningless where ``exact`` is False.
-    """
-    mantissa = np.zeros(len(firsts), dtype=np.int64)
-    fraction = np.zeros(len(firsts), dtype=np.int64)  # digits after the dot
-    dots = np.zeros(len(firsts), dtype=np.int64)
-    exact = (lengths > 0) & (lengths <= 16)
-    last = firsts + np.maximum(lengths, 1) - 1
-    exact &= (_DIGITS[block[firsts]] != _DOT) & (_DIGITS[block[last]] != _DOT)
-    for j in range(min(int(lengths.max()), 16)):
-        char = _DIGITS[block[firsts + j]]
-        live = lengths > j
-        digit = live & (char >= 0)
-        dot = live & (char == _DOT)
-        exact &= digit | dot | ~live
-        fraction += digit & (dots > 0)
-        dots += dot
-        mantissa = np.where(digit, mantissa * 10 + char, mantissa)
-    exact &= (dots <= 1) & (lengths - dots <= 15)
-    return mantissa / _POWERS_OF_TEN[np.minimum(fraction, 15)], exact
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -220,18 +220,20 @@ def brute_contribution(d: Dataset, mech: Mechanism, solver: str, rk: RunKey) -> 
 
 
 def brute_scores(d: Dataset, mech: Mechanism, entries: list[int] | None = None) -> dict[str, float]:
-    """Pure-Python multiset scoring; ``entries`` indexes ``d.runs``."""
+    """Pure-Python multiset scoring; ``entries`` indexes ``d.runs``.  Each
+    total is ``math.fsum`` of the contributions (the exactly rounded sum),
+    and a mean divides it once."""
     if entries is None:
         entries = list(range(len(d.runs)))
     out = {}
     for s in d.solvers:
-        values = [brute_contribution(d, mech, s, d.runs[i]) for i in entries]
+        total = math.fsum(brute_contribution(d, mech, s, d.runs[i]) for i in entries)
         if mech.name == "par_k":
-            out[s] = -sum(values) / len(values)
+            out[s] = -total / len(entries)
         elif mech.name == "mean_metric":
-            out[s] = sum(values) / len(values)
+            out[s] = total / len(entries)
         else:
-            out[s] = sum(values)
+            out[s] = total
     return out
 
 

@@ -570,6 +570,16 @@ class TestColumnarCsv:
         "long_mantissa": (ROWS.format("0.1000000000000000055511151231257827"), True),
         "exponent": (ROWS.format("2.5e-3"), True),
         "negative": (ROWS.format("-1"), False),
+        "upper_exponent": (ROWS.format("1E3"), True),
+        "plus_sign": (ROWS.format("+2.5"), True),
+        "tab_padded": (ROWS.format("\t7.5\t"), True),
+        "underflow": (ROWS.format("1e-400"), True),
+        "inner_underscores": (ROWS.format("1_0.0_1"), True),
+        "infinity": (ROWS.format("infinity"), False),
+        "file_separator": (ROWS.format("\x1c7"), False),
+        "arabic_indic_mid_file": (
+            "A,i1,0,solved,1.5,\nA,i2,0,solved,١٢.٥,2\nA,i3,0,solved,2.5,\n", True
+        ),
         "nan_quality": ("A,i1,0,solved,1.0,nan\n", False),
         "padded_quality": ("A,i1,0,solved,1.0, 3\n", True),
         # seeds and statuses
@@ -680,23 +690,62 @@ class TestColumnarCsv:
         runs = load_dataset(path).runs
         assert runs == (RunKey("abcdefgh12345678", 9), RunKey("abcdefgh", 123456789))
 
-    def test_decimals_match_float_bit_for_bit(self):
+    @staticmethod
+    def numbers(texts):
+        """``_numbers`` of the texts, laid out as a block's fields."""
+        data = b",".join(text.encode() for text in texts)
+        lengths = np.array([len(text.encode()) for text in texts])
+        firsts = np.concatenate(([0], np.cumsum(lengths[:-1] + 1)))
+        block = np.frombuffer(data + bytes(16), dtype=np.uint8)
+        return model._numbers(model._words(block, firsts, lengths))
+
+    @staticmethod
+    def spelling(rng):
+        """A random ASCII text near a number's spelling: signs, exponents,
+        underscores, spaces and tabs, ``inf``/``nan`` words and stray bytes."""
+        def digits():
+            return "".join(rng.choice("0123456789_") for _ in range(rng.randint(0, 4)))
+
+        word = rng.choice(["inf", "nan", "infinity", "in", "nana"])
+        body = rng.choice([
+            digits(),
+            f"{digits()}.{digits()}",
+            "".join(c.upper() if rng.random() < 0.5 else c for c in word),
+        ])
+        if rng.random() < 0.4:
+            body += rng.choice("eE") + rng.choice(["", "+", "-"]) + digits()
+        text = rng.choice(["", "", "+", "-", "--", "+-"]) + body
+        pads = ["", " ", "\t", "\x0b\x0c", "\x1c", "\x1f"]
+        text = rng.choice(pads) + text + rng.choice(pads)
+        for _ in range(rng.choice([0, 0, 1, 2])):  # insert a stray printable byte
+            n = rng.randint(0, len(text))
+            text = text[:n] + rng.choice("0.1e+-_ x") + text[n:]
+        return text
+
+    def test_numbers_match_float_bit_for_bit(self):
+        def expected(text):
+            try:
+                value = float(text)
+            except ValueError:
+                return None
+            return value if 0 <= value < math.inf else None
+
         rng = random.Random(15)
-        texts = []
+        decimals = []
         for _ in range(200_000):
             digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 17)))
             cut = rng.randint(0, len(digits))
-            text = digits if rng.random() < 0.2 else f"{digits[:cut]}.{digits[cut:]}"
-            texts.append(text)
-        block = np.frombuffer(",".join(texts).encode() + bytes(24), dtype=np.uint8)
-        lengths = np.array([len(t) for t in texts])
-        firsts = np.concatenate(([0], np.cumsum(lengths[:-1] + 1)))
-        values, exact = model._decimals(block, firsts, lengths)
-        pattern = re.compile(r"\d+(\.\d+)?")
-        expected_exact = [
-            bool(pattern.fullmatch(t)) and len(t) - t.count(".") <= 15 for t in texts
-        ]
-        assert exact.tolist() == expected_exact
-        assert sum(expected_exact) > 100_000
-        want = np.array([float(t) if e else 0.0 for t, e in zip(texts, expected_exact)])
-        assert values[exact].tobytes() == want[exact].tobytes()
+            decimals.append(digits if rng.random() < 0.2 else f"{digits[:cut]}.{digits[cut:]}")
+        want = np.array([float(text) for text in decimals])
+        assert self.numbers(decimals).tobytes() == want.tobytes()
+        accepted = 0
+        non_ascii = {"١٢.٥", "\xa03\u2003", "３.５", "\u200b3", "²", "-٠"}
+        for text in non_ascii | {self.spelling(rng) for _ in range(20_000)} - {""}:
+            value = expected(text)
+            if value is None:
+                with pytest.raises(ValueError):
+                    self.numbers([text])
+            else:
+                accepted += 1
+                assert self.numbers([text]).tobytes() == np.float64(value).tobytes(), text
+        assert accepted > 1_000
