@@ -696,7 +696,7 @@ class TestColumnarCsv:
         data = b",".join(text.encode() for text in texts)
         lengths = np.array([len(text.encode()) for text in texts])
         firsts = np.concatenate(([0], np.cumsum(lengths[:-1] + 1)))
-        block = np.frombuffer(data + bytes(16), dtype=np.uint8)
+        block = np.frombuffer(data + bytes(8), dtype=np.uint8)
         return model._numbers(model._words(block, firsts, lengths))
 
     @staticmethod
@@ -740,7 +740,7 @@ class TestColumnarCsv:
         assert self.numbers(decimals).tobytes() == want.tobytes()
         accepted = 0
         non_ascii = {"١٢.٥", "\xa03\u2003", "３.５", "\u200b3", "²", "-٠"}
-        for text in non_ascii | {self.spelling(rng) for _ in range(20_000)} - {""}:
+        for text in sorted(non_ascii | {self.spelling(rng) for _ in range(20_000)} - {""}):
             value = expected(text)
             if value is None:
                 with pytest.raises(ValueError):
