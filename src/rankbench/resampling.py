@@ -1,32 +1,37 @@
 """Deterministic bootstrap replicate generation and the replicate score matrix.
 
-Reproducibility scheme, stream spec v2 (fixed, so matrices are comparable
+Reproducibility scheme, stream spec v3 (fixed, so matrices are comparable
 across implementations and across runs):
 
-* Replicate ``i`` draws from its own substream: a Philox-4x64-10 counter
-  generator keyed with the two 64-bit words ``(master_seed, i)``, counter
-  starting at zero, consuming the standard Philox output word sequence.
-* A raw 64-bit word ``x`` maps to an index in ``[0, n)`` rejection-free
-  via the multiply-shift ``floor(x * n / 2**64)``.
+* One Philox-4x64-10 counter generator keyed with the two 64-bit words
+  ``(master_seed, 0)`` serves every replicate.  A replicate of ``W`` draw
+  positions takes ``B = ceil(ceil(W / 2) / 4)`` counter blocks: replicate
+  ``i``'s words are the ``4 * B`` words the generator yields from counter
+  ``i * B`` (numpy's Philox bumps the counter before each block).
+* Position ``2j`` takes the low 32 bits of word ``j`` and position
+  ``2j + 1`` its high 32 bits, split arithmetically, so the draws do not
+  depend on byte order.  A half ``h`` maps to an index in ``[0, m)``
+  rejection-free via the multiply-shift ``(h * m) >> 32``, so each index
+  has a probability within ``2**-32`` of ``1 / m``.
 * A replicate resamples instances, not runs: each drawn instance brings
   all of its runs, in run order, and the runs of the drawn instances are
-  returned in draw order.  Uniform replicates consume ``I`` words (``I``
-  instances), each mapped to an instance in ``Dataset.instances`` order.
-  Stratified replicates consume one word per position of
+  returned in draw order.  Uniform replicates have ``W = I`` positions
+  (``I`` instances), each mapped to an instance in ``Dataset.instances``
+  order.  Stratified replicates have one position per entry of
   :attr:`Dataset.stratum_layout` (instances stratum by stratum), each
   mapped to an instance of that position's stratum.
 
 A counter generator is a pure function of its key and counter, so a
-replicate is a pure function of ``(master_seed, i)`` and evaluation order
-can never change a row.  One fill serves every draw: it re-keys one
-generator, owned by the chunk it fills, to each replicate of a range of
-consecutive replicates and multiply-shifts the whole chunk at once; the
-runs of the drawn instances are then gathered from the run table once for
-the whole chunk.  :func:`generate_score_matrix` fills a chunk of
-``_BLOCK_ENTRY_BUDGET / 16`` words at a time, and a :class:`ReplicateStream`
-fills a one-row chunk; each replicate still passes through its public draw
-function, and is scored from how often it drew each instance, counted from
-the runs that function returns.
+replicate is a pure function of ``(master_seed, i, W)`` and evaluation
+order can never change a row.  One fill serves every draw: it sets the
+counter of one generator, owned by the chunk it fills, once for a range of
+consecutive replicates, draws all their words with one call and maps the
+whole chunk at once; the runs of the drawn instances are then gathered
+from the run table once for the whole chunk.  :func:`generate_score_matrix`
+fills a chunk of ``_BLOCK_ENTRY_BUDGET / 16`` word halves at a time, and
+a :class:`ReplicateStream` fills a one-row chunk; each replicate still passes
+through its public draw function, and is scored from how often it drew
+each instance, counted from the runs that function returns.
 """
 
 from __future__ import annotations
@@ -56,9 +61,9 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 
 
 def _checked_moduli(moduli: int | np.ndarray) -> np.uint64 | np.ndarray:
-    """One modulus as a uint64, or a uint64 array of one modulus per word,
-    each a count in [1, 2**31): :func:`_multiply_shift` multiplies a
-    modulus by 32-bit halves of a word in uint64 arithmetic."""
+    """One modulus as a uint64, or a uint64 array of one modulus per
+    position, each a count in [1, 2**31): a 32-bit half of a word times a
+    modulus is then exact in uint64 arithmetic."""
     array = isinstance(moduli, np.ndarray)
     for modulus in (moduli.min(initial=1), moduli.max(initial=1)) if array else (moduli,):
         if not 0 < modulus < 2**31:
@@ -66,23 +71,19 @@ def _checked_moduli(moduli: int | np.ndarray) -> np.uint64 | np.ndarray:
     return moduli if array else np.uint64(moduli)
 
 
-def _multiply_shift(words: np.ndarray, moduli, spare: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to [0, n) in place via multiply-shift (exact,
-    no bias loop), and return them viewed as int64.
-
-    Computes floor(word * n / 2**64) in uint64 arithmetic by splitting the
-    word into 32-bit halves, the low halves in ``spare`` (same shape as
-    ``words``); ``moduli`` is from :func:`_checked_moduli` and broadcasts
-    against ``words``.
+def _map_halves(words: np.ndarray, moduli, out: np.ndarray) -> None:
+    """Map the 32-bit halves of rows of uint64 ``words`` to indices in the
+    C-contiguous ``out``, twice as wide: position ``2j`` of a row takes the
+    low half of word ``j`` and position ``2j + 1`` its high half, split
+    arithmetically so that byte order does not matter, and a half ``h``
+    with modulus ``m`` becomes ``(h * m) >> 32``.  ``moduli`` (from
+    :func:`_checked_moduli`) broadcasts against ``out``.
     """
-    np.bitwise_and(words, _MASK32, out=spare)
-    spare *= moduli
-    spare >>= _U32
-    words >>= _U32
-    words *= moduli
-    words += spare
-    words >>= _U32
-    return words.view(np.int64)  # every index is below 2**31
+    pairs = out.reshape(len(out), -1, 2)
+    np.bitwise_and(words, _MASK32, out=pairs[..., 0])
+    np.right_shift(words, _U32, out=pairs[..., 1])
+    out *= moduli
+    out >>= _U32
 
 
 def _same_moduli(a: int | np.ndarray, b: int | np.ndarray) -> bool:
@@ -97,33 +98,39 @@ class _DrawnAhead:
 
     :meth:`at` makes replicate ``i`` current, first refilling the chunk
     from ``i`` when ``i`` is not in it; :meth:`indices` then returns that
-    replicate's row, which the next refill overwrites: ``moduli`` words of
-    the replicate's substream mapped to ``[0, moduli)``, or one word per
-    element of a uint64 ``moduli`` array, mapped to ``[0, modulus)``.
-    ``master_seed`` and ``k - 1`` convert (and are range-checked) as a
-    uint64 array converts them.  The chunk and its spare hold
-    ``block_rows(16 * width)`` rows (at least one, at most ``k - first``):
-    with the default block budget two 128 KiB buffers.  :meth:`rows`
+    replicate's row, which the next refill overwrites: ``moduli`` positions
+    mapped to ``[0, moduli)``, or one position per element of a uint64
+    ``moduli`` array, mapped to ``[0, modulus)``.  ``master_seed`` and
+    ``k - 1`` convert (and are range-checked) as a uint64 array converts
+    them.  A replicate takes ``B = ceil(width / 8)`` counter blocks, whose
+    ``8 * B`` word halves cover its ``width`` positions; the chunk holds
+    every half of ``block_rows(16 * 8 * B)`` rows (at least one, at most
+    ``k - first``): with the default block budget at most 128 KiB.  A fill
+    draws the chunk's words into a temporary of half that.  :meth:`rows`
     gathers the drawn rows of a table for the whole chunk at once, into a
-    third buffer of a table's width times as many entries.
+    buffer of a table's width times as many entries.
 
-    The chunk owns its generator, re-keyed through one state dict whose
-    counter, key and buffer are Python ints, which numpy reads faster than
-    uint64 arrays.
+    The chunk owns its generator, keyed ``(master_seed, 0)``; a fill sets
+    its counter once, through a state dict whose counter, key and buffer
+    are Python ints, which numpy reads faster than uint64 arrays.
     """
 
     def __init__(self, master_seed: int, k: int, moduli: int | np.ndarray, first: int = 0):
-        self._key = np.array([master_seed, k - 1], dtype=np.uint64).tolist()
+        seed, _ = np.array([master_seed, k - 1], dtype=np.uint64).tolist()
         self._generator = np.random.Philox(key=0)
         self._state = self._generator.state
-        self._state["state"] = {"counter": [0, 0, 0, 0], "key": self._key}
+        self._state["state"] = {"counter": [0, 0, 0, 0], "key": [seed, 0]}
         self._state["buffer"] = [0, 0, 0, 0]  # with buffer_pos 4: empty
         self._moduli = moduli
         self._mapped_with = _checked_moduli(moduli)
         width = len(moduli) if isinstance(moduli, np.ndarray) else moduli
-        self._chunk = np.empty((min(block_rows(16 * width), k - first), width), dtype=np.uint64)
-        self._spare = np.empty_like(self._chunk)
-        self._entries = self._chunk.view(np.int64)
+        self._blocks = -(-width // 8)  # ceil(ceil(width / 2) / 4)
+        halves = 8 * self._blocks
+        if isinstance(moduli, np.ndarray):  # the unused halves map to 0
+            self._mapped_with = np.zeros(halves, dtype=np.uint64)
+            self._mapped_with[:width] = moduli
+        self._chunk = np.empty((min(block_rows(16 * halves), k - first), halves), dtype=np.uint64)
+        self._entries = self._chunk.view(np.int64)[:, :width]
         self._k = k
         self._first = self._stop = self._row = 0
         self._gathered = self._gathered_from = None
@@ -135,13 +142,16 @@ class _DrawnAhead:
         return self
 
     def _fill(self, first: int) -> None:
+        """Draw replicates ``first ..`` into the chunk with one call of the
+        generator: replicate ``i`` takes the ``4 * blocks`` words after
+        counter ``i * blocks``, and each 32-bit half ``h`` of a word, with its
+        position's modulus ``m``, gives ``(h * m) >> 32``."""
         rows = min(len(self._chunk), self._k - first)
-        width = self._chunk.shape[1]
-        for row in range(rows):
-            self._key[1] = first + row
-            self._generator.state = self._state
-            self._chunk[row] = self._generator.random_raw(width)
-        _multiply_shift(self._chunk[:rows], self._mapped_with, self._spare[:rows])
+        counter = first * self._blocks
+        self._state["state"]["counter"] = [counter & 0xFFFFFFFFFFFFFFFF, counter >> 64, 0, 0]
+        self._generator.state = self._state
+        words = self._generator.random_raw(4 * self._blocks * rows).reshape(rows, -1)
+        _map_halves(words, self._mapped_with, self._chunk[:rows])
         self._first, self._stop = first, first + rows
         self._gathered_from = None
 
@@ -162,13 +172,15 @@ class _DrawnAhead:
         the index ``j`` drawn at each position ``p``.  The whole chunk's
         rows are gathered at the first call for the chunk and ``(table,
         starts)``; the row returned is a view that the next gather
-        overwrites."""
+        overwrites.  The chunk's indices, plus ``starts`` if given, are
+        gathered from a temporary as large as the chunk, unless a row of
+        indices fills a row of halves."""
         self.indices(moduli)  # checks the moduli
         was = self._gathered_from
         if was is None or was[0] is not table or was[1] is not starts:
             chunk = self._entries[: self._stop - self._first]
-            if starts is not None:  # the spare is free once the words are mapped
-                chunk = np.add(chunk, starts, out=self._spare[: len(chunk)].view(np.int64))
+            if starts is not None:
+                chunk = chunk + starts
             size = chunk.shape[1] * table.shape[1]
             if self._gathered is None or self._gathered.shape[1] != size:
                 self._gathered = np.empty((len(self._chunk), size), dtype=np.int64)
@@ -292,13 +304,14 @@ def _check_memory(k: int, solvers: int, chain_keys: int, gathered_width: int) ->
     summed (count block, limb products, scores) and under 17 while it is
     ranked (the min-ranks sort, written straight into the kept ranks), so
     three float64 blocks and one more per key are counted for it.  The
-    drawn-ahead words and their spare, two uint64 buffers of
-    ``block_rows(16)`` entries (128 KiB each at the default budget), live
-    beside that workspace and are counted too, and so are the runs gathered
-    for them, ``gathered_width`` int64 entries a word (none when a uniform
-    draw of one run per instance returns its words).  (A wide input's count
-    block and draw chunk may instead match its limb matrices and its
-    instance count, which are dataset-sized.)
+    drawn-ahead chunk, at most ``block_rows(16)`` uint64 entries (128 KiB at
+    the default budget), lives beside that workspace and is counted twice:
+    a fill adds its raw words, half a chunk, and a gather may add the
+    chunk's indices (plus their stratum starts), one chunk.  The runs
+    gathered for it are counted too, ``gathered_width`` int64 entries a
+    position (none when a uniform draw of one run per instance returns its
+    indices).  (A wide input's count block and draw chunk may instead match
+    its limb matrices and its instance count, which are dataset-sized.)
     """
     kept = k * solvers * (8 + _rank_dtype(solvers).itemsize)
     blocks = 8 * (3 + chain_keys) * block_rows(1)
@@ -317,12 +330,13 @@ def _check_memory(k: int, solvers: int, chain_keys: int, gathered_width: int) ->
 def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> ScoreMatrix:
     """Score ``cfg.replicates_k`` bootstrap replicates of the competition.
 
-    Row ``i`` comes from the substream keyed ``(cfg.master_seed, i)``; a
-    mean mechanism divides each row by the number of runs it drew.  Each
-    row's runs come from its public draw function, and the row is scored
-    from how often each instance was drawn, over per-instance totals of
-    the contributions (:func:`~rankbench.scoring.instance_limbs`): exact
-    sums, so the scores are those of the runs.  Replicates are generated
+    Row ``i`` is replicate ``i`` of ``cfg.master_seed`` under stream spec
+    v3 (see the module docstring); a mean mechanism divides each row by
+    the number of runs it drew.  Each row's runs come from its public draw
+    function, and the row is scored from how often each instance was
+    drawn, over per-instance totals of the contributions
+    (:func:`~rankbench.scoring.instance_limbs`): exact sums, so the scores
+    are those of the runs.  Replicates are generated
     on one thread: ``threads`` is accepted for compatibility and changes
     neither the output nor the speed.  Scoring failures (a selected run
     without a contribution, a total beyond the float64 range) report the

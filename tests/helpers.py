@@ -237,15 +237,67 @@ def brute_scores(d: Dataset, mech: Mechanism, entries: list[int] | None = None) 
     return out
 
 
-def oracle_draw(d: Dataset, words: list[int], stratified: bool) -> list[int]:
-    """A replicate's run indices from its raw 64-bit words (stream spec v2).
+# ---------------------------------------------------------------------------
+# Stream spec v3: a pure-Python Philox-4x64-10 and the replicate draws
+
+_MASK64 = 2**64 - 1
+PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def philox_block(counter: int, key: tuple[int, int]) -> list[int]:
+    """The four words of Philox-4x64-10 (Salmon, Moraes, Dror & Shaw,
+    "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011) at a 256-bit
+    ``counter`` whose word 0 is its low 64 bits, under a two-word key."""
+    c0, c1, c2, c3 = ((counter >> (64 * j)) & _MASK64 for j in range(4))
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = PHILOX_MULTIPLIERS[0] * c0, PHILOX_MULTIPLIERS[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        k0, k1 = (k0 + PHILOX_WEYL[0]) & _MASK64, (k1 + PHILOX_WEYL[1]) & _MASK64
+    return [c0, c1, c2, c3]
+
+
+def philox_words(key: tuple[int, int], counter: int, count: int) -> list[int]:
+    """The first ``count`` words a Philox generator with state ``counter``
+    yields: it adds one to the counter (modulo 2**256) before each block."""
+    words: list[int] = []
+    while len(words) < count:
+        counter = (counter + 1) % 2**256
+        words.extend(philox_block(counter, key))
+    return words[:count]
+
+
+def replicate_halves(seed: int, index: int, width: int) -> list[int]:
+    """The ``width`` 32-bit halves replicate ``index`` of ``seed`` draws
+    (stream spec v3): the generator is keyed ``(seed, 0)``, a replicate
+    takes ``B = ceil(ceil(width / 2) / 4)`` blocks, its words are those
+    after counter ``index * B``, and position ``2j`` is the low half of
+    word ``j``, position ``2j + 1`` its high half."""
+    blocks = math.ceil(math.ceil(width / 2) / 4)
+    words = philox_words((seed, 0), index * blocks, 4 * blocks)
+    return [half for word in words for half in (word % 2**32, word // 2**32)][:width]
+
+
+def oracle_indices(seed: int, index: int, moduli) -> list[int]:
+    """Replicate ``(seed, index)``'s entries for one modulus ``n`` (``n``
+    positions) or a sequence of one modulus per position: each half ``h``
+    with its modulus ``m`` gives ``floor(h * m / 2**32)``, in big-integer
+    arithmetic."""
+    moduli = [moduli] * moduli if isinstance(moduli, int) else [int(m) for m in moduli]
+    halves = replicate_halves(seed, index, len(moduli))
+    return [(h * m) >> 32 for h, m in zip(halves, moduli)]
+
+
+def oracle_draw(d: Dataset, halves: list[int], stratified: bool) -> list[int]:
+    """A replicate's run indices from its 32-bit halves (stream spec v3).
 
     Instances come in order of first appearance over ``d.runs``, each with
     its runs in run order.  A uniform draw is one group of every instance;
     a stratified draw has one group per stratum, strata in order of first
     appearance and each stratum's instances in instance order.  Group by
-    group, each of its instances takes the next word ``w`` and draws member
-    ``floor(w * m / 2**64)`` of the group's ``m`` instances, in big-integer
+    group, each of its instances takes the next half ``h`` and draws member
+    ``floor(h * m / 2**32)`` of the group's ``m`` instances, in big-integer
     arithmetic; the drawn instance brings all of its runs.
     """
     runs_of: dict[str, list[int]] = {}
@@ -254,9 +306,16 @@ def oracle_draw(d: Dataset, words: list[int], stratified: bool) -> list[int]:
     groups: dict[str, list[str]] = {}
     for instance in runs_of:
         groups.setdefault(d.stratum_of(instance) if stratified else "", []).append(instance)
-    words = iter(words)
+    halves = iter(halves)
     drawn = []
     for members in groups.values():
         for _ in members:
-            drawn.extend(runs_of[members[(int(next(words)) * len(members)) >> 64]])
+            drawn.extend(runs_of[members[(int(next(halves)) * len(members)) >> 32]])
     return drawn
+
+
+def oracle_replicate(d: Dataset, seed: int, index: int, stratified: bool) -> list[int]:
+    """Replicate ``index`` of ``seed`` of a uniform or stratified draw of
+    ``d``, from the oracles alone: one position per instance."""
+    instances = len({rk.instance_id for rk in d.runs})
+    return oracle_draw(d, replicate_halves(seed, index, instances), stratified)

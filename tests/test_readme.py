@@ -1,9 +1,11 @@
-"""README's library snippet runs as written and writes the CLI's report."""
+"""README's library snippet runs as written and writes the CLI's report, and
+README names the stream spec the code implements."""
 
 import json
 import re
 from pathlib import Path
 
+import rankbench.resampling
 from rankbench.cli import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,3 +30,11 @@ def test_library_snippet_matches_cli_report(tmp_path, monkeypatch):
     assert run_cli(["analyze", "--input", "runs.csv", "--config", "comp.json",
                     "--mechanism", "solved_count", "--output", "cli.json"]) == 0
     assert (tmp_path / "report.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
+
+
+def test_readme_and_resampling_name_the_same_stream_spec():
+    readme = README.read_text(encoding="utf-8")
+    headings = re.findall(r"^## Replicates: stream spec (v\d+)$", readme, re.M)
+    named = re.findall(r"\bstream spec (v\d+)\b", rankbench.resampling.__doc__)
+    assert len(headings) == 1 and named, (headings, named)
+    assert set(named) == set(headings)

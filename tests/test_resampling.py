@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 import sys
 import threading
 import tracemalloc
@@ -18,7 +19,7 @@ from rankbench.resampling import (
     ScoreMatrix,
     _checked_moduli,
     _DrawnAhead,
-    _multiply_shift,
+    _map_halves,
     draw_stratified_replicate,
     draw_uniform_replicate,
     generate_score_matrix,
@@ -38,38 +39,65 @@ from helpers import (
     build_dataset,
     config,
     oracle_draw,
+    oracle_indices,
     oracle_min_ranks,
+    oracle_replicate,
+    philox_block,
+    philox_words,
     record,
+    replicate_halves,
     success_table_dataset,
 )
 
-def fresh_philox_words(seed: int, index: int, count: int) -> np.ndarray:
-    """The first ``count`` words of a newly constructed Philox keyed ``(seed, index)``."""
-    return np.random.Philox(key=np.array([seed, index], dtype=np.uint64)).random_raw(count)
-
-
-def oracle_indices(seed: int, index: int, moduli) -> list[int]:
-    """Replicate ``(seed, index)``'s entries for one modulus ``n`` (``n``
-    words) or a sequence of one modulus per word: each word ``w`` with its
-    modulus ``m`` gives ``floor(w * m / 2**64)``, in big-integer arithmetic."""
-    moduli = [moduli] * moduli if isinstance(moduli, int) else [int(m) for m in moduli]
-    words = fresh_philox_words(seed, index, len(moduli)).tolist()
-    return [(w * m) >> 64 for w, m in zip(words, moduli)]
-
 
 def oracle_entries(d, seed: int, index: int, stratified: bool) -> np.ndarray:
-    """A uniform or stratified replicate of ``d``, from the oracles alone:
-    one fresh Philox word per instance."""
-    instances = len({rk.instance_id for rk in d.runs})
-    words = fresh_philox_words(seed, index, instances).tolist()
-    return np.array(oracle_draw(d, words, stratified), dtype=np.int64)
+    """A uniform or stratified replicate of ``d``, from the oracles alone."""
+    return np.array(oracle_replicate(d, seed, index, stratified), dtype=np.int64)
 
 
-def multiply_shift(words: np.ndarray, moduli) -> np.ndarray:
-    return _multiply_shift(words.copy(), _checked_moduli(moduli), np.empty_like(words))
+def map_halves(words: np.ndarray, moduli) -> np.ndarray:
+    """``_map_halves`` of one row of words, for one modulus or one per half."""
+    out = np.empty((1, 2 * len(words)), dtype=np.uint64)
+    _map_halves(words[None, :], _checked_moduli(moduli), out)
+    return out[0]
+
+
+def with_counter(generator: np.random.Philox, counter: int) -> np.random.Philox:
+    """``generator`` with its 256-bit counter set and its buffer empty."""
+    state = generator.state
+    state["state"]["counter"] = [(counter >> (64 * j)) % 2**64 for j in range(4)]
+    state["buffer_pos"] = 4
+    generator.state = state
+    return generator
 
 
 PER_POSITION = np.array([2, 2, 3, 3, 3, 1, 9, 2**31 - 1], dtype=np.uint64)
+
+
+class TestPhiloxTranscription:
+    """The pure-Python Philox-4x64-10 the stream oracle is built on yields
+    numpy's words."""
+
+    @pytest.mark.parametrize("key", [(0, 0), (99, 5), (12345, 678), (2**64 - 1, 2**64 - 1)])
+    def test_words_match_numpy(self, key):
+        generator = np.random.Philox(key=np.array(key, dtype=np.uint64))
+        assert generator.random_raw(41).tolist() == philox_words(key, 0, 41)
+
+    @pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**64 - 1)])
+    @pytest.mark.parametrize("counter", [2**64 - 2, 2**64 - 1, 2**128 - 1, 2**256 - 1])
+    def test_counter_carries_as_numpy_does(self, key, counter):
+        # The low word of the counter carries into the next, or wraps.
+        generator = with_counter(np.random.Philox(key=np.array(key, dtype=np.uint64)), counter)
+        assert generator.random_raw(12).tolist() == philox_words(key, counter, 12)
+        assert philox_words(key, counter, 4) == philox_block((counter + 1) % 2**256, key)
+
+    def test_replicate_halves_are_consecutive_counter_ranges(self):
+        # 9 positions take 2 blocks: replicate 3 is the blocks after counter 6.
+        words = philox_words((5, 0), 6, 8)
+        halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+        assert replicate_halves(5, 3, 9) == halves[:9]
+        assert replicate_halves(5, 3, 16) == halves
+        assert replicate_halves(5, 2**64 - 1, 1) == [philox_block(2**64, (5, 0))[0] & 0xFFFFFFFF]
 
 
 class TestReplicateStream:
@@ -93,9 +121,11 @@ class TestReplicateStream:
         assert entries.tolist() == oracle_indices(2**64 - 1, 2**64 - 1, 4)
 
     @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
-    def test_indices_match_a_fresh_generator(self, seed):
+    def test_indices_match_the_stream_oracle(self, seed):
+        # Widths of 1, 7 and 8 positions take one block, so replicate
+        # 2**64 - 1 starts at counter 2**64 - 1 and its block carries.
         for index in (0, 1, 12345, 2**64 - 1):
-            for moduli in (1, 7, 500, PER_POSITION):
+            for moduli in (1, 7, 8, 9, 500, PER_POSITION):
                 got = ReplicateStream(seed, index).indices(moduli)
                 assert got.tolist() == oracle_indices(seed, index, moduli), (index, moduli)
 
@@ -128,29 +158,74 @@ class TestReplicateStream:
             assert all(entries == want for entries in drawn[index]), index
 
 
-class TestBoundedIndices:
+MAP_EDGE_MODULI = [1, 2, 3, 7, 1000, 5000, 2**31 - 1]
+
+
+def preimage_start(j: int, m: int) -> int:
+    """The smallest 32-bit half that maps to index ``j`` of ``m``: ``ceil(j * 2**32 / m)``."""
+    return -(-j * 2**32 // m)
+
+
+class TestHalfMap:
+    """A 32-bit half ``h`` maps to ``(h * m) >> 32``, exact in uint64
+    arithmetic because ``m < 2**31``."""
+
     def test_matches_big_integer_arithmetic(self):
         rng = np.random.default_rng(1)
         words = np.concatenate(
             [
-                np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+                np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64),
                 rng.integers(0, 2**64, size=500, dtype=np.uint64),
             ]
         )
         per_position = np.concatenate(
             [
-                np.array([1, 2**31 - 1, 2, 2**31 - 1], dtype=np.uint64),
-                rng.integers(1, 2**31, size=500, dtype=np.uint64),
+                np.array([1, 2**31 - 1, 2, 2**31 - 1] * 3, dtype=np.uint64),
+                rng.integers(1, 2**31, size=1000, dtype=np.uint64),
             ]
         )
+        halves = [h for w in words.tolist() for h in (w & 0xFFFFFFFF, w >> 32)]
         for n in (1, 2, 3, 17, 500, 5000, 2**31 - 1, per_position):
-            got = multiply_shift(words, n)
-            moduli = np.broadcast_to(n, words.shape)
-            want = [(int(w) * int(m)) >> 64 for w, m in zip(words, moduli)]
-            assert got.tolist() == want, n
+            got = map_halves(words, n)
+            moduli = np.broadcast_to(n, len(halves)).tolist()
+            assert got.tolist() == [(h * m) >> 32 for h, m in zip(halves, moduli)], n
+
+    @pytest.mark.parametrize("m", MAP_EDGE_MODULI)
+    def test_each_index_starts_at_its_preimage_edge(self, m):
+        # Index j's first half is ceil(j * 2**32 / m); the half below it
+        # maps to j - 1.  Low and high halves both.
+        rng = random.Random(m)
+        sample = {1, 2, m // 2, m - 1, *(rng.randrange(m) for _ in range(20))}
+        js = sorted(j for j in sample if 0 < j < m)
+        edges = [preimage_start(j, m) for j in js]
+        for shift in (0, 32):
+            words = np.array(
+                [(h << shift) | (h - 1 << 32 - shift) for h in edges], dtype=np.uint64
+            ) if edges else np.array([], dtype=np.uint64)
+            got = map_halves(words, m).tolist()
+            at, below = (got[0::2], got[1::2]) if shift == 0 else (got[1::2], got[0::2])
+            assert at == js and below == [j - 1 for j in js], (m, shift)
+        ends = map_halves(np.array([2**32 - 1 << 32], dtype=np.uint64), m).tolist()
+        assert ends == [0, m - 1]
+
+    @pytest.mark.parametrize("m", MAP_EDGE_MODULI)
+    def test_every_index_has_floor_or_ceil_preimages(self, m):
+        # So |P(j) - 1/m| < 2**-32 for every index: README's bias bound.
+        rng = random.Random(m)
+        js = range(m) if m <= 5000 else {0, m - 1, *(rng.randrange(m) for _ in range(5000))}
+        low, high = 2**32 // m, -(-(2**32) // m)
+        total = 0
+        for j in js:
+            count = preimage_start(j + 1, m) - preimage_start(j, m)
+            assert count in (low, high), (m, j, count)
+            assert abs(Fraction(count, 2**32) - Fraction(1, m)) < Fraction(1, 2**32)
+            total += count
+        if m <= 5000:
+            assert total == 2**32
 
     def test_range(self):
-        idx = multiply_shift(fresh_philox_words(3, 0, 10_000), 7)
+        sevens = np.full(10_000, 7, dtype=np.uint64)
+        idx = ReplicateStream(3, 0).indices(sevens)
         assert idx.min() >= 0 and idx.max() <= 6
         assert set(idx.tolist()) == set(range(7))
 
@@ -158,6 +233,8 @@ class TestBoundedIndices:
     def test_out_of_range_n(self, n):
         with pytest.raises(ValueError, match=rf"run count {n} out of supported range"):
             _checked_moduli(n)
+        with pytest.raises(ValueError, match="out of supported range"):
+            ReplicateStream(0, 0).indices(n)
 
     @pytest.mark.parametrize("bad", [0, 2**31, 2**64 - 1])
     def test_out_of_range_per_position_moduli(self, bad):
@@ -265,8 +342,8 @@ class TestDrawStratified:
         for seed in (0, 2**64 - 1):
             for i in range(300):
                 got = draw_stratified_replicate(d, ReplicateStream(seed, i))
-                words = fresh_philox_words(seed, i, len(runs)).tolist()
-                assert got.tolist() == oracle_draw(d, words, stratified=True), (seed, i)
+                halves = replicate_halves(seed, i, len(runs))
+                assert got.tolist() == oracle_draw(d, halves, stratified=True), (seed, i)
 
     def test_forced_single_member_stratum(self):
         d = three_stratum_dataset()
@@ -525,8 +602,8 @@ class TestGenerateScoreMatrix:
 
     def test_memory_preflight_counts_the_ranking_peak(self, monkeypatch):
         # 1000 x 2 cells: 18,000 bytes of kept scores and int8 ranks, plus three
-        # float64 blocks of 1,000 entries, plus the draw chunk and its spare:
-        # two uint64 buffers of 1,000 // 16 = 62 entries.
+        # float64 blocks of 1,000 entries, plus the draw chunk counted twice
+        # for its temporaries: two uint64 buffers of 1,000 // 16 = 62 entries.
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
         d = success_table_dataset({"A": [True, False], "B": [True, True]})
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 42_991}
@@ -849,15 +926,22 @@ def uneven_strata_dataset():
     )
 
 
+def chunk_rows(width: int) -> int:
+    """Rows of a drawn-ahead chunk of replicates of ``width`` positions:
+    ``_BLOCK_ENTRY_BUDGET // 16`` halves, 8 a counter block."""
+    return scoring.block_rows(16 * 8 * math.ceil(width / 8))
+
+
 class TestDrawnAheadChunks:
     """Replicate words are drawn and mapped a chunk of consecutive
-    replicates at a time; a chunk holds ``_BLOCK_ENTRY_BUDGET // 16`` words,
-    so patching the budget moves chunk and count-block boundaries alike.
-    The expected entries come from a fresh Philox and the big-integer
-    oracles, not from :class:`ReplicateStream`, which shares the fill."""
+    replicates at a time; a chunk holds ``_BLOCK_ENTRY_BUDGET // 16`` word
+    halves, so patching the budget moves chunk and count-block boundaries
+    alike.  The expected entries come from the pure-Python Philox and the
+    big-integer oracles, not from :class:`ReplicateStream`, which shares
+    the fill."""
 
     @pytest.mark.parametrize("stratified", [False, True])
-    @pytest.mark.parametrize("budget", [16 * 17 * 5, 2000])
+    @pytest.mark.parametrize("budget", [17 * 120, 2000])
     def test_rows_at_chunk_boundaries_are_direct_draws(self, monkeypatch, stratified, budget):
         d = uneven_strata_dataset()
         fills, blocks = [], []
@@ -874,9 +958,9 @@ class TestDrawnAheadChunks:
         monkeypatch.setattr(_DrawnAhead, "_fill", spy_fill)
         monkeypatch.setattr(resampling, "aggregate_from_counts", spy_aggregate)
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
-        chunk = scoring.block_rows(16 * len(d.runs))  # 5 rows, or 7 rows of 2000 words
-        block = budget // len(d.runs)  # 80 rows, or 117 rows
-        assert block % chunk == (0 if budget < 2000 else 5)
+        chunk = chunk_rows(len(d.runs))  # 5 rows of 24 halves
+        block = budget // len(d.runs)  # 120 rows, or 117 rows
+        assert block % chunk == (0 if budget == 17 * 120 else 2)
         for k in (chunk - 1, chunk, chunk + 1, 2 * block + 3):
             cfg = config("par_k", replicates_k=k, master_seed=8, stratified=stratified)
             fills.clear()
@@ -888,14 +972,14 @@ class TestDrawnAheadChunks:
                 want = compute_scores(d, "par_k", oracle_entries(d, 8, i, stratified))
                 assert [x.hex() for x in m.scores[i]] == [want[s].hex() for s in d.solvers], (k, i)
 
-    @pytest.mark.parametrize("budget", [None, 16 * 10 * 3])
+    @pytest.mark.parametrize("budget", [None, 16 * 16 * 3])
     @pytest.mark.parametrize("stratified", [False, True])
     @pytest.mark.parametrize("dataset", [three_seed_dataset, one_two_three_seed_dataset])
     def test_drawn_ahead_draws_are_one_row_stream_draws(
         self, monkeypatch, dataset, stratified, budget
     ):
-        # A budget of 480 entries draws chunks of 3 replicates of 10
-        # instances; 14 replicates end inside the fifth chunk.
+        # A budget of 768 entries draws chunks of 3 replicates of 10
+        # instances (16 halves each); 14 replicates end inside the fifth chunk.
         if budget is not None:
             monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
         fills = []
@@ -917,6 +1001,31 @@ class TestDrawnAheadChunks:
             assert got == oracle_entries(d, 5, i, stratified).tolist(), i
         assert fills == ([0, 3, 6, 9, 12] if budget else [0])
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("moduli", [7, 17, PER_POSITION])
+    @pytest.mark.parametrize("first", [0, 2**64 - 8])
+    def test_rows_at_chunk_boundaries_are_stream_draws(self, monkeypatch, rows, moduli, first):
+        # 7 and 8 positions take one counter block, 17 take three; the last
+        # replicate, 2**64 - 1, starts at a counter of 2**64 - 1 or beyond.
+        width = moduli if isinstance(moduli, int) else len(moduli)
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * 8 * math.ceil(width / 8) * rows)
+        assert chunk_rows(width) == rows
+        fills = []
+        fill = _DrawnAhead._fill
+
+        def spy_fill(self, start):
+            if self is ahead:
+                fills.append(start - first)
+            fill(self, start)
+
+        monkeypatch.setattr(_DrawnAhead, "_fill", spy_fill)
+        ahead = _DrawnAhead(2**64 - 1, first + 8, moduli, first)
+        for i in range(first, first + 8):
+            got = ahead.at(i).indices(moduli).tolist()
+            assert got == ReplicateStream(2**64 - 1, i).indices(moduli).tolist(), i
+            assert got == oracle_indices(2**64 - 1, i, moduli), i
+        assert fills == list(range(0, 8, rows))
+
     def test_rows_are_gathered_again_from_another_table(self):
         table = np.arange(12, dtype=np.int64).reshape(4, 3)
         other = table[::-1].copy()
@@ -936,7 +1045,7 @@ class TestDrawnAheadChunks:
             return None if rk.instance_id == "bad" and s == "A" else 2.0
 
         d = build_dataset(["A", "B"], runs, lambda s, rk: record(True, 1.0, quality(s, rk)))
-        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * len(runs) * 4)
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * 16 * 4)
         blocks = []
 
         def spy(limbs, counts):
@@ -948,8 +1057,8 @@ class TestDrawnAheadChunks:
         def missing(seed, i):
             return 12 in oracle_indices(seed, i, len(runs))
 
-        # Chunks of 4 replicates in one count block of 64: the first
-        # replicate that selects run ``bad`` is in a later chunk.
+        # Chunks of 4 replicates of 16 halves in one count block of 60: the
+        # first replicate that selects run ``bad`` is in a later chunk.
         seed = next(s for s in range(1000) if not any(missing(s, i) for i in range(4)))
         first = next(i for i in range(4, 60) if missing(seed, i))
         cfg = config("mean_metric", replicates_k=60, master_seed=seed)
@@ -974,7 +1083,7 @@ class TestDrawnAheadChunks:
         assert _DrawnAhead(seed, index + 1, 7, index).at(index).indices(7).tolist() == want
 
     def test_drawn_ahead_rows_match_streams_at_the_largest_seed(self, monkeypatch):
-        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * 7 * 3)  # chunks of 3 rows
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * 8 * 3)  # chunks of 3 rows
         sizes = np.array([2, 2, 3, 3, 3, 1, 9], dtype=np.uint64)
         for moduli in (7, sizes):
             ahead = _DrawnAhead(2**64 - 1, 10, moduli)
