@@ -2,11 +2,11 @@
 
 import math
 import random
-from fractions import Fraction
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
