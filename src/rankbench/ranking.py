@@ -16,7 +16,7 @@ import numpy as np
 
 from .resampling import ScoreMatrix
 from .scoring import OfficialRanking, block_rows
-from .stats import bootstrap_p, holm_bonferroni
+from .stats import HolmStep, bootstrap_p, holm_steps
 
 __all__ = [
     "IterationRecord",
@@ -46,11 +46,13 @@ class RankGroup:
 @dataclass(frozen=True)
 class IterationRecord:
     """One grouping round: the winner, its pairwise p-values against every
-    other remaining solver, the Holm-rejected solvers, and the resulting
+    other remaining solver, their Holm walk (each step's ``index`` is a
+    position in ``p_values``), the Holm-rejected solvers, and the resulting
     group membership."""
 
     winner: str
     p_values: dict[str, float]
+    tests: tuple[HolmStep, ...]
     rejected: tuple[str, ...]
     members: tuple[str, ...]
 
@@ -131,7 +133,8 @@ def robust_ranking(m: ScoreMatrix, alpha: float) -> RobustRanking:
         winner = min(remaining, key=lambda s: (-firsts[s], -median_of[s], s))
         others = [s for s in remaining if s != winner]
         p_values = {s: bootstrap_p(m, winner, s, alpha).p_value for s in others}
-        rejected_idx = holm_bonferroni([p_values[s] for s in others], alpha) if others else set()
+        tests = tuple(holm_steps(list(p_values.values()), alpha))
+        rejected_idx = {step.index for step in tests if step.rejected}
         rejected = tuple(s for j, s in enumerate(others) if j in rejected_idx)
         members = [winner] + [s for j, s in enumerate(others) if j not in rejected_idx]
         members.sort(key=lambda s: (-median_of[s], s))
@@ -140,6 +143,7 @@ def robust_ranking(m: ScoreMatrix, alpha: float) -> RobustRanking:
             IterationRecord(
                 winner=winner,
                 p_values=p_values,
+                tests=tests,
                 rejected=rejected,
                 members=tuple(members),
             )

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .model import AnalysisConfig, Dataset, write_csv
 from .ranking import (
+    IterationRecord,
     RobustRanking,
     empirical_win_fractions,
     inversion_count,
@@ -23,7 +24,7 @@ from .ranking import (
 from .resampling import ScoreMatrix
 from .scoring import OfficialRanking, compute_scores, official_ranking, resolve_mechanism
 from .sensitivity import FLAG_NAMES, SensitivityReport
-from .stats import column_quantiles, holm_steps, percentile_ci
+from .stats import column_quantiles, percentile_ci
 
 __all__ = [
     "build_report",
@@ -35,9 +36,9 @@ __all__ = [
 PLOT_DATA_HEADER = "solver,official_rank,official_score,median_score,ci_lower,ci_upper"
 
 
-def _holm_rows(p_values: dict[str, float], alpha: float) -> list[dict]:
+def _holm_rows(record: IterationRecord) -> list[dict]:
     """One grouping round's tests in Holm order, keyed by solver."""
-    solvers = list(p_values)
+    solvers = list(record.p_values)
     return [
         {
             "solver": solvers[step.index],
@@ -45,7 +46,7 @@ def _holm_rows(p_values: dict[str, float], alpha: float) -> list[dict]:
             "threshold": step.threshold,
             "rejected": step.rejected,
         }
-        for step in holm_steps(list(p_values.values()), alpha)
+        for step in record.tests
     ]
 
 
@@ -169,7 +170,7 @@ def build_report(
             {
                 "winner": record.winner,
                 "members": list(record.members),
-                "tests": _holm_rows(record.p_values, cfg.alpha),
+                "tests": _holm_rows(record),
             }
             for record in robust.iteration_log
         ],

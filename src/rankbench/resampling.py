@@ -26,12 +26,12 @@ replicate is a pure function of ``(master_seed, i, W)`` and evaluation
 order can never change a row.  One fill serves every draw: it sets the
 counter of one generator, owned by the chunk it fills, once for a range of
 consecutive replicates, draws all their words with one call and maps the
-whole chunk at once; the runs of the drawn instances are then gathered
-from the run table once for the whole chunk.  :func:`generate_score_matrix`
-fills a chunk of ``_BLOCK_ENTRY_BUDGET / 16`` word halves at a time, and
-a :class:`ReplicateStream` fills a one-row chunk; each replicate still passes
-through its public draw function, and is scored from how often it drew
-each instance, counted from the runs that function returns.
+whole chunk at once.  :func:`generate_score_matrix` fills a chunk of
+``_BLOCK_ENTRY_BUDGET / 16`` word halves at a time, and a
+:class:`ReplicateStream` fills a one-row chunk; each replicate passes
+through its public draw function, which gathers the runs of its drawn
+instances from the run table, and is scored from how often it drew each
+instance, counted from the runs that function returns.
 """
 
 from __future__ import annotations
@@ -106,9 +106,7 @@ class _DrawnAhead:
     ``8 * B`` word halves cover its ``width`` positions; the chunk holds
     every half of ``block_rows(16 * 8 * B)`` rows (at least one, at most
     ``k - first``): with the default block budget at most 128 KiB.  A fill
-    draws the chunk's words into a temporary of half that.  :meth:`rows`
-    gathers the drawn rows of a table for the whole chunk at once, into a
-    buffer of a table's width times as many entries.
+    draws the chunk's words into a temporary of half that.
 
     The chunk owns its generator, keyed ``(master_seed, 0)``; a fill sets
     its counter once, through a state dict whose counter, key and buffer
@@ -133,7 +131,6 @@ class _DrawnAhead:
         self._entries = self._chunk.view(np.int64)[:, :width]
         self._k = k
         self._first = self._stop = self._row = 0
-        self._gathered = self._gathered_from = None
 
     def at(self, index: int) -> "_DrawnAhead":
         if not self._first <= index < self._stop:
@@ -153,7 +150,6 @@ class _DrawnAhead:
         words = self._generator.random_raw(4 * self._blocks * rows).reshape(rows, -1)
         _map_halves(words, self._mapped_with, self._chunk[:rows])
         self._first, self._stop = first, first + rows
-        self._gathered_from = None
 
     def indices(self, moduli: int | np.ndarray) -> np.ndarray:
         # An int modulus from len() is a new object at every call, so ints
@@ -166,31 +162,6 @@ class _DrawnAhead:
             raise ValueError("these replicates were drawn ahead for other moduli")
         return self._entries[self._row]
 
-    def rows(self, moduli: int | np.ndarray, table: np.ndarray, starts=None) -> np.ndarray:
-        """The current replicate's drawn rows of ``table``, concatenated:
-        row ``j``, or ``starts[p] + j`` with per-position ``starts``, for
-        the index ``j`` drawn at each position ``p``.  The whole chunk's
-        rows are gathered at the first call for the chunk and ``(table,
-        starts)``; the row returned is a view that the next gather
-        overwrites.  The chunk's indices, plus ``starts`` if given, are
-        gathered from a temporary as large as the chunk, unless a row of
-        indices fills a row of halves."""
-        self.indices(moduli)  # checks the moduli
-        was = self._gathered_from
-        if was is None or was[0] is not table or was[1] is not starts:
-            chunk = self._entries[: self._stop - self._first]
-            if starts is not None:
-                chunk = chunk + starts
-            size = chunk.shape[1] * table.shape[1]
-            if self._gathered is None or self._gathered.shape[1] != size:
-                self._gathered = np.empty((len(self._chunk), size), dtype=np.int64)
-            out = self._gathered[: len(chunk)].reshape(*chunk.shape, table.shape[1])
-            # Every index is in range; mode "raise" would gather through a
-            # temporary as large as ``out``, at twice the time.
-            np.take(table, chunk, axis=0, out=out, mode="clip")
-            self._gathered_from = (table, starts)
-        return self._gathered[self._row]
-
 
 class ReplicateStream:
     """The deterministic substream of one bootstrap replicate."""
@@ -198,16 +169,10 @@ class ReplicateStream:
     def __init__(self, master_seed: int, index: int):
         self._seed, self._index = np.array([master_seed, index], dtype=np.uint64).tolist()
 
-    def _ahead(self, moduli: int | np.ndarray) -> _DrawnAhead:
-        return _DrawnAhead(self._seed, self._index + 1, moduli, self._index).at(self._index)
-
     def indices(self, moduli: int | np.ndarray) -> np.ndarray:
         """The replicate's entries for ``moduli``, from a one-row :class:`_DrawnAhead`."""
-        return self._ahead(moduli).indices(moduli)
-
-    def rows(self, moduli: int | np.ndarray, table: np.ndarray, starts=None) -> np.ndarray:
-        """The replicate's drawn rows of ``table``, as :meth:`_DrawnAhead.rows` gathers them."""
-        return self._ahead(moduli).rows(moduli, table, starts)
+        ahead = _DrawnAhead(self._seed, self._index + 1, moduli, self._index)
+        return ahead.at(self._index).indices(moduli)
 
 
 def _runs_of(d: Dataset, table: np.ndarray, runs: np.ndarray) -> np.ndarray:
@@ -221,16 +186,18 @@ def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     """The runs of ``I`` instances drawn i.i.d. uniformly, with replacement.
 
     One word per instance picks an instance of ``Dataset.instances``; the
-    runs of the drawn instances are returned in draw order, each
-    instance's in run order.  With one run per instance, instance ``j`` is
-    run ``j`` and the drawn indices are returned as they are.
+    runs of the drawn instances are gathered from the run table into a new
+    array, in draw order, each instance's in run order.  With one run per
+    instance, instance ``j`` is run ``j`` and the drawn indices are
+    returned as they are.
     """
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
     table = d.run_table
+    drawn = rng.indices(len(table))
     if table.shape[1] == 1:
-        return rng.indices(len(table))
-    return _runs_of(d, table, rng.rows(len(table), table))
+        return drawn
+    return _runs_of(d, table, table.take(drawn, axis=0).ravel())
 
 
 def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
@@ -243,12 +210,13 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     table's rows grouped by stratum with the same stable grouping as
     :attr:`Dataset.instance_layout`), mapped into that position's stratum,
     gives the words and instances of a stratum by stratum draw in one pass;
-    the table is in layout order, so ``starts + drawn`` indexes it.
+    the table is in layout order, so ``starts + drawn`` indexes it, and
+    the drawn rows are gathered from it into a new array.
     """
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
     table, sizes, starts = d.stratum_layout
-    return _runs_of(d, table, rng.rows(sizes, table, starts))
+    return _runs_of(d, table, table.take(starts + rng.indices(sizes), axis=0).ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +259,7 @@ def _rank_dtype(solvers: int) -> np.dtype:
     return np.dtype(next(fitting, np.int32))
 
 
-def _check_memory(k: int, solvers: int, chain_keys: int, gathered_width: int) -> None:
+def _check_memory(k: int, solvers: int, chain_keys: int, draw_entries: int) -> None:
     """Refuse a replicate count whose peak cannot fit in physical memory.
 
     The kept arrays are the k x S float64 scores and the k x S ranks, 1, 2
@@ -305,17 +273,17 @@ def _check_memory(k: int, solvers: int, chain_keys: int, gathered_width: int) ->
     ranked (the min-ranks sort, written straight into the kept ranks), so
     three float64 blocks and one more per key are counted for it.  The
     drawn-ahead chunk, at most ``block_rows(16)`` uint64 entries (128 KiB at
-    the default budget), lives beside that workspace and is counted twice:
-    a fill adds its raw words, half a chunk, and a gather may add the
-    chunk's indices (plus their stratum starts), one chunk.  The runs
-    gathered for it are counted too, ``gathered_width`` int64 entries a
-    position (none when a uniform draw of one run per instance returns its
-    indices).  (A wide input's count block and draw chunk may instead match
+    the default budget), lives beside that workspace and is counted twice,
+    which covers the raw words a fill adds, half a chunk.  One draw that
+    gathers its runs adds ``draw_entries`` int64 entries: one replicate's
+    positions (a stratified draw adds its stratum starts to them) plus its
+    runs, and none when a uniform draw of one run per instance returns its
+    indices.  (A wide input's count block and draw chunk may instead match
     its limb matrices and its instance count, which are dataset-sized.)
     """
     kept = k * solvers * (8 + _rank_dtype(solvers).itemsize)
     blocks = 8 * (3 + chain_keys) * block_rows(1)
-    need = kept + blocks + 8 * (2 + gathered_width) * block_rows(16)
+    need = kept + blocks + 8 * 2 * block_rows(16) + 8 * draw_entries
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -348,8 +316,8 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     k = cfg.replicates_k
     table = d.run_table
     instances, width = table.shape
-    gathered = width if cfg.stratified or width > 1 else 0
-    _check_memory(k, len(d.solvers), len(cfg.tiebreak), gathered)
+    draw_entries = instances * (1 + width) if cfg.stratified or width > 1 else 0
+    _check_memory(k, len(d.solvers), len(cfg.tiebreak), draw_entries)
     # The largest replicate draws the instance with the most runs I times.
     scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, table.size, d.instance_layout)
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate

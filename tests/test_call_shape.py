@@ -4,12 +4,15 @@
 them up and counts the calls that go through them; a traced run whose
 product code stops calling through one of those seams, or calls it a
 different number of times, fails without a result.  This test wraps the
-same names with the same tracer around one in-process ``analyze``.
+same names with the same tracer around one in-process ``analyze``, and
+checks that its metrics are the per-layer metrics ``BENCHMARK.json``
+declares.
 """
 
 import importlib
 import importlib.util
 import json
+import math
 import random
 from pathlib import Path
 
@@ -17,7 +20,9 @@ import pytest
 
 from rankbench.cli import run_cli
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def load_traced():
@@ -77,6 +82,11 @@ def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
         return sum(span[0] == name for span in tracer.spans)
 
     metrics = traced.layer_metrics(tracer.spans, [])
+    # run.py adds trace.overhead_s; a declared metric missing here would be
+    # missing from a traced run's result.
+    declared = {m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]}
+    assert set(metrics) | {"trace.overhead_s"} == declared
+    assert all(math.isfinite(value) for value in metrics.values()), metrics
     dataset = report["dataset"]
     assert (dataset["solvers"], dataset["runs"], dataset["instances"]) == (5, 24, 12)
     tests = sum(len(iteration["tests"]) for iteration in report["iterations"])

@@ -259,6 +259,7 @@ class TestRobustRanking:
         assert set(log[0].p_values) == {"b", "c"}
         assert log[0].p_values["b"] == 0.0
         assert set(log[0].rejected) == {"b", "c"}
+        assert [(step.index, step.rejected) for step in log[0].tests] == [(0, True), (1, True)]
         assert log[1].members == ("b", "c")
         assert log[1].rejected == ()
 

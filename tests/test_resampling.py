@@ -634,18 +634,19 @@ class TestGenerateScoreMatrix:
         assert generate_score_matrix(d, cfg).k == 1000
 
     def test_memory_preflight_charges_the_gathered_runs(self, monkeypatch):
-        # A stratified draw gathers its runs a chunk at a time: 62 more int64
-        # entries beside the words of test_memory_preflight_counts_the_ranking_peak.
+        # A stratified draw gathers its own runs: beside the words of
+        # test_memory_preflight_counts_the_ranking_peak, its 2 positions plus
+        # their 2 runs, 4 more int64 entries (32 bytes).
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
         d = success_table_dataset(
             {"A": [True, False], "B": [True, True]}, strata={"i0": "x", "i1": "y"}
         )
         cfg = config(replicates_k=1000, stratified=True)
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 43_487}
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 43_023}
         monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
         with pytest.raises(ValueError, match="physical memory"):
             generate_score_matrix(d, cfg)
-        pages["SC_PHYS_PAGES"] = 43_488
+        pages["SC_PHYS_PAGES"] = 43_024
         assert generate_score_matrix(d, cfg).k == 1000
 
     @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
@@ -1025,18 +1026,6 @@ class TestDrawnAheadChunks:
             assert got == ReplicateStream(2**64 - 1, i).indices(moduli).tolist(), i
             assert got == oracle_indices(2**64 - 1, i, moduli), i
         assert fills == list(range(0, 8, rows))
-
-    def test_rows_are_gathered_again_from_another_table(self):
-        table = np.arange(12, dtype=np.int64).reshape(4, 3)
-        other = table[::-1].copy()
-        ahead = _DrawnAhead(9, 5, 4)
-        for i in range(5):
-            drawn = np.array(oracle_indices(9, i, 4))
-            ahead.at(i)
-            assert ahead.rows(4, table).tolist() == table[drawn].ravel().tolist(), i
-            assert ahead.rows(4, other).tolist() == other[drawn].ravel().tolist(), i
-            starts = np.array([0, 0, 0, 0])
-            assert ahead.rows(4, table, starts).tolist() == table[drawn].ravel().tolist(), i
 
     def test_missing_entry_in_a_later_chunk_is_reported_at_its_replicate(self, monkeypatch):
         runs = [(f"i{j:02d}", 0) for j in range(12)] + [("bad", 0)]
