@@ -1027,6 +1027,25 @@ class TestDrawnAheadChunks:
             assert got == oracle_indices(2**64 - 1, i, moduli), i
         assert fills == list(range(0, 8, rows))
 
+    def test_rows_are_gathered_again_from_another_table(self):
+        # One chunk serves draws from two datasets of 12 instances: each
+        # draw gathers its own dataset's runs into a new array, which the
+        # draws after it leave as it is.
+        d = two_seed_dataset()
+        runs = [(f"i{j:02d}", seed) for j in range(12) for seed in range(3)]
+        other = build_dataset(["a"], runs, lambda s, rk: record(True))
+        assert d.run_table.shape == (12, 2) and other.run_table.shape == (12, 3)
+        ahead = _DrawnAhead(9, 5, 12)
+        for i in range(5):
+            got = draw_uniform_replicate(d, ahead.at(i))
+            kept = got.tolist()
+            got_other = draw_uniform_replicate(other, ahead.at(i))
+            again = draw_uniform_replicate(d, ahead.at(i))
+            assert kept == oracle_entries(d, 9, i, False).tolist(), i
+            assert got_other.tolist() == oracle_entries(other, 9, i, False).tolist(), i
+            assert got.tolist() == again.tolist() == kept, i
+            assert not np.shares_memory(got, again), i
+
     def test_missing_entry_in_a_later_chunk_is_reported_at_its_replicate(self, monkeypatch):
         runs = [(f"i{j:02d}", 0) for j in range(12)] + [("bad", 0)]
 
