@@ -318,8 +318,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     instances, width = table.shape
     draw_entries = instances * (1 + width) if cfg.stratified or width > 1 else 0
     _check_memory(k, len(d.solvers), len(cfg.tiebreak), draw_entries)
-    # The largest replicate draws the instance with the most runs I times.
-    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, table.size, d.instance_layout)
+    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak)
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
     moduli = d.stratum_layout[1] if cfg.stratified else instances
     ahead = _DrawnAhead(cfg.master_seed, k, moduli)
@@ -335,7 +334,6 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         """Write the block's scores and return its chain totals."""
         # Block-local, so it is freed before min_ranks_rows' workspace.
         counts = np.zeros((stop - start, instances), dtype=np.float64)
-        sizes = []  # runs drawn per replicate, a mean's divisor
         failures = []
         for i in range(start, stop):
             entries = draw(d, ahead.at(i))
@@ -346,11 +344,12 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
                 counts[i - start] = np.bincount(entries, minlength=n)
             else:
                 counts[i - start] = np.bincount(entries[::stride], minlength=n)[firsts]
-            sizes.append(len(entries))
+        # Runs drawn per replicate, a mean's divisor: exact integers.
+        sizes = counts @ d.instance_layout[1]
         # aggregate_from_counts is looked up in this module at every call,
         # so a wrapper set on the module sees each one.
         block_scores, block_chains, overflow = scorer.rows(
-            lambda limbs: aggregate_from_counts(limbs, counts), np.array(sizes)[:, None]
+            lambda limbs: aggregate_from_counts(limbs, counts), sizes[:, None]
         )
         if overflow is not None:
             failures.append((start + overflow[0], overflow[1]))

@@ -7,11 +7,12 @@ contribution and a multiset is scored by summing (or averaging) the
 contributions of its entries, so duplicated entries count twice.
 
 :data:`MECHANISMS` is the one table of mechanisms and :class:`Scorer` the
-one path that scores rows of run multisets: official scores, bootstrap
-replicates and leave-one-out all go through it, and every total they rank
-is the exact sum of its contributions rounded once
-(:func:`aggregate_from_counts`, :func:`drop_one_totals`); rows that count
-instances sum over exact per-instance totals (:func:`instance_limbs`).
+one path that scores rows: official scores, bootstrap replicates and
+leave-one-out all build it the same way and count instances, each drawn
+or kept instance bringing all of its runs.  Every total they rank is the
+exact sum of its run contributions rounded once
+(:func:`aggregate_from_counts`, :func:`drop_one_totals` over exact
+per-instance totals, :func:`instance_limbs`).
 """
 
 from __future__ import annotations
@@ -296,11 +297,12 @@ def instance_limbs(
     """Per-group totals of :func:`split_limbs` limbs over an ``(order,
     counts, starts)`` grouping of their columns such as
     :attr:`Dataset.instance_layout`: ``(exponent, (matrix rows, groups))``
-    pairs.  A group of ``c`` columns totals below ``c * 2**w``, so when the
-    split's ``n`` is at least the largest group's column count times the
-    groups a count row selects (repeats included), every product of such a
-    row with the totals is still exact and equals the product of the
-    matching run counts with the limbs bit for bit."""
+    pairs, for rows that count groups.  A group of ``c`` columns totals
+    below ``c * 2**w``, so when the split's ``n`` is at least the largest
+    group's column count times the groups a count row selects (repeats
+    included), every product of such a row with the totals is still exact
+    and equals the product of the matching run counts with the limbs bit
+    for bit."""
     order, counts, starts = groups
     if len(counts) == len(order) and np.array_equal(order, np.arange(len(order))):
         return limbs  # a column a group, in column order: the limbs are the totals
@@ -338,24 +340,18 @@ def _non_finite_total(
 
 
 class Scorer:
-    """Scores rows of run multisets of one competition.
+    """Scores rows of instance multisets of one competition.
 
-    Built once per (dataset, mechanism, tiebreak chain, ``n``), it holds the
-    runs with a NaN contribution and the ``(what, limbs)`` of the mechanism
-    and of each tiebreak key, split for multisets of at most ``n`` entries;
-    with ``groups``, a grouping of the runs such as
-    :attr:`Dataset.instance_layout`, the limbs are their
-    :func:`instance_limbs` totals, for rows that count groups.
+    Built once per (dataset, mechanism, tiebreak chain), it holds the runs
+    with a NaN contribution and the ``(what, limbs)`` of the mechanism and
+    of each tiebreak key: the :func:`instance_limbs` totals over
+    :attr:`Dataset.instance_layout` of limbs split for
+    ``d.run_table.size`` entries.  That is ``I`` draws of the instance
+    with the most runs, the largest row an instance count can make, so
+    every row of at most ``I`` instances (repeats included) sums exactly.
     """
 
-    def __init__(
-        self,
-        d: Dataset,
-        mechanism: Mechanism | str,
-        tiebreak: tuple[str, ...],
-        n: int,
-        groups: tuple | None = None,
-    ):
+    def __init__(self, d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...]):
         self.d = d
         self.mechanism = resolve_mechanism(mechanism)
         contributions = run_contributions(d, self.mechanism)
@@ -363,9 +359,10 @@ class Scorer:
         self._any_nan = self._nan_runs.any()  # hoisted out of every missing() call
         matrices = (contributions, *tiebreak_run_matrices(d, tiebreak))
         whats = (self.mechanism.name, *tiebreak)
-        self.limbs = [(what, split_limbs(matrix, n)) for what, matrix in zip(whats, matrices)]
-        if groups is not None:
-            self.limbs = [(what, instance_limbs(limbs, groups)) for what, limbs in self.limbs]
+        self.limbs = [
+            (what, instance_limbs(split_limbs(matrix, d.run_table.size), d.instance_layout))
+            for what, matrix in zip(whats, matrices)
+        ]
 
     def missing(self, entries: np.ndarray) -> str | None:
         """Message for the first NaN contribution that ``entries`` selects,
@@ -384,10 +381,11 @@ class Scorer:
     def rows(self, aggregate: Callable, sizes: int | np.ndarray) -> tuple:
         """``(scores, chain totals, overflow)`` of the rows whose totals
         ``aggregate(limbs)`` gives for each split matrix (for instance
-        :func:`aggregate_from_counts` or :func:`drop_one_totals`), each row
-        a multiset of ``sizes`` entries.  ``overflow`` is the smallest row
-        with a total beyond the float64 range and its message (on one row
-        the mechanism before the chain keys), or None."""
+        :func:`aggregate_from_counts` of instance counts, or
+        :func:`drop_one_totals`), each row a multiset of ``sizes`` runs.
+        ``overflow`` is the smallest row with a total beyond the float64
+        range and its message (on one row the mechanism before the chain
+        keys), or None."""
         totals = [aggregate(limbs) for _, limbs in self.limbs]
         found = [
             _non_finite_total(total, self.d.solvers, what)
@@ -397,34 +395,25 @@ class Scorer:
         return MECHANISMS[self.mechanism.name].finish(totals[0], sizes), totals[1:], overflow
 
 
-def compute_scores(
-    d: Dataset, mechanism: Mechanism | str, entries: np.ndarray | None = None
-) -> dict[str, float]:
-    """Score every solver over the run multiset ``entries`` (default: all of R),
-    as ``{solver: score}``; higher is better.
+def compute_scores(d: Dataset, mechanism: Mechanism | str) -> dict[str, float]:
+    """Score every solver over every run of ``d``, as ``{solver: score}``;
+    higher is better.
 
-    ``entries`` indexes ``d.runs`` and may repeat.  Raises
-    :class:`ScoringError` when the mechanism needs data the dataset does
-    not carry for a selected run (quality, reference entry, or a finite
-    cutoff for par_k), naming the first offending entry.
+    The scores are the :class:`Scorer` row that counts each instance once.
+    Raises :class:`ScoringError` when the mechanism needs data the dataset
+    does not carry (quality, reference entry, or a finite cutoff for
+    par_k), naming the first offending run, or when a total is beyond the
+    float64 range.
     """
-    mech = resolve_mechanism(mechanism)
     n = len(d.runs)
-    if entries is None:
-        entries = np.arange(n, dtype=np.int64)
-    entries = np.asarray(entries, dtype=np.int64)
-    if len(entries) and (entries.min() < 0 or entries.max() >= n):
-        raise ValueError("multiset entry out of range for dataset runs")
-    scorer = Scorer(d, mech, (), len(entries))
-    message = scorer.missing(entries)
+    scorer = Scorer(d, mechanism, ())
+    message = scorer.missing(np.arange(n))
     if message is not None:
         raise ScoringError(message)
-    values = np.zeros(len(d.solvers))  # an empty multiset scores +0.0 by every mechanism
-    if len(entries):
-        counts = np.bincount(entries, minlength=n)[None, :].astype(np.float64)
-        scores, _, overflow = scorer.rows(
-            lambda limbs: aggregate_from_counts(limbs, counts), len(entries)
-        )
+    values = np.zeros(len(d.solvers))  # no runs score +0.0 by every mechanism
+    if n:
+        ones = np.ones((1, len(d.instances)))
+        scores, _, overflow = scorer.rows(lambda limbs: aggregate_from_counts(limbs, ones), n)
         if overflow is not None:
             raise ScoringError(overflow[1])
         values = scores[0]

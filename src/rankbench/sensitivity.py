@@ -85,7 +85,7 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
         raise ValueError("leave-one-out analysis needs at least 2 instances")
 
     n = len(d.runs)
-    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak, n, d.instance_layout)
+    scorer = Scorer(d, cfg.mechanism, cfg.tiebreak)
     # Every kept set is a subset of these runs, so one check covers them all.
     message = scorer.missing(np.arange(n, dtype=np.int64))
     if message is not None:

@@ -219,15 +219,35 @@ def brute_contribution(d: Dataset, mech: Mechanism, solver: str, rk: RunKey) -> 
     return rec.quality  # mean_metric
 
 
-def brute_scores(d: Dataset, mech: Mechanism, entries: list[int] | None = None) -> dict[str, float]:
+# The contribution tables of the most recently scored (dataset, mechanism)
+# pairs; each entry keeps its dataset alive, so an id is never reused.
+_BRUTE_TABLES: dict[tuple[int, Mechanism], tuple[Dataset, dict[str, list[float]]]] = {}
+
+
+def brute_contribution_table(d: Dataset, mech: Mechanism) -> dict[str, list[float]]:
+    """``{solver: [brute_contribution of each run of d.runs]}``, built once
+    per dataset and mechanism."""
+    key = (id(d), mech)
+    if key not in _BRUTE_TABLES:
+        if len(_BRUTE_TABLES) >= 16:
+            del _BRUTE_TABLES[next(iter(_BRUTE_TABLES))]
+        table = {s: [brute_contribution(d, mech, s, rk) for rk in d.runs] for s in d.solvers}
+        _BRUTE_TABLES[key] = (d, table)
+    return _BRUTE_TABLES[key][1]
+
+
+def brute_scores(d: Dataset, mech: Mechanism | str,
+                 entries: list[int] | None = None) -> dict[str, float]:
     """Pure-Python multiset scoring; ``entries`` indexes ``d.runs``.  Each
     total is ``math.fsum`` of the contributions (the exactly rounded sum),
     and a mean divides it once."""
+    if isinstance(mech, str):
+        mech = Mechanism(mech)
     if entries is None:
-        entries = list(range(len(d.runs)))
+        entries = range(len(d.runs))
     out = {}
-    for s in d.solvers:
-        total = math.fsum(brute_contribution(d, mech, s, d.runs[i]) for i in entries)
+    for s, contributions in brute_contribution_table(d, mech).items():
+        total = math.fsum(contributions[i] for i in entries)
         if mech.name == "par_k":
             out[s] = -total / len(entries)
         elif mech.name == "mean_metric":

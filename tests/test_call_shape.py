@@ -32,14 +32,14 @@ def load_traced():
     return module
 
 
-@pytest.fixture()
-def two_seed_table(tmp_path):
-    """5 solvers x 12 instances x 2 seeds in two strata, as CSV and config."""
+def write_table(tmp_path, seeds, strata):
+    """5 solvers x 12 instances x ``seeds`` seeds, as CSV and config; with
+    ``strata``, the instances alternate between two strata."""
     rng = random.Random(41)
     lines = ["solver,instance,seed,status,cpu_time,quality"]
     for solver in ("s1", "s2", "s3", "s4", "s5"):
         for j in range(12):
-            for seed in (0, 1):
+            for seed in range(seeds):
                 solved = rng.random() < 0.6
                 status = "solved" if solved else "timeout"
                 time = round(rng.uniform(1.0, 90.0), 2) if solved else 100.0
@@ -47,14 +47,27 @@ def two_seed_table(tmp_path):
     runs = tmp_path / "runs.csv"
     runs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config = tmp_path / "comp.json"
-    strata = {f"i{j:02d}": "even" if j % 2 == 0 else "odd" for j in range(12)}
-    config.write_text(json.dumps({"cutoff_seconds": 100.0, "strata": strata}), encoding="utf-8")
+    comp = {"cutoff_seconds": 100.0}
+    if strata:
+        comp["strata"] = {f"i{j:02d}": "even" if j % 2 == 0 else "odd" for j in range(12)}
+    config.write_text(json.dumps(comp), encoding="utf-8")
     return runs, config
 
 
+# (seeds, strata, mechanism, stratified, (solvers, runs, instances)).  The
+# second is the benchmark's acceptance shape: uniform draws of one run per
+# instance, which return their drawn indices and are counted as runs.
+SHAPES = {
+    "two_seed_stratified": (2, True, "par_k", True, (5, 24, 12)),
+    "acceptance": (1, False, "solved_count", False, (5, 12, 12)),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
-    monkeypatch, tmp_path, two_seed_table
+    monkeypatch, tmp_path, shape
 ):
+    seeds, strata, mechanism, stratified, sizes = SHAPES[shape]
     traced = load_traced()
     tracer = traced.Tracer()
     for module_name, attr, name in traced.WRAPPED:
@@ -62,16 +75,16 @@ def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
         if hasattr(module, attr):
             monkeypatch.setattr(module, attr, getattr(module, attr))  # undone after the test
         tracer.wrap(module, attr, name)
-    runs, config = two_seed_table
+    runs, config = write_table(tmp_path, seeds, strata)
     out = tmp_path / "report.json"
     argv = [
-        "analyze", "--input", str(runs), "--config", str(config), "--mechanism", "par_k",
+        "analyze", "--input", str(runs), "--config", str(config), "--mechanism", mechanism,
         "--tiebreak", "total_time", "--replicates", "300", "--seed", "7",
         "--with-sensitivity", "--output", str(out),
     ]
     assert run_cli(argv) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["config"]["stratified"] is True
+    assert report["config"]["stratified"] is stratified
 
     names = {name for _, _, name in traced.WRAPPED}
     called = {span[0] for span in tracer.spans}
@@ -88,7 +101,7 @@ def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
     assert set(metrics) | {"trace.overhead_s"} == declared
     assert all(math.isfinite(value) for value in metrics.values()), metrics
     dataset = report["dataset"]
-    assert (dataset["solvers"], dataset["runs"], dataset["instances"]) == (5, 24, 12)
+    assert (dataset["solvers"], dataset["runs"], dataset["instances"]) == sizes
     tests = sum(len(iteration["tests"]) for iteration in report["iterations"])
     assert metrics["resampling.draw_calls"] == 300
     assert metrics["resampling.words"] == 300 * dataset["runs"]

@@ -28,7 +28,6 @@ from rankbench.resampling import (
 from rankbench.scoring import (
     ScoringError,
     aggregate_from_counts,
-    compute_scores,
     min_ranks_rows,
     tiebreak_run_matrices,
 )
@@ -517,7 +516,7 @@ class TestInstanceCountScoring:
                 )
                 m = generate_score_matrix(d, cfg)
                 for i, entries in enumerate(drawn):
-                    want = compute_scores(d, mechanism, entries)
+                    want = brute_scores(d, mechanism, entries)
                     assert m.scores[i].tolist() == [want[s] for s in d.solvers], (mechanism, i)
                     keys = [(-score,) for score in m.scores[i]]
                     if tiebreak:  # the correctly rounded total of the drawn runs
@@ -742,11 +741,9 @@ class TestGenerateScoreMatrix:
         cfg = config(replicates_k=40, master_seed=5)
         m = generate_score_matrix(d, cfg)
         # each row must equal a directly drawn and scored replicate
-        from rankbench.scoring import compute_scores
-
         for i in (0, 7, 39):
             entries = draw_uniform_replicate(d, ReplicateStream(5, i))
-            want = compute_scores(d, "solved_count", entries)
+            want = brute_scores(d, "solved_count", entries)
             assert m.scores[i].tolist() == [want["A"], want["B"]]
 
     def test_thread_counts_do_not_change_output(self):
@@ -790,7 +787,7 @@ class TestGenerateScoreMatrix:
             assert chopped.scores.tobytes() == whole.scores.tobytes(), k
             assert np.array_equal(chopped.replicate_ranks, whole.replicate_ranks), k
             for i in range(k):
-                want = compute_scores(d, "par_k", draw(d, ReplicateStream(6, i)))
+                want = brute_scores(d, "par_k", draw(d, ReplicateStream(6, i)))
                 assert chopped.scores[i].tolist() == [want[s] for s in d.solvers], (k, i)
 
     @pytest.mark.parametrize("missing", [True, False])
@@ -850,7 +847,7 @@ class TestGenerateScoreMatrix:
         m = generate_score_matrix(d, cfg)
         draw = draw_stratified_replicate if stratified else draw_uniform_replicate
         for i in range(m.k):
-            want = compute_scores(d, mechanism, draw(d, ReplicateStream(12, i)))
+            want = brute_scores(d, mechanism, draw(d, ReplicateStream(12, i)))
             assert [x.hex() for x in m.scores[i]] == [
                 want[s].hex() for s in d.solvers
             ], i
@@ -970,7 +967,7 @@ class TestDrawnAheadChunks:
             assert fills == list(range(0, k, chunk)), k
             assert blocks[0] == min(block, k), k
             for i in range(k):
-                want = compute_scores(d, "par_k", oracle_entries(d, 8, i, stratified))
+                want = brute_scores(d, "par_k", oracle_entries(d, 8, i, stratified))
                 assert [x.hex() for x in m.scores[i]] == [want[s].hex() for s in d.solvers], (k, i)
 
     @pytest.mark.parametrize("budget", [None, 16 * 16 * 3])

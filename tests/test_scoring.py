@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import rankbench.scoring as scoring
+import rankbench.sensitivity as sensitivity
 from rankbench.model import Dataset, Mechanism, ReferenceEntry, RunKey, RunRecord, RunStatus
 from rankbench.resampling import ReplicateStream, draw_uniform_replicate, generate_score_matrix
 from rankbench.scoring import (
+    Scorer,
     ScoringError,
     UnknownMechanismError,
     aggregate_from_counts,
@@ -25,12 +27,12 @@ from rankbench.scoring import (
 from rankbench.sensitivity import leave_one_out_analysis
 
 from helpers import (
-    brute_contribution,
     brute_scores,
     build_dataset,
     config,
     oracle_min_ranks,
     oracle_official_order,
+    oracle_replicate,
     record,
     success_table_dataset,
 )
@@ -273,35 +275,43 @@ class TestMechanismDispatch:
         )
 
 
+def row_scores(d, mechanism, drawn):
+    """The :class:`Scorer` row that draws the instances ``drawn`` (indices
+    into ``d.instances``, repeats counted), as ``{solver: score}``."""
+    counts = np.bincount(drawn, minlength=len(d.instances))[None, :].astype(np.float64)
+    size = int(counts[0] @ d.instance_layout[1])
+    scores, _, overflow = Scorer(d, mechanism, ()).rows(
+        lambda limbs: aggregate_from_counts(limbs, counts), size
+    )
+    assert overflow is None
+    return dict(zip(d.solvers, scores[0].tolist()))
+
+
+def runs_of_instances(d, drawn):
+    """The run indices of the instances ``drawn``, each instance's in run
+    order, in pure Python."""
+    runs_of = {}
+    for j, rk in enumerate(d.runs):
+        runs_of.setdefault(rk.instance_id, []).append(j)
+    return [run for i in drawn for run in runs_of[d.instances[i]]]
+
+
 class TestMultisets:
     def dataset(self):
         return success_table_dataset(
             {"A": [True, True, False], "B": [True, False, True]}
         )
 
-    def test_full_multiset_is_identity(self):
-        d = self.dataset()
-        rs = np.arange(len(d.runs))
-        assert compute_scores(d, "solved_count", rs) == \
-            compute_scores(d, "solved_count")
-
     def test_repeats_count(self):
         d = self.dataset()
-        rs = np.array([1, 1, 1])
-        assert compute_scores(d, "solved_count", rs) == {"A": 3.0, "B": 0.0}
+        assert row_scores(d, "solved_count", [1, 1, 1]) == {"A": 3.0, "B": 0.0}
 
     @pytest.mark.parametrize("mechanism", list(scoring.MECHANISMS))
     def test_empty_multiset_scores_zero(self, mechanism):
-        d = self.dataset()
-        rs = np.array([], dtype=np.int64)
-        scores = compute_scores(d, mechanism, rs)
+        d = build_dataset(["A", "B"], [], lambda s, rk: record(True), cutoff=1000.0)
+        scores = compute_scores(d, mechanism)
         assert scores == {"A": 0.0, "B": 0.0}
         assert all(math.copysign(1.0, v) == 1.0 for v in scores.values())  # +0.0, not -0.0
-
-    def test_out_of_range_entry(self):
-        d = self.dataset()
-        with pytest.raises(ValueError, match="out of range"):
-            compute_scores(d, "solved_count", np.array([7]))
 
     def test_error_names_first_offender_in_multiset_order(self):
         d = build_dataset(
@@ -314,9 +324,8 @@ class TestMultisets:
             cutoff=10.0,
         )
         # entry 0 selects the bad run i2; solver order breaks the tie
-        rs = np.array([1, 0])
-        with pytest.raises(ScoringError, match="solver 'A' on run i2@0"):
-            compute_scores(d, "mean_metric", rs)
+        message = Scorer(d, "mean_metric", ()).missing(np.array([1, 0]))
+        assert "solver 'A' on run i2@0" in message
 
 
 class TestAgainstBruteForce:
@@ -351,9 +360,10 @@ class TestAgainstBruteForce:
                 Mechanism("ipc_agile"),
                 Mechanism("mean_metric"),
             ):
-                entries = [rng.randrange(n_runs) for _ in range(rng.randint(1, 12))]
-                got = compute_scores(d, mech, np.array(entries))
-                want = brute_scores(d, mech, entries)
+                # A row draws at most as many instances as there are.
+                drawn = [rng.randrange(n_runs) for _ in range(rng.randint(1, n_runs))]
+                got = row_scores(d, mech, drawn)
+                want = brute_scores(d, mech, runs_of_instances(d, drawn))
                 for s in solvers:
                     assert got[s] == want[s]
 
@@ -387,30 +397,18 @@ def float_dataset(seed, solvers=5, instances=150, seeds=2):
     return build_dataset(solver_ids, runs, rec, cutoff=100.0, reference=reference)
 
 
-def fsum_scores(d, mech, entries):
-    """Scores from math.fsum over the expanded multiset, divided once."""
-    out = {}
-    for s in d.solvers:
-        total = math.fsum(brute_contribution(d, mech, s, d.runs[i]) for i in entries)
-        if mech.name == "par_k":
-            out[s] = -total / len(entries)
-        elif mech.name == "mean_metric":
-            out[s] = total / len(entries)
-        else:
-            out[s] = total
-    return out
-
-
 class TestExactAggregation:
     def test_scores_are_fsum_of_the_expanded_multiset(self):
         d = float_dataset(31)
         rng = random.Random(32)
-        everything = list(range(len(d.runs)))
-        repeats = [rng.randrange(len(d.runs)) for _ in range(700)]
+        instances = len(d.instances)
+        everything = list(range(instances))
+        repeats = [rng.randrange(instances) for _ in range(instances)]
         for mech in FLOAT_MECHANISMS:
-            for entries in (everything, repeats):
-                got = compute_scores(d, mech, np.array(entries))
-                assert got == fsum_scores(d, mech, entries), mech
+            assert compute_scores(d, mech) == brute_scores(d, mech), mech
+            for drawn in (everything, repeats):
+                got = row_scores(d, mech, drawn)
+                assert got == brute_scores(d, mech, runs_of_instances(d, drawn)), mech
 
     def test_permuted_run_order_gives_identical_bytes(self):
         d = float_dataset(33)
@@ -482,6 +480,75 @@ class TestExactAggregation:
         assert len(split_limbs(integers, 1000)) == 1
         times = np.round(np.random.default_rng(36).uniform(1, 5000, (4, 1000)), 2)
         assert len(split_limbs(np.where(times > 2500, 50000.0, times), 1000)) == 2
+
+
+def hexes(scores, solvers):
+    return [scores[s].hex() for s in solvers]
+
+
+class TestManyLimbRaggedData:
+    """Rows whose contributions span many limbs, on instances with
+    different run counts, against the pure-Python oracle."""
+
+    def test_official_replicate_and_leave_one_out_rows_match_the_oracle(self, monkeypatch):
+        # 4 solvers x 30 instances of 1-3 seeds in 3 strata; qualities from
+        # 1e-200 to 2e200 take 31 limbs.
+        rng = random.Random(61)
+        runs = [RunKey(f"i{j:02d}", seed) for j in range(30) for seed in range(rng.randint(1, 3))]
+        strata = {f"i{j:02d}": "abc"[j % 3] for j in range(30)}
+        extremes = iter([1e-200, 2e200])
+
+        def quality(s, rk):
+            default = rng.uniform(1.0, 2.0) * 10.0 ** rng.randint(-200, 200)
+            return next(extremes, default)
+
+        d = build_dataset(
+            ["w", "x", "y", "z"], runs, lambda s, rk: record(True, 1.0, quality(s, rk)),
+            strata=strata, cutoff=10.0,
+        )
+        assert set(d.instance_layout[1].tolist()) == {1, 2, 3}  # ragged
+        (_, limbs), = Scorer(d, "mean_metric", ()).limbs
+        assert len(limbs) == 31
+        assert hexes(compute_scores(d, "mean_metric"), d.solvers) == hexes(
+            brute_scores(d, "mean_metric"), d.solvers
+        )
+        for stratified in (False, True):
+            cfg = config("mean_metric", replicates_k=60, master_seed=62, stratified=stratified)
+            m = generate_score_matrix(d, cfg)
+            for i in range(m.k):
+                want = brute_scores(d, "mean_metric", oracle_replicate(d, 62, i, stratified))
+                assert [x.hex() for x in m.scores[i]] == hexes(want, d.solvers), (stratified, i)
+
+        seen, ranking_rows = [], sensitivity.ranking_rows
+
+        def capture(solvers, scores, chains):
+            seen.append(scores)
+            return ranking_rows(solvers, scores, chains)
+
+        monkeypatch.setattr(sensitivity, "ranking_rows", capture)
+        leave_one_out_analysis(d, config("mean_metric"))
+        (scores,) = seen
+        assert len(scores) == 31
+        for row, instance in enumerate([None, *d.instances]):
+            kept = [i for i, rk in enumerate(d.runs) if rk.instance_id != instance]
+            want = brute_scores(d, "mean_metric", kept)
+            assert [x.hex() for x in scores[row]] == hexes(want, d.solvers), instance
+
+    def test_largest_row_is_exact(self):
+        # One 3-run instance and 40 one-run instances: 43 runs, but a row
+        # may draw the 3-run instance 41 times, 123 runs.
+        rng = random.Random(63)
+        runs = [RunKey("big", seed) for seed in range(3)]
+        runs += [RunKey(f"i{j:02d}", 0) for j in range(40)]
+        d = build_dataset(
+            [f"s{j:02d}" for j in range(60)], runs,
+            lambda s, rk: record(True, 1.0, rng.uniform(0.5, 1.0)),
+        )
+        assert (len(d.runs), d.run_table.size) == (43, 123)
+        drawn = [0] * 41
+        got = row_scores(d, "mean_metric", drawn)
+        want = brute_scores(d, "mean_metric", runs_of_instances(d, drawn))
+        assert hexes(got, d.solvers) == hexes(want, d.solvers)
 
 
 class TestOfficialRanking:
