@@ -526,7 +526,7 @@ class _Config(NamedTuple):
     named: tuple[tuple[str, str | RunKey], ...]
 
 
-def _unknown(keys, known: tuple[str, ...]) -> str | None:
+def _unknown(keys, known: Sequence[str]) -> str | None:
     return next((key for key in keys if key not in known), None)
 
 
@@ -668,10 +668,10 @@ def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
     status text of the file is decoded and converted once, with the
     per-row parser's own ``int()`` and ``_STATUS_CODES``, and runs are
     coded by ``(instance, int(seed))``, so ``01`` and ``1`` are one run.
-    :func:`_numbers` reads the times and qualities with numpy's casts,
-    which give ``float()``'s values.  A None sends the file to the per-row
-    reader, so what is accepted and every message stay the per-row
-    reader's.
+    :func:`_numbers` reads the times and qualities with numpy's bytes
+    cast, which gives ``float()``'s value for every ASCII spelling; a
+    non-ASCII one fails it.  A None sends the file to the per-row reader,
+    so what is accepted and every message stay the per-row reader's.
     """
     solvers, runs = {}, {}  # solver and (instance, seed) -> code
 
@@ -752,34 +752,30 @@ def _split(lines: bytes) -> tuple | None:
     lengths)``: field ``f`` of line ``i`` is the ``lengths[f, i]`` bytes
     from ``block[firsts[f, i]]``, and ``block`` holds the lines' bytes
     and 8 zero bytes, so that the 8 bytes from any field start are
-    inside.  None when a line does not hold exactly five commas, or the
-    block holds 1 GB or more."""
+    inside.  The separators are the commas and line ends, found in one
+    pass; an unterminated last line ends at the block's end.  None when
+    a line does not hold exactly five commas, or the block holds 1 GB or
+    more."""
     if len(lines) >= 2**30:  # offsets into the block, plus a field, stay int32
         return None
-    raw = np.frombuffer(lines, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    if not lines.endswith(b"\n"):
-        ends = np.append(ends, len(lines))
-    line_starts = np.concatenate(([0], ends[:-1] + 1))
-    if b"\r" in lines:
-        ends -= raw[ends - 1] == ord("\r")
-    commas = np.flatnonzero(raw == ord(","))
-    if len(commas) != 5 * len(ends):
-        return None
-    commas = commas.reshape(len(ends), 5).T
-    # Sorted, and five a line in all: each line holds exactly its own five.
-    if (commas[0] < line_starts).any() or (commas[4] >= ends).any():
-        return None
-    firsts = np.empty((6, len(ends)), dtype=np.int32)
-    firsts[0] = line_starts
-    np.add(commas, 1, out=firsts[1:])
-    lengths = np.empty((6, len(ends)), dtype=np.int32)
-    lengths[:5] = commas
-    lengths[5] = ends
-    lengths -= firsts
     block = np.zeros(len(lines) + 8, dtype=np.uint8)
-    block[: len(lines)] = raw
-    return block, firsts, lengths
+    raw = block[: len(lines)]
+    raw[:] = np.frombuffer(lines, dtype=np.uint8)
+    newline = raw == ord("\n")
+    seps = np.flatnonzero(newline | (raw == ord(","))).astype(np.int32)
+    ends = np.count_nonzero(newline)
+    if not lines.endswith(b"\n"):
+        seps, ends = np.append(seps, np.int32(len(lines))), ends + 1
+    # Six separators a line end, every sixth of them a line end (the block's
+    # end reads as a zero byte): five commas on every line.
+    if len(seps) != 6 * ends or (block[seps[5::6]] == ord(",")).any():
+        return None
+    firsts = np.empty_like(seps)  # a field starts one past the separator before it
+    firsts[0] = 0
+    firsts[1:] = seps[:-1] + 1
+    if b"\r" in lines:  # a CRLF line's last field ends at its "\r"
+        seps[5::6] -= raw[seps[5::6] - 1] == ord("\r")
+    return block, firsts.reshape(ends, 6).T, (seps - firsts).reshape(ends, 6).T
 
 
 # _KEEP[r]: the first r bytes of a little-endian 8-byte word.
@@ -852,20 +848,15 @@ def _seed_value(raw: bytes) -> int:
 
 def _numbers(words: np.ndarray) -> np.ndarray:
     """The texts of :func:`_words` rows as finite numbers >= 0, NaN for an
-    empty text (whose row it overwrites with ``nan``): numpy's bytes ->
-    float64 cast of the texts, or where that raises (a non-ASCII digit or
-    space), the str -> float64 cast of their UTF-8 decoding.  Both give
-    ``float()``'s value.  A text that ``float()`` rejects, or a value out
-    of range, raises ValueError."""
+    empty text (whose row it overwrites with ``nan``), by numpy's bytes ->
+    float64 cast, which gives ``float()``'s value for every ASCII spelling.
+    A text that the cast rejects (one that ``float()`` rejects, or any
+    non-ASCII spelling), or a value out of range, raises ValueError."""
     empty = words[:, 0] == 0  # the file holds no NUL: only an empty text starts with one
     if empty.all():
         return np.full(len(words), math.nan)
     words[empty, 0] = int.from_bytes(b"nan", "little")
-    texts = _texts(words)
-    try:
-        values = texts.astype(np.float64)
-    except ValueError:
-        values = np.char.decode(texts, "utf-8").astype(np.float64)
+    values = _texts(words).astype(np.float64)
     if not (empty | ((values >= 0) & (values < math.inf))).all():
         raise ValueError("number out of range")
     return values
@@ -890,6 +881,9 @@ def _load_json(path: Path) -> tuple[_Table, _Config]:
         for i, row in enumerate(doc["results"]):
             if not isinstance(row, dict):
                 raise ParseError(f"{path}: results[{i}] must be an object")
+            field = _unknown(row, RESULTS_CSV_HEADER)
+            if field is not None:
+                raise ParseError(f"{path}: results[{i}]: unknown field {field!r}")
             yield i, [row.get(key) for key in RESULTS_CSV_HEADER]
 
     return _parse_rows(rows(), lambda i: f"{path}: results[{i}]"), config

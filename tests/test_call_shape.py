@@ -54,12 +54,17 @@ def write_table(tmp_path, seeds, strata):
     return runs, config
 
 
-# (seeds, strata, mechanism, stratified, (solvers, runs, instances)).  The
+# (seeds, strata, flags, stratified, (solvers, runs, instances)).  The
 # second is the benchmark's acceptance shape: uniform draws of one run per
-# instance, which return their drawn indices and are counted as runs.
+# instance, which return their drawn indices and are counted as runs.  The
+# third is its large shape: par_k with no tiebreak and no leave-one-out.
+WITH_TIEBREAK = ("--tiebreak", "total_time", "--with-sensitivity")
 SHAPES = {
-    "two_seed_stratified": (2, True, "par_k", True, (5, 24, 12)),
-    "acceptance": (1, False, "solved_count", False, (5, 12, 12)),
+    "two_seed_stratified": (
+        2, True, ("--mechanism", "par_k", *WITH_TIEBREAK), True, (5, 24, 12)
+    ),
+    "acceptance": (1, False, ("--mechanism", "solved_count", *WITH_TIEBREAK), False, (5, 12, 12)),
+    "large": (1, False, ("--mechanism", "par_k", "--par-k", "10"), False, (5, 12, 12)),
 }
 
 
@@ -67,7 +72,7 @@ SHAPES = {
 def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
     monkeypatch, tmp_path, shape
 ):
-    seeds, strata, mechanism, stratified, sizes = SHAPES[shape]
+    seeds, strata, flags, stratified, sizes = SHAPES[shape]
     traced = load_traced()
     tracer = traced.Tracer()
     for module_name, attr, name in traced.WRAPPED:
@@ -78,18 +83,18 @@ def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
     runs, config = write_table(tmp_path, seeds, strata)
     out = tmp_path / "report.json"
     argv = [
-        "analyze", "--input", str(runs), "--config", str(config), "--mechanism", mechanism,
-        "--tiebreak", "total_time", "--replicates", "300", "--seed", "7",
-        "--with-sensitivity", "--output", str(out),
+        "analyze", "--input", str(runs), "--config", str(config), *flags,
+        "--replicates", "300", "--seed", "7", "--output", str(out),
     ]
     assert run_cli(argv) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["config"]["stratified"] is stratified
+    sensitivity = "--with-sensitivity" in flags
 
     names = {name for _, _, name in traced.WRAPPED}
     called = {span[0] for span in tracer.spans}
     assert tracer.wrapped == names  # every span name has a seam the package still has
-    assert called == names
+    assert called == (names if sensitivity else names - {"sensitivity.leave_one_out"})
 
     def calls(name):
         return sum(span[0] == name for span in tracer.spans)
@@ -107,5 +112,5 @@ def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
     assert metrics["resampling.words"] == 300 * dataset["runs"]
     assert metrics["stats.bootstrap_p_calls"] == tests > 0
     assert calls("stats.percentile_ci") == dataset["solvers"]
-    assert metrics["sensitivity.rescorings"] == dataset["instances"]
+    assert metrics["sensitivity.rescorings"] == (dataset["instances"] if sensitivity else 0)
     assert metrics["report.bytes"] == out.stat().st_size

@@ -409,6 +409,9 @@ class TestJsonDataset:
             ({"results": [ROW], "solvers": ["A"]}, "unknown config key 'solvers'"),
             ({"results": [ROW], "reference": {"i1@0": {"quality": 1}}},
              "unknown field 'quality' in reference entry for 'i1@0'"),
+            # A misspelt key would otherwise load as a missing quality.
+            ({"results": [ROW, {**ROW, "solver": "B", "qualty": 5}]},
+             r"results\[1\]: unknown field 'qualty'$"),
         ],
     )
     def test_malformed_structure_rejected(self, tmp_path, doc, fragment):
@@ -558,7 +561,7 @@ class TestColumnarCsv:
         # spellings of a number
         "underscore": (ROWS.format("1_000"), True),
         "padded": (ROWS.format(" 12.5 "), True),
-        "arabic_indic": (ROWS.format("١٢.٥"), True),
+        "arabic_indic": (ROWS.format("١٢.٥"), False),
         "overflow": (ROWS.format("1e999"), False),
         "hex": (ROWS.format("0x10"), False),
         "empty_time": (ROWS.format(""), False),
@@ -578,7 +581,7 @@ class TestColumnarCsv:
         "infinity": (ROWS.format("infinity"), False),
         "file_separator": (ROWS.format("\x1c7"), False),
         "arabic_indic_mid_file": (
-            "A,i1,0,solved,1.5,\nA,i2,0,solved,١٢.٥,2\nA,i3,0,solved,2.5,\n", True
+            "A,i1,0,solved,1.5,\nA,i2,0,solved,١٢.٥,2\nA,i3,0,solved,2.5,\n", False
         ),
         "nan_quality": ("A,i1,0,solved,1.0,nan\n", False),
         "padded_quality": ("A,i1,0,solved,1.0, 3\n", True),
@@ -599,6 +602,8 @@ class TestColumnarCsv:
         "non_ascii_ids": ("éè,ü \x85,0,solved,1.0,\nB,ü \x85,0,solved,2.0,\n", True),
         "four_fields": ("A,i1,0,solved\n", False),
         "seven_fields": ("A,i1,0,solved,1.0,,\n", False),
+        # five commas a line on average: line 2 would read as "B,i1,0,solved,2.0,7"
+        "four_then_six_commas": ("A,i1,0,solved,1\n5,B,i1,0,solved,2.0,7\n", False),
         "header_only": ("", False),
         "short_run_after_long": (
             "A," + "x" * 40 + "," + "1" * 20 + ",solved,1,\nA,i,0,solved,1,\n",
@@ -635,6 +640,27 @@ class TestColumnarCsv:
         header = CSV_HEADER.replace("\n", "\r\n") if "crlf" in name else CSV_HEADER
         path.write_bytes((header + body).encode())
         self.assert_agree(path, monkeypatch, accepted)
+
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "no_final_newline"])
+    def test_paths_agree_across_default_blocks(self, tmp_path, monkeypatch, layout):
+        # 30 solvers x 400 instances x 2 seeds: about 1.15 MB, five blocks.
+        rng = random.Random(28)
+        statuses = [status.value for status in RunStatus]
+        lines = [CSV_HEADER.rstrip("\n")]
+        for solver in range(30):
+            for instance in range(400):
+                for seed in range(2):
+                    quality = f"{rng.uniform(0, 100):.4f}" if rng.random() < 0.5 else ""
+                    lines.append(
+                        f"solver{solver:02d},inst{instance:04d},{seed},"
+                        f"{rng.choice(statuses)},{rng.uniform(0, 300):.6f},{quality}"
+                    )
+        end = "\r\n" if layout == "crlf" else "\n"
+        text = end.join(lines) + ("" if layout == "no_final_newline" else end)
+        assert len(text) > 4 * model._CSV_BLOCK_BYTES
+        path = tmp_path / "runs.csv"
+        path.write_bytes(text.encode())
+        self.assert_agree(path, monkeypatch, True)
 
     @pytest.mark.parametrize(
         "data,accepted",
@@ -739,8 +765,7 @@ class TestColumnarCsv:
         want = np.array([float(text) for text in decimals])
         assert self.numbers(decimals).tobytes() == want.tobytes()
         accepted = 0
-        non_ascii = {"١٢.٥", "\xa03\u2003", "３.５", "\u200b3", "²", "-٠"}
-        for text in sorted(non_ascii | {self.spelling(rng) for _ in range(20_000)} - {""}):
+        for text in sorted({self.spelling(rng) for _ in range(20_000)} - {""}):
             value = expected(text)
             if value is None:
                 with pytest.raises(ValueError):
@@ -749,3 +774,8 @@ class TestColumnarCsv:
                 accepted += 1
                 assert self.numbers([text]).tobytes() == np.float64(value).tobytes(), text
         assert accepted > 1_000
+        # Non-ASCII digits and spaces, which float() may read, fail the
+        # block cast; the per-row reader reads such a file.
+        for text in ["١٢.٥", "\xa03\u2003", "３.５", "\u200b3", "²", "-٠"]:
+            with pytest.raises(ValueError):
+                self.numbers([text])
