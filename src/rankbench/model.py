@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -656,9 +657,10 @@ _CSV_HEADER_LINES = tuple(",".join(RESULTS_CSV_HEADER).encode() + end for end in
 
 
 def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
-    """The table of a plain CSV file, read, split and converted in numpy
-    blocks of about ``_CSV_BLOCK_BYTES`` bytes of whole lines; None for any
-    other file, or at the first field that fails a check.
+    """The table of a plain CSV file, read once, split and converted in
+    numpy blocks of about ``_CSV_BLOCK_BYTES`` bytes of whole lines; None
+    for any other file, or at the first field that fails a check.  The
+    columns are sized from the file's size, which bounds its row count.
 
     A plain file is UTF-8 with the header line exactly
     ``RESULTS_CSV_HEADER``; it holds no double quote, no NUL byte and no
@@ -701,7 +703,9 @@ def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
         block, firsts, lengths = split
         if lengths.max() > limit or (lengths[[0, 1, 4]] == 0).any():
             return None
-        here = slice(row, row + lengths.shape[1])  # past the end if the file grew: a ValueError
+        here = slice(row, row + lengths.shape[1])
+        if here.stop > len(status):  # more rows than the file's size holds: it grew
+            return None
         for column, ((first, last), coder) in zip((solver_codes, run_codes, status), coders):
             spans = firsts[last] + lengths[last] - firsts[first]
             column[here] = coder(_words(block, firsts[first], spans))
@@ -712,15 +716,10 @@ def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
     with path.open("rb") as fh:
         if fh.readline() not in _CSV_HEADER_LINES:
             return None
-        # Count the rows first: columns made at their final size are never
-        # regrown, which would leave the allocator's heap fragmented.
-        body, rows, last = fh.tell(), 0, b"\n"
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            rows, last = rows + chunk.count(b"\n"), chunk[-1:]
-        rows += last != b"\n"
-        if rows == 0:
-            return None
-        fh.seek(body)
+        # A valid line takes at least 16 bytes ("a,b,0,solved,0," and its
+        # end), so the columns hold every row of a valid file; their pages
+        # past the last row are never touched.
+        rows = (os.fstat(fh.fileno()).st_size - fh.tell()) // 16 + 1
         solver_codes, run_codes = np.empty(rows, np.int32), np.empty(rows, np.int32)
         status, cpu_time, quality = np.empty(rows, np.int8), np.empty(rows), np.empty(rows)
         row = 0
@@ -732,8 +731,13 @@ def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
                     return None
         except (ValueError, KeyError):  # a text the per-row parser rejects
             return None
-    if row != rows:  # the file changed between the two reads
+    if row == 0:
         return None
+    # realloc gives back each column's unused tail; no view of a column
+    # exists.  Freed at full size, a column would raise glibc's mmap
+    # threshold and move later arrays onto the heap.
+    for column in (solver_codes, run_codes, status, cpu_time, quality):
+        column.resize(row, refcheck=False)
     return _Table(
         tuple(solvers),
         tuple(runs),
@@ -742,7 +746,7 @@ def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
         status,
         cpu_time,
         quality,
-        range(2, rows + 2),
+        range(2, row + 2),
         where,
     )
 
@@ -800,23 +804,6 @@ def _texts(words: np.ndarray) -> np.ndarray:
     return words.view(f"S{8 * words.shape[1]}")[:, 0]
 
 
-def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(firsts, local)`` over the rows of ``words``: the first row of
-    each distinct row value, in order of first appearance, and for each
-    row the position of its value in ``firsts``."""
-    order = np.lexsort(words.T)  # stable: each value's rows in row order
-    ordered = words[order]
-    new = np.ones(len(order), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-    firsts = order[new]
-    appearance = np.argsort(firsts, kind="stable")
-    rank = np.empty(len(firsts), dtype=np.int64)
-    rank[appearance] = np.arange(len(firsts))
-    local = np.empty(len(order), dtype=np.int64)
-    local[order] = rank[np.cumsum(new) - 1]
-    return firsts[appearance], local
-
-
 class _Coder:
     """Codes texts in order of first appearance over a file's blocks:
     ``code_of(text)`` gives a text's code the first time the text is seen,
@@ -828,14 +815,16 @@ class _Coder:
 
     def __call__(self, words: np.ndarray) -> np.ndarray:
         """The codes of a block's texts, given as :func:`_words` rows; only
-        the block's distinct texts become bytes objects."""
-        firsts, local = _distinct(words)
-        texts = _texts(words[firsts]).tolist()
+        the block's distinct texts, from ``np.unique``, become bytes
+        objects.  Texts not yet known are coded in order of their first
+        row, not in ``np.unique``'s sorted order."""
+        texts, firsts, local = np.unique(_texts(words), return_index=True, return_inverse=True)
+        texts = texts.tolist()
         codes = list(map(self.known.get, texts))
         if None in codes:
-            for n, text in enumerate(texts):
+            for n in np.argsort(firsts).tolist():  # in order of first appearance
                 if codes[n] is None:
-                    codes[n] = self.known[text] = self.code_of(text)
+                    codes[n] = self.known[texts[n]] = self.code_of(texts[n])
         return np.array(codes, dtype=np.int64)[local]
 
 
@@ -884,6 +873,10 @@ def _load_json(path: Path) -> tuple[_Table, _Config]:
             field = _unknown(row, RESULTS_CSV_HEADER)
             if field is not None:
                 raise ParseError(f"{path}: results[{i}]: unknown field {field!r}")
+            for key in ("seed", "cpu_time", "quality"):
+                if isinstance(row.get(key), str):
+                    message = f"{key} {row[key]!r} is a string, not a number"
+                    raise ParseError(f"{path}: results[{i}]: {message}")
             yield i, [row.get(key) for key in RESULTS_CSV_HEADER]
 
     return _parse_rows(rows(), lambda i: f"{path}: results[{i}]"), config

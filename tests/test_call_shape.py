@@ -32,9 +32,10 @@ def load_traced():
     return module
 
 
-def write_table(tmp_path, seeds, strata):
+def write_table(tmp_path, seeds, strata, qualities=False):
     """5 solvers x 12 instances x ``seeds`` seeds, as CSV and config; with
-    ``strata``, the instances alternate between two strata."""
+    ``strata``, the instances alternate between two strata, and with
+    ``qualities`` every row reports a quality."""
     rng = random.Random(41)
     lines = ["solver,instance,seed,status,cpu_time,quality"]
     for solver in ("s1", "s2", "s3", "s4", "s5"):
@@ -43,7 +44,8 @@ def write_table(tmp_path, seeds, strata):
                 solved = rng.random() < 0.6
                 status = "solved" if solved else "timeout"
                 time = round(rng.uniform(1.0, 90.0), 2) if solved else 100.0
-                lines.append(f"{solver},i{j:02d},{seed},{status},{time},")
+                quality = rng.randint(0, 40) if qualities else ""
+                lines.append(f"{solver},i{j:02d},{seed},{status},{time},{quality}")
     runs = tmp_path / "runs.csv"
     runs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config = tmp_path / "comp.json"
@@ -58,6 +60,8 @@ def write_table(tmp_path, seeds, strata):
 # second is the benchmark's acceptance shape: uniform draws of one run per
 # instance, which return their drawn indices and are counted as runs.  The
 # third is its large shape: par_k with no tiebreak and no leave-one-out.
+# The fourth is its fragility shape: mean_metric over every row's quality,
+# stratified draws of two seeds an instance, leave-one-out, no tiebreak.
 WITH_TIEBREAK = ("--tiebreak", "total_time", "--with-sensitivity")
 SHAPES = {
     "two_seed_stratified": (
@@ -65,6 +69,9 @@ SHAPES = {
     ),
     "acceptance": (1, False, ("--mechanism", "solved_count", *WITH_TIEBREAK), False, (5, 12, 12)),
     "large": (1, False, ("--mechanism", "par_k", "--par-k", "10"), False, (5, 12, 12)),
+    "fragility": (
+        2, True, ("--mechanism", "mean_metric", "--with-sensitivity"), True, (5, 24, 12)
+    ),
 }
 
 
@@ -80,7 +87,7 @@ def test_traced_analyze_calls_every_seam_as_often_as_the_report_says(
         if hasattr(module, attr):
             monkeypatch.setattr(module, attr, getattr(module, attr))  # undone after the test
         tracer.wrap(module, attr, name)
-    runs, config = write_table(tmp_path, seeds, strata)
+    runs, config = write_table(tmp_path, seeds, strata, qualities=shape == "fragility")
     out = tmp_path / "report.json"
     argv = [
         "analyze", "--input", str(runs), "--config", str(config), *flags,

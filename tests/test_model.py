@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 import re
 
@@ -412,6 +413,20 @@ class TestJsonDataset:
             # A misspelt key would otherwise load as a missing quality.
             ({"results": [ROW, {**ROW, "solver": "B", "qualty": 5}]},
              r"results\[1\]: unknown field 'qualty'$"),
+            # A string would be parsed as a CSV field is: "7", " 01" and "٧" as
+            # seeds 7, 1 and 7, "1_000" as 1000.0 and "" as an empty quality.
+            ({"results": [{**ROW, "seed": "7"}]},
+             r"results\[0\]: seed '7' is a string, not a number$"),
+            ({"results": [ROW, {**ROW, "seed": " 01"}]},
+             r"results\[1\]: seed ' 01' is a string, not a number$"),
+            ({"results": [{**ROW, "seed": "٧"}]},
+             r"results\[0\]: seed '٧' is a string, not a number$"),
+            ({"results": [{**ROW, "cpu_time": "1_000"}]},
+             r"results\[0\]: cpu_time '1_000' is a string, not a number$"),
+            ({"results": [{**ROW, "quality": "3"}]},
+             r"results\[0\]: quality '3' is a string, not a number$"),
+            ({"results": [{**ROW, "quality": ""}]},
+             r"results\[0\]: quality '' is a string, not a number$"),
         ],
     )
     def test_malformed_structure_rejected(self, tmp_path, doc, fragment):
@@ -612,6 +627,15 @@ class TestColumnarCsv:
         # errors raised after placement keep their line
         "duplicate_late": ("A,i1,0,solved,1.0,\n" * 2 + "B,i1,0,solved,1.0,\n" * 3, True),
         "missing_entry": ("A,i1,0,solved,1.0,\nB,i2,0,solved,1.0,\n", True),
+        # codes follow first appearance, not the sorted order of the texts
+        "reverse_sorted_ids": (
+            "".join(
+                f"{solver},{instance},{seed},solved,1.0,\n"
+                for solver in "CBA"
+                for instance, seed in (("i3", 2), ("i2", 1), ("i1", 0))
+            ),
+            True,
+        ),
     }
 
     @staticmethod
@@ -661,6 +685,40 @@ class TestColumnarCsv:
         path = tmp_path / "runs.csv"
         path.write_bytes(text.encode())
         self.assert_agree(path, monkeypatch, True)
+
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "no_final_newline"])
+    def test_columns_hold_rows_of_the_minimum_length(self, tmp_path, monkeypatch, layout):
+        # 40 x 40 one-letter solvers and instances: 1,600 lines of 16 bytes
+        # ("x,y,0,solved,0," and "\n"), the most the file's size allows.
+        letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN"
+        end = "\r\n" if layout == "crlf" else "\n"
+        lines = [CSV_HEADER.rstrip("\n")]
+        lines += [f"{x},{y},0,solved,0," for x in letters for y in letters]
+        text = end.join(lines) + ("" if layout == "no_final_newline" else end)
+        path = tmp_path / "runs.csv"
+        path.write_bytes(text.encode())
+        table = model._columnar_table(path, str)
+        assert table is not None and len(table.status) == len(table.positions) == 1_600
+        self.assert_agree(path, monkeypatch, True)
+
+    def test_lines_shorter_than_the_minimum_go_to_the_per_row_reader(self, tmp_path):
+        # 11-byte lines: more rows than a valid file of this size can hold.
+        path = write_csv(tmp_path, "a,b,0,x,0,\n" * 3_000)
+        assert model._columnar_table(path, str) is None
+        with pytest.raises(ParseError, match=r"runs\.csv:2: unknown status 'x'$"):
+            load_dataset(path)
+
+    def test_rows_past_the_size_at_open_go_to_the_per_row_reader(self, tmp_path, monkeypatch):
+        # One line a block: a block past the columns' end is one row, which
+        # numpy would broadcast into an empty slice.
+        monkeypatch.setattr(model, "_CSV_BLOCK_BYTES", 1)
+        path = write_csv(tmp_path, "A,i1,0,solved,1.0,\nB,i1,0,solved,2.0,\n")
+        stat = os.stat(path)
+        grown = os.stat_result((*stat[:6], len(CSV_HEADER), *stat[7:]))  # size: the header's
+        with monkeypatch.context() as m:
+            m.setattr(os, "fstat", lambda fd: grown)
+            assert model._columnar_table(path, str) is None
+        assert model._columnar_table(path, str) is not None
 
     @pytest.mark.parametrize(
         "data,accepted",
