@@ -170,9 +170,10 @@ class Dataset:
     per-run CPU-time limit in seconds (``math.inf``: none configured).
     Construction does not reject invalid data: :func:`load_dataset` checks
     its input, a programmatically built dataset is taken as given.
-    ``instance_layout`` groups the runs by instance, ``run_table`` lists
-    each instance's runs, and ``stratum_layout`` groups that table's rows
-    by stratum, through one grouping helper.
+    ``instance_layout`` groups the runs by instance and
+    ``stratum_grouping`` the instances by stratum, through one grouping
+    helper; ``run_table`` lists each instance's runs, and
+    ``stratum_layout`` holds that table's rows stratum by stratum.
     """
 
     solvers: tuple[str, ...]
@@ -254,15 +255,21 @@ class Dataset:
         return table
 
     @cached_property
-    def stratum_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(table, sizes, starts)``: the rows of ``run_table`` stratum by
-        stratum (strata in ``stratum_order``, instances in ``instances``
-        order), and per position the instance count (uint64) and first
-        position of its stratum.  Grouped by :func:`_grouped`, as
-        ``instance_layout`` is."""
+    def stratum_grouping(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(instances, counts, starts)`` of :func:`_grouped` over the
+        instances' strata: the instance indices stratum by stratum (strata
+        in ``stratum_order``, instances in ``instances`` order), and per
+        stratum its instance count and first position."""
         code = {label: j for j, label in enumerate(self.stratum_order)}
         labels = (self.stratum_of(instance) for instance in self.instances)
-        order, lengths, starts = _grouped([code[label] for label in labels])
+        return _grouped([code[label] for label in labels])
+
+    @cached_property
+    def stratum_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(table, sizes, starts)``: the rows of ``run_table`` in
+        ``stratum_grouping`` order, and per position the instance count
+        (uint64) and first position of its stratum."""
+        order, lengths, starts = self.stratum_grouping
         return (
             self.run_table[order],
             np.repeat(lengths, lengths).astype(np.uint64),
@@ -694,8 +701,7 @@ def _columnar_table(path: Path, where: Callable[[int], str]) -> _Table | None:
     def read_block(lines: bytes, row: int) -> int | None:
         """Fill the rows from ``row`` with the block's lines: the row after
         them, or None when the block fails a check."""
-        lone_cr = b"\r" in lines and lines.count(b"\r") != lines.count(b"\r\n")
-        if b'"' in lines or b"\0" in lines or lone_cr:
+        if b'"' in lines or b"\0" in lines:
             return None
         split = _split(lines)
         if split is None:
@@ -758,8 +764,8 @@ def _split(lines: bytes) -> tuple | None:
     and 8 zero bytes, so that the 8 bytes from any field start are
     inside.  The separators are the commas and line ends, found in one
     pass; an unterminated last line ends at the block's end.  None when
-    a line does not hold exactly five commas, or the block holds 1 GB or
-    more."""
+    a line does not hold exactly five commas, a CR is not followed by a
+    line feed, or the block holds 1 GB or more."""
     if len(lines) >= 2**30:  # offsets into the block, plus a field, stay int32
         return None
     block = np.zeros(len(lines) + 8, dtype=np.uint8)
@@ -777,7 +783,12 @@ def _split(lines: bytes) -> tuple | None:
     firsts = np.empty_like(seps)  # a field starts one past the separator before it
     firsts[0] = 0
     firsts[1:] = seps[:-1] + 1
-    if b"\r" in lines:  # a CRLF line's last field ends at its "\r"
+    if b"\r" in lines:
+        # A CR ends its line: the byte after it (past the block's end, a
+        # zero byte) is a line feed.
+        if (block[np.flatnonzero(raw == ord("\r")) + 1] != ord("\n")).any():
+            return None
+        # A CRLF line's last field ends at its "\r".
         seps[5::6] -= raw[seps[5::6] - 1] == ord("\r")
     return block, firsts.reshape(ends, 6).T, (seps - firsts).reshape(ends, 6).T
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .resampling import ScoreMatrix
-from .scoring import OfficialRanking, block_rows
-from .stats import HolmStep, bootstrap_p, holm_steps
+from .scoring import OfficialRanking
+from .stats import HolmStep, bootstrap_p, first_place_counts, holm_steps
 
 __all__ = [
     "IterationRecord",
@@ -77,26 +75,13 @@ class RobustRanking:
         return frozenset(self.group_index)
 
 
-def _first_place_counts(scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Per listed column of a (k x S) score matrix, the rows in which it
-    ties or takes the row maximum over the listed columns; the rows are
-    scanned a block at a time."""
-    counts = np.zeros(len(columns), dtype=np.int64)
-    step = block_rows(len(columns))
-    for start in range(0, len(scores), step):
-        block = scores[start : start + step, columns]
-        counts += (block == block.max(axis=1, keepdims=True)).sum(axis=0)
-    return counts
-
-
 def empirical_win_fractions(m: ScoreMatrix) -> dict[str, float]:
     """Share of replicates in which each solver attains the top raw score.
 
     A replicate's firsts are the solvers no one strictly out-scores in that
     row, ties included, so the fractions can sum past 1.
     """
-    counts = _first_place_counts(m.scores, np.arange(len(m.solver_order)))
-    return {s: float(c) / m.k for s, c in zip(m.solver_order, counts)}
+    return {s: float(c) / m.k for s, c in zip(m.solver_order, m.first_places.tolist())}
 
 
 def fractional_ranks(group_sizes: list[int]) -> list[float]:
@@ -128,8 +113,13 @@ def robust_ranking(m: ScoreMatrix, alpha: float) -> RobustRanking:
     raw_groups: list[tuple[str, ...]] = []
     log: list[IterationRecord] = []
     while remaining:
-        columns = np.array([m.solver_idx(s) for s in remaining])
-        firsts = dict(zip(remaining, _first_place_counts(m.scores, columns).tolist()))
+        # The first round's field is every solver: its counts are the
+        # matrix's own, shared with the win fractions.
+        if len(remaining) == len(m.solver_order):
+            counts = m.first_places
+        else:
+            counts = first_place_counts(m.scores, [m.solver_idx(s) for s in remaining])
+        firsts = dict(zip(remaining, counts.tolist()))
         winner = min(remaining, key=lambda s: (-firsts[s], -median_of[s], s))
         others = [s for s in remaining if s != winner]
         p_values = {s: bootstrap_p(m, winner, s, alpha).p_value for s in others}

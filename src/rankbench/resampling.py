@@ -45,7 +45,7 @@ import numpy as np
 
 from .model import AnalysisConfig, Dataset, write_csv
 from .scoring import Scorer, ScoringError, aggregate_from_counts, block_rows, min_ranks_rows
-from .stats import column_quantiles
+from .stats import column_quantiles, first_place_counts
 
 __all__ = [
     "ReplicateStream",
@@ -175,19 +175,29 @@ class ReplicateStream:
         return ahead.at(self._index).indices(moduli)
 
 
-def _runs_of(d: Dataset, table: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Drawn rows ``runs`` of a :attr:`Dataset.run_table`-shaped ``table``
-    without the -1 padding of a dataset whose instances have different run
-    counts."""
-    return runs[runs >= 0] if table.size > len(d.runs) else runs
+def _ragged_runs(d: Dataset, instances: np.ndarray) -> np.ndarray:
+    """The runs of ``instances`` (indices into ``Dataset.instances``) in
+    order, each instance's in run order, gathered from the per-instance
+    offsets of :attr:`Dataset.instance_layout`: a dataset whose instances
+    have different run counts touches only real runs, never the -1 padding
+    of its run table."""
+    runs, counts, starts = d.instance_layout
+    lengths = counts[instances]
+    ends = np.cumsum(lengths)
+    # Entry t of the result, in drawn instance j's span, is runs entry
+    # starts[j] + t minus the entries before that span.
+    offsets = np.repeat(starts[instances] - (ends - lengths), lengths)
+    offsets += np.arange(len(offsets))
+    return runs[offsets]
 
 
 def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     """The runs of ``I`` instances drawn i.i.d. uniformly, with replacement.
 
     One word per instance picks an instance of ``Dataset.instances``; the
-    runs of the drawn instances are gathered from the run table into a new
-    array, in draw order, each instance's in run order.  With one run per
+    runs of the drawn instances are gathered into a new array, in draw
+    order, each instance's in run order: rows of the run table, or only
+    real runs when instances have different run counts.  With one run per
     instance, instance ``j`` is run ``j`` and the drawn indices are
     returned as they are.
     """
@@ -197,7 +207,9 @@ def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     drawn = rng.indices(len(table))
     if table.shape[1] == 1:
         return drawn
-    return _runs_of(d, table, table.take(drawn, axis=0).ravel())
+    if table.size > len(d.runs):
+        return _ragged_runs(d, drawn)
+    return table.take(drawn, axis=0).ravel()
 
 
 def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
@@ -211,24 +223,33 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     :attr:`Dataset.instance_layout`), mapped into that position's stratum,
     gives the words and instances of a stratum by stratum draw in one pass;
     the table is in layout order, so ``starts + drawn`` indexes it, and
-    the drawn rows are gathered from it into a new array.
+    the drawn rows are gathered from it into a new array, or, when
+    instances have different run counts, the runs of their instances
+    (:attr:`Dataset.stratum_grouping`).
     """
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
     table, sizes, starts = d.stratum_layout
-    return _runs_of(d, table, table.take(starts + rng.indices(sizes), axis=0).ravel())
+    rows = starts + rng.indices(sizes)
+    if table.size > len(d.runs):
+        return _ragged_runs(d, d.stratum_grouping[0][rows])
+    return table.take(rows, axis=0).ravel()
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """k bootstrap replicates x solvers, scores plus per-replicate min-ranks.
 
-    ``scores`` is float64.  :func:`generate_score_matrix` keeps
-    ``replicate_ranks`` in the narrowest signed integer type that holds a
-    rank of S solvers: int8 when S < 2**7, int16 when S < 2**15, else int32.
-    Column order is fixed by ``solver_order`` (the dataset solver list);
-    ``provenance`` records the master seed, stratification flag and
-    mechanism id the matrix was generated under.
+    ``scores`` is float64.  :func:`generate_score_matrix` keeps it
+    column-major (k x S in Fortran order): every statistic downstream (CIs,
+    medians, win fractions, the pairwise tests) is a pass down one solver's
+    column, which is then contiguous.  It keeps ``replicate_ranks``
+    row-major, in the narrowest signed integer type that holds a rank of S
+    solvers: int8 when S < 2**7, int16 when S < 2**15, else int32.  Any
+    layout gives the same statistics.  Column order is fixed by
+    ``solver_order`` (the dataset solver list); ``provenance`` records the
+    master seed, stratification flag and mechanism id the matrix was
+    generated under.
     """
 
     k: int
@@ -237,10 +258,14 @@ class ScoreMatrix:
     solver_order: tuple[str, ...]
     provenance: dict
 
+    @cached_property
+    def _solver_index(self) -> dict[str, int]:
+        return {solver: j for j, solver in enumerate(self.solver_order)}
+
     def solver_idx(self, solver: str) -> int:
         try:
-            return self.solver_order.index(solver)
-        except ValueError:
+            return self._solver_index[solver]
+        except KeyError:
             raise ValueError(f"unknown solver id {solver!r}") from None
 
     def column(self, solver: str) -> np.ndarray:
@@ -251,6 +276,13 @@ class ScoreMatrix:
         """Nearest-rank median of each score column, in ``solver_order``:
         each column is sorted once, for robust ranking and the report."""
         return column_quantiles(self.scores, (0.5,))[0]
+
+    @cached_property
+    def first_places(self) -> np.ndarray:
+        """Per solver, in ``solver_order``, the replicates in which no
+        solver out-scores it: one scan of the columns, for the win
+        fractions and robust ranking's first round."""
+        return first_place_counts(self.scores, range(len(self.solver_order)))
 
 
 def _rank_dtype(solvers: int) -> np.dtype:
@@ -322,7 +354,9 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
     moduli = d.stratum_layout[1] if cfg.stratified else instances
     ahead = _DrawnAhead(cfg.master_seed, k, moduli)
-    scores = np.empty((k, len(d.solvers)), dtype=np.float64)
+    # Column-major: the report reads the scores column by column (see
+    # ScoreMatrix); each block is written and ranked as a row slice.
+    scores = np.empty((k, len(d.solvers)), dtype=np.float64, order="F")
     ranks = np.empty((k, len(d.solvers)), dtype=_rank_dtype(len(d.solvers)))
     # A drawn instance brings its first run once, so the count of its first
     # run is its count: every width-th entry of a draw is a first run when

@@ -25,6 +25,7 @@ __all__ = [
     "TestOutcome",
     "bootstrap_p",
     "column_quantiles",
+    "first_place_counts",
     "holm_bonferroni",
     "holm_steps",
     "nearest_rank_index",
@@ -78,6 +79,27 @@ def column_quantiles(matrix: np.ndarray, qs: Sequence[float]) -> np.ndarray:
         columns = matrix[:, start : start + step]
         out[:, start : start + step] = np.sort(columns, axis=0, kind=kind)[rows]
     return out
+
+
+def first_place_counts(matrix: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+    """Per listed column of a (k x S) matrix, as int64, the rows in which
+    it ties or takes the row maximum over the listed columns.
+
+    Every pass runs down one column, ``block_rows(1)`` rows at a time: the
+    elementwise maximum of the columns' segments is the rows' top, then
+    each segment counts its entries equal to it.  On a column-major matrix
+    each segment is contiguous.  The workspace is one block of tops and
+    one of comparisons, whatever k and S.
+    """
+    counts = np.zeros(len(columns), dtype=np.int64)
+    step = block_rows(1)
+    for start in range(0, len(matrix), step):
+        segments = [matrix[start : start + step, j] for j in columns]
+        top = segments[0].copy()
+        for segment in segments[1:]:
+            np.maximum(top, segment, out=top)
+        counts += [np.count_nonzero(segment == top) for segment in segments]
+    return counts
 
 
 def percentile_ci(samples: Sequence[float] | np.ndarray, alpha: float) -> ConfidenceInterval:

@@ -614,6 +614,12 @@ class TestColumnarCsv:
         "blank_lines": ("A,i1,0,solved,1.0,\n\nB,i1,0,solved,2.0,\n\n", False),
         "no_trailing_newline": ("A,i1,0,solved,1.0,\nB,i1,0,solved,2.0,", True),
         "lone_carriage_return": ("A,i1,0,solved,1.0,\rB,i1,0,solved,2.0,\n", False),
+        # a CR must be followed by a line feed, also as the file's last byte
+        "carriage_return_in_id": ("A,i\r1,0,solved,1.0,\nB,i\r1,0,solved,2.0,\n", False),
+        "bare_carriage_return_at_end": ("A,i1,0,solved,1.0,\nB,i1,0,solved,2.0,\r", False),
+        "crlf_then_bare_carriage_return_at_end": (
+            "A,i1,0,solved,1.0,\r\nB,i1,0,solved,2.0,\r", False
+        ),
         "non_ascii_ids": ("éè,ü \x85,0,solved,1.0,\nB,ü \x85,0,solved,2.0,\n", True),
         "four_fields": ("A,i1,0,solved\n", False),
         "seven_fields": ("A,i1,0,solved,1.0,,\n", False),

@@ -2,11 +2,13 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import rankbench.scoring as scoring
 from rankbench.ranking import (
     RankGroup,
     RobustRanking,
@@ -16,9 +18,10 @@ from rankbench.ranking import (
     robust_ranking,
     tied_pair_count,
 )
-from rankbench.report import build_report
-from rankbench.resampling import ScoreMatrix
+from rankbench.report import build_report, canonical_json
+from rankbench.resampling import ScoreMatrix, generate_score_matrix
 from rankbench.scoring import OfficialRanking, min_ranks_rows
+from rankbench.stats import bootstrap_p, first_place_counts
 
 from helpers import (
     config,
@@ -419,3 +422,87 @@ class TestMeanRankIqr:
         assert diagnostics["top3"]["mean_rank_iqr"] == self.oracle(ranks, ["a", "b", "c"])
         assert diagnostics["all"]["mean_rank_iqr"] == self.oracle(ranks, list(ranks)) == 1.25
         assert diagnostics["top10"] == diagnostics["all"]
+
+
+class TestColumnMajorScores:
+    """Replicate scores are kept column-major; every statistic reads the
+    same values from either layout."""
+
+    @staticmethod
+    def pipeline():
+        rng = random.Random(30)
+        table = {f"s{i:02d}": [rng.random() < 0.5 for _ in range(15)] for i in range(9)}
+        d = success_table_dataset(table)
+        cfg = config("solved_count", replicates_k=400, master_seed=30, tiebreak=("total_time",))
+        return d, cfg, generate_score_matrix(d, cfg)
+
+    def test_generated_scores_are_column_major_and_ranks_row_major(self):
+        _, _, m = self.pipeline()
+        assert m.scores.flags.f_contiguous and not m.scores.flags.c_contiguous
+        assert m.replicate_ranks.flags.c_contiguous
+        assert m.column("s03").flags.contiguous
+
+    def test_report_is_the_same_from_a_row_major_copy(self):
+        d, cfg, m = self.pipeline()
+        copy = ScoreMatrix(
+            k=m.k, scores=np.ascontiguousarray(m.scores), replicate_ranks=m.replicate_ranks,
+            solver_order=m.solver_order, provenance=m.provenance,
+        )
+        assert copy.scores.flags.c_contiguous and np.array_equal(copy.scores, m.scores)
+        assert canonical_json(build_report(d, cfg, m)) == canonical_json(build_report(d, cfg, copy))
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_first_place_counts_match_the_oracle_on_both_layouts(self, monkeypatch, budget):
+        # Small integer scores, so most rows tie at the top.
+        if budget is not None:
+            monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
+        rng = np.random.default_rng(30)
+        scores = rng.integers(0, 4, size=(97, 7)).astype(np.float64)
+        rows = scores.tolist()
+        assert any(sorted(row)[-1] == sorted(row)[-2] for row in rows)  # tied tops
+        for layout in (np.asfortranarray(scores), np.ascontiguousarray(scores)):
+            for columns in ([0, 1, 2, 3, 4, 5, 6], [5, 2], [3], [6, 0, 4]):
+                want = oracle_first_place_counts(rows, columns)
+                got = first_place_counts(layout, columns)
+                assert got.dtype == np.int64
+                assert got.tolist() == [want[j] for j in columns], columns
+        m = random_matrix(np.asfortranarray(scores))
+        assert m.first_places.tolist() == first_place_counts(scores, range(7)).tolist()
+
+    def test_unknown_solver_id_is_named(self):
+        m = matrix_from_columns(a=[1.0, 2.0], b=[2.0, 1.0])
+        assert (m.solver_idx("a"), m.solver_idx("b")) == (0, 1)
+        with pytest.raises(ValueError, match="unknown solver id 'zz'"):
+            m.solver_idx("zz")
+        with pytest.raises(ValueError, match="unknown solver id 'zz'"):
+            bootstrap_p(m, "a", "zz")
+
+    def test_ranking_workspace_does_not_grow_with_k(self):
+        # Robust ranking and the win fractions (medians, first-place scans,
+        # pairwise tests) over 50 solvers in five tiers of ten, so that the
+        # grouping runs several rounds.
+        block = scoring._BLOCK_ENTRY_BUDGET
+        rng = np.random.default_rng(31)
+        means = np.repeat([0.0, 5.0, 10.0, 15.0, 20.0], 10)
+
+        def peak_beyond_kept(k: int) -> tuple[int, int]:
+            scores = np.asfortranarray(rng.normal(means, 1.0, (k, 50)))
+            m = ScoreMatrix(
+                k=k, scores=scores, replicate_ranks=np.zeros((k, 50), dtype=np.int8),
+                solver_order=tuple(f"s{i:02d}" for i in range(50)), provenance={},
+            )
+            tracemalloc.start()
+            try:
+                at_start = tracemalloc.get_traced_memory()[0]
+                rounds = len(robust_ranking(m, 0.05).iteration_log)
+                empirical_win_fractions(m)
+                return tracemalloc.get_traced_memory()[1] - at_start, rounds
+            finally:
+                tracemalloc.stop()
+
+        small, small_rounds = peak_beyond_kept(2_000)
+        large, large_rounds = peak_beyond_kept(40_000)
+        assert small_rounds == large_rounds == 5
+        # The column sorts, scans and tests each work within one float64
+        # block; a k x 50 float64 temporary would add 16 MB, 7.6 blocks.
+        assert large - small <= 8 * block, (large - small) / (8 * block)

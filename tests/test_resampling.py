@@ -429,6 +429,38 @@ class TestInstanceDraws:
             sizes.add(len(entries))
         assert len(sizes) > 1 and min(sizes) >= 8 and max(sizes) <= 24
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_ragged_draws_gather_only_real_runs(self, stratified):
+        # One 200-seed instance and 999 one-seed instances, runs shuffled:
+        # a run table of 1000 x 200 entries for 1,199 runs.  Each draw
+        # equals the padded table's drawn rows without their -1 entries,
+        # bit for bit, and allocates far less than those rows.
+        runs = [RunKey("heavy", seed) for seed in range(200)]
+        runs += [RunKey(f"i{j:03d}", 0) for j in range(999)]
+        random.Random(30).shuffle(runs)
+        strata = {f"i{j:03d}": f"g{j % 3}" for j in range(999)} | {"heavy": "g1"}
+        d = build_dataset(["a"], runs, lambda s, rk: record(True), strata=strata)
+        assert d.run_table.shape == (1000, 200)
+        if stratified:
+            draw, (table, moduli, starts) = draw_stratified_replicate, d.stratum_layout
+        else:
+            draw, table, moduli, starts = draw_uniform_replicate, d.run_table, 1000, 0
+        sizes = set()
+        for i in range(40):
+            padded = table.take(starts + ReplicateStream(3, i).indices(moduli), axis=0).ravel()
+            want = padded[padded >= 0]
+            stream = ReplicateStream(3, i)
+            tracemalloc.start()
+            try:
+                got = draw(d, stream)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+            assert peak < table.nbytes / 10, (i, peak)
+            sizes.add(len(got))
+        assert min(sizes) == 1000 and max(sizes) >= 1199  # without and with "heavy"
+
     @pytest.mark.parametrize("budget", [None, 16 * 8 * 3])
     @pytest.mark.parametrize("stratified", [False, True])
     @pytest.mark.parametrize("mechanism", ["mean_metric", "par_k"])
