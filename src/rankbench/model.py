@@ -171,9 +171,9 @@ class Dataset:
     Construction does not reject invalid data: :func:`load_dataset` checks
     its input, a programmatically built dataset is taken as given.
     ``instance_layout`` groups the runs by instance and
-    ``stratum_grouping`` the instances by stratum, through one grouping
-    helper; ``run_table`` lists each instance's runs, and
-    ``stratum_layout`` holds that table's rows stratum by stratum.
+    ``stratum_layout`` the instances by stratum, through one grouping
+    helper; when every instance has as many runs, ``run_rows`` views
+    ``instance_layout``'s runs as one row per instance.
     """
 
     solvers: tuple[str, ...]
@@ -242,36 +242,31 @@ class Dataset:
         return _grouped([code[rk.instance_id] for rk in self.runs])
 
     @cached_property
-    def run_table(self) -> np.ndarray:
-        """Read-only (instances x most runs of an instance) int64 array:
-        row ``j`` holds the run indices of ``instances[j]`` in run order,
-        padded with -1 after the instance's last run.  With one run per
-        instance it is the column ``0 .. |R|-1``."""
-        runs, counts, starts = self.instance_layout
-        table = np.full((len(counts), counts.max(initial=0)), -1, dtype=np.int64)
-        instance = np.repeat(np.arange(len(counts)), counts)
-        table[instance, np.arange(len(runs)) - starts[instance]] = runs
-        table.flags.writeable = False
-        return table
+    def run_rows(self) -> np.ndarray | None:
+        """Read-only (instances x W) view of ``instance_layout``'s runs,
+        row ``j`` the runs of ``instances[j]``, when every instance has
+        ``W`` runs; None when instances have different run counts."""
+        runs, counts, _ = self.instance_layout
+        width = counts.max(initial=0)
+        if counts.min(initial=width) < width:
+            return None
+        rows = runs.reshape(len(counts), width)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
-    def stratum_grouping(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(instances, counts, starts)`` of :func:`_grouped` over the
-        instances' strata: the instance indices stratum by stratum (strata
-        in ``stratum_order``, instances in ``instances`` order), and per
-        stratum its instance count and first position."""
+    def stratum_layout(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+        """``(instances, rows, sizes, starts)``: the instance indices
+        stratum by stratum (strata in ``stratum_order``, instances in
+        ``instances`` order, by :func:`_grouped`), ``run_rows`` in that
+        order (or None), and per position the instance count (uint64) and
+        first position of its stratum."""
         code = {label: j for j, label in enumerate(self.stratum_order)}
         labels = (self.stratum_of(instance) for instance in self.instances)
-        return _grouped([code[label] for label in labels])
-
-    @cached_property
-    def stratum_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(table, sizes, starts)``: the rows of ``run_table`` in
-        ``stratum_grouping`` order, and per position the instance count
-        (uint64) and first position of its stratum."""
-        order, lengths, starts = self.stratum_grouping
+        order, lengths, starts = _grouped([code[label] for label in labels])
         return (
-            self.run_table[order],
+            order,
+            None if self.run_rows is None else self.run_rows[order],
             np.repeat(lengths, lengths).astype(np.uint64),
             np.repeat(starts, lengths),
         )

@@ -30,7 +30,7 @@ whole chunk at once.  :func:`generate_score_matrix` fills a chunk of
 ``_BLOCK_ENTRY_BUDGET / 16`` word halves at a time, and a
 :class:`ReplicateStream` fills a one-row chunk; each replicate passes
 through its public draw function, which gathers the runs of its drawn
-instances from the run table, and is scored from how often it drew each
+instances, and is scored from how often it drew each
 instance, counted from the runs that function returns.
 """
 
@@ -67,7 +67,7 @@ def _checked_moduli(moduli: int | np.ndarray) -> np.uint64 | np.ndarray:
     array = isinstance(moduli, np.ndarray)
     for modulus in (moduli.min(initial=1), moduli.max(initial=1)) if array else (moduli,):
         if not 0 < modulus < 2**31:
-            raise ValueError(f"run count {modulus} out of supported range [1, 2**31)")
+            raise ValueError(f"instance count {modulus} out of supported range [1, 2**31)")
     return moduli if array else np.uint64(moduli)
 
 
@@ -175,20 +175,28 @@ class ReplicateStream:
         return ahead.at(self._index).indices(moduli)
 
 
-def _ragged_runs(d: Dataset, instances: np.ndarray) -> np.ndarray:
-    """The runs of ``instances`` (indices into ``Dataset.instances``) in
-    order, each instance's in run order, gathered from the per-instance
-    offsets of :attr:`Dataset.instance_layout`: a dataset whose instances
-    have different run counts touches only real runs, never the -1 padding
-    of its run table."""
-    runs, counts, starts = d.instance_layout
-    lengths = counts[instances]
-    ends = np.cumsum(lengths)
-    # Entry t of the result, in drawn instance j's span, is runs entry
-    # starts[j] + t minus the entries before that span.
-    offsets = np.repeat(starts[instances] - (ends - lengths), lengths)
-    offsets += np.arange(len(offsets))
-    return runs[offsets]
+def _runs_of(
+    d: Dataset, picked: np.ndarray, rows: np.ndarray | None, order: np.ndarray | None = None
+) -> np.ndarray:
+    """The runs of the instances at positions ``picked`` (instances
+    ``order[picked]``, or ``picked`` without ``order``), each instance's in
+    run order: ``picked`` itself when those are the runs, else one take of
+    ``rows``, each position's runs, or without ``rows`` (instances with
+    different run counts) a gather by the offsets of ``d.instance_layout``."""
+    if rows is None:
+        runs, counts, starts = d.instance_layout
+        if order is not None:  # the positions are freed for their instances
+            picked = order[picked]
+        lengths = counts[picked]
+        # Entry t of the result, in drawn instance j's span, is runs entry
+        # starts[j] + t minus the entries before that span.
+        spans = starts[picked] - np.cumsum(lengths) + lengths
+        offsets = np.repeat(spans, lengths)
+        offsets += np.arange(len(offsets))
+        return runs[offsets]
+    if order is None and rows.shape[1] == 1:
+        return picked
+    return rows.take(picked, axis=0).ravel()
 
 
 def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
@@ -196,20 +204,13 @@ def draw_uniform_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
 
     One word per instance picks an instance of ``Dataset.instances``; the
     runs of the drawn instances are gathered into a new array, in draw
-    order, each instance's in run order: rows of the run table, or only
-    real runs when instances have different run counts.  With one run per
-    instance, instance ``j`` is run ``j`` and the drawn indices are
-    returned as they are.
+    order, each instance's in run order.  With one run per instance,
+    instance ``j`` is run ``j`` and the drawn indices are returned as they
+    are.
     """
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
-    table = d.run_table
-    drawn = rng.indices(len(table))
-    if table.shape[1] == 1:
-        return drawn
-    if table.size > len(d.runs):
-        return _ragged_runs(d, drawn)
-    return table.take(drawn, axis=0).ravel()
+    return _runs_of(d, rng.indices(len(d.instances)), d.run_rows)
 
 
 def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
@@ -218,22 +219,15 @@ def draw_stratified_replicate(d: Dataset, rng: ReplicateStream) -> np.ndarray:
     each drawn instance all of its runs; runs are concatenated in stratum
     order, then draw order, then run order.
 
-    One word per position of :attr:`Dataset.stratum_layout` (the run
-    table's rows grouped by stratum with the same stable grouping as
-    :attr:`Dataset.instance_layout`), mapped into that position's stratum,
-    gives the words and instances of a stratum by stratum draw in one pass;
-    the table is in layout order, so ``starts + drawn`` indexes it, and
-    the drawn rows are gathered from it into a new array, or, when
-    instances have different run counts, the runs of their instances
-    (:attr:`Dataset.stratum_grouping`).
+    One word per position of :attr:`Dataset.stratum_layout` (instances
+    stratum by stratum), mapped into that position's stratum, gives the
+    words and instances of a stratum by stratum draw in one pass, and the
+    runs of the drawn positions are gathered into a new array.
     """
     if len(d.runs) < 1:
         raise ValueError("dataset has no runs to resample")
-    table, sizes, starts = d.stratum_layout
-    rows = starts + rng.indices(sizes)
-    if table.size > len(d.runs):
-        return _ragged_runs(d, d.stratum_grouping[0][rows])
-    return table.take(rows, axis=0).ravel()
+    order, rows, sizes, starts = d.stratum_layout
+    return _runs_of(d, starts + rng.indices(sizes), rows, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,12 +300,10 @@ def _check_memory(k: int, solvers: int, chain_keys: int, draw_entries: int) -> N
     three float64 blocks and one more per key are counted for it.  The
     drawn-ahead chunk, at most ``block_rows(16)`` uint64 entries (128 KiB at
     the default budget), lives beside that workspace and is counted twice,
-    which covers the raw words a fill adds, half a chunk.  One draw that
-    gathers its runs adds ``draw_entries`` int64 entries: one replicate's
-    positions (a stratified draw adds its stratum starts to them) plus its
-    runs, and none when a uniform draw of one run per instance returns its
-    indices.  (A wide input's count block and draw chunk may instead match
-    its limb matrices and its instance count, which are dataset-sized.)
+    which covers the raw words a fill adds, half a chunk.  One draw adds
+    the ``draw_entries`` int64 entries of the arrays it makes.  (A wide
+    input's count block and draw chunk may instead match its limb matrices
+    and its instance count, which are dataset-sized.)
     """
     kept = k * solvers * (8 + _rank_dtype(solvers).itemsize)
     blocks = 8 * (3 + chain_keys) * block_rows(1)
@@ -346,23 +338,29 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     if n < 1:
         raise ValueError("dataset has no runs to resample")
     k = cfg.replicates_k
-    table = d.run_table
-    instances, width = table.shape
-    draw_entries = instances * (1 + width) if cfg.stratified or width > 1 else 0
+    instances = len(d.instances)
+    width = 0 if d.run_rows is None else d.run_rows.shape[1]  # 0: ragged
+    # One draw's int64 arrays: its positions and runs, none when a uniform
+    # draw of one run per instance returns its positions; on ragged data
+    # also its runs' offsets, its instances' run counts and spans and a
+    # stratified draw's instances.
+    draw_entries = instances + n if cfg.stratified or width != 1 else 0
+    if not width:
+        draw_entries += (3 if cfg.stratified else 2) * instances + n
     _check_memory(k, len(d.solvers), len(cfg.tiebreak), draw_entries)
     scorer = Scorer(d, cfg.mechanism, cfg.tiebreak)
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
-    moduli = d.stratum_layout[1] if cfg.stratified else instances
+    moduli = d.stratum_layout[2] if cfg.stratified else instances
     ahead = _DrawnAhead(cfg.master_seed, k, moduli)
     # Column-major: the report reads the scores column by column (see
     # ScoreMatrix); each block is written and ranked as a row slice.
     scores = np.empty((k, len(d.solvers)), dtype=np.float64, order="F")
     ranks = np.empty((k, len(d.solvers)), dtype=_rank_dtype(len(d.solvers)))
     # A drawn instance brings its first run once, so the count of its first
-    # run is its count: every width-th entry of a draw is a first run when
-    # no instance has fewer runs than the widest.
-    firsts = table[:, 0]
-    stride = width if table.size == n else 1
+    # run is its count: every W-th entry of a draw is a first run when
+    # every instance has W runs, and on ragged data any entry may be one.
+    runs, run_counts, starts = d.instance_layout
+    firsts = runs[starts]
 
     def fill_block(start: int, stop: int) -> list[np.ndarray]:
         """Write the block's scores and return its chain totals."""
@@ -377,9 +375,9 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
             if width == 1:  # instance j is run j
                 counts[i - start] = np.bincount(entries, minlength=n)
             else:
-                counts[i - start] = np.bincount(entries[::stride], minlength=n)[firsts]
+                counts[i - start] = np.bincount(entries[:: width or 1], minlength=n)[firsts]
         # Runs drawn per replicate, a mean's divisor: exact integers.
-        sizes = counts @ d.instance_layout[1]
+        sizes = counts @ run_counts
         # aggregate_from_counts is looked up in this module at every call,
         # so a wrapper set on the module sees each one.
         block_scores, block_chains, overflow = scorer.rows(

@@ -345,10 +345,10 @@ class Scorer:
     Built once per (dataset, mechanism, tiebreak chain), it holds the runs
     with a NaN contribution and the ``(what, limbs)`` of the mechanism and
     of each tiebreak key: the :func:`instance_limbs` totals over
-    :attr:`Dataset.instance_layout` of limbs split for
-    ``d.run_table.size`` entries.  That is ``I`` draws of the instance
-    with the most runs, the largest row an instance count can make, so
-    every row of at most ``I`` instances (repeats included) sums exactly.
+    :attr:`Dataset.instance_layout` of limbs split for ``I`` times the
+    most runs of an instance: ``I`` draws of the instance with the most
+    runs, the largest row an instance count can make, so every row of at
+    most ``I`` instances (repeats included) sums exactly.
     """
 
     def __init__(self, d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...]):
@@ -359,8 +359,9 @@ class Scorer:
         self._any_nan = self._nan_runs.any()  # hoisted out of every missing() call
         matrices = (contributions, *tiebreak_run_matrices(d, tiebreak))
         whats = (self.mechanism.name, *tiebreak)
+        largest = len(d.instances) * int(d.instance_layout[1].max(initial=0))
         self.limbs = [
-            (what, instance_limbs(split_limbs(matrix, d.run_table.size), d.instance_layout))
+            (what, instance_limbs(split_limbs(matrix, largest), d.instance_layout))
             for what, matrix in zip(whats, matrices)
         ]
 

@@ -469,29 +469,39 @@ class TestDatasetArrays:
             [0, 2, 1, 4, 3], [2, 2, 1], [0, 2, 4]
         )
 
-    def test_run_table_lists_each_instances_runs_padded(self):
+    def test_run_rows_view_the_instance_layout(self):
+        # Runs shuffled: each instance's runs are apart in the input rows.
         d = build_dataset(
-            ["A"], [("i1", 0), ("i2", 0), ("i1", 1), ("i3", 0), ("i2", 1), ("i1", 2)],
+            ["A"], [("i1", 0), ("i2", 0), ("i1", 1), ("i3", 2), ("i2", 1), ("i3", 0)],
             lambda s, rk: record(True),
         )
-        assert d.run_table.tolist() == [[0, 2, 5], [1, 4, -1], [3, -1, -1]]
+        rows = d.run_rows
+        assert rows.tolist() == [[0, 2], [1, 4], [3, 5]]
+        assert np.shares_memory(rows, d.instance_layout[0])
         with pytest.raises(ValueError):
-            d.run_table[0, 0] = 1
+            rows[0, 0] = 1
+        # Instances with different run counts have no rows.
+        d = build_dataset(["A"], [("i1", 0), ("i2", 0), ("i1", 1)], lambda s, rk: record(True))
+        assert d.run_rows is None and d.stratum_layout[1] is None
 
-    def test_run_table_of_one_run_per_instance_is_the_run_column(self):
-        d = build_dataset(["A"], [("i2", 0), ("i1", 3), ("i3", 1)], lambda s, rk: record(True))
-        assert d.run_table.tolist() == [[0], [1], [2]]
-
-    def test_stratum_layout_groups_run_table_rows_by_stratum(self):
+    def test_stratum_layout_groups_instances_by_stratum(self):
         # Strata first seen in the order Y, X; instances of X keep their order.
         d = build_dataset(
-            ["A"], [("i1", 0), ("i2", 0), ("i1", 1), ("i3", 0), ("i2", 1)],
+            ["A"], [("i1", 0), ("i2", 0), ("i1", 1), ("i3", 0), ("i2", 1), ("i3", 1)],
             lambda s, rk: record(True),
             strata={"i1": "Y", "i2": "X", "i3": "X"},
         )
-        table, sizes, starts = d.stratum_layout
-        assert table.tolist() == [[0, 2], [1, 4], [3, -1]]
+        instances, rows, sizes, starts = d.stratum_layout
+        assert instances.tolist() == [0, 1, 2]
+        assert rows.tolist() == [[0, 2], [1, 4], [3, 5]]
         assert (sizes.dtype, sizes.tolist(), starts.tolist()) == (np.uint64, [1, 2, 2], [0, 1, 1])
+        d = build_dataset(
+            ["A"], [("i1", 0), ("i2", 0), ("i3", 0)], lambda s, rk: record(True),
+            strata={"i1": "Y", "i2": "X", "i3": "Y"},
+        )
+        instances, rows, sizes, starts = d.stratum_layout
+        assert (instances.tolist(), rows.tolist()) == ([0, 2, 1], [[0], [2], [1]])
+        assert (sizes.tolist(), starts.tolist()) == ([2, 2, 1], [0, 0, 2])
 
 
 class TestRunKey:

@@ -230,7 +230,7 @@ class TestHalfMap:
 
     @pytest.mark.parametrize("n", [0, -1, 2**31])
     def test_out_of_range_n(self, n):
-        with pytest.raises(ValueError, match=rf"run count {n} out of supported range"):
+        with pytest.raises(ValueError, match=rf"instance count {n} out of supported range"):
             _checked_moduli(n)
         with pytest.raises(ValueError, match="out of supported range"):
             ReplicateStream(0, 0).indices(n)
@@ -238,7 +238,7 @@ class TestHalfMap:
     @pytest.mark.parametrize("bad", [0, 2**31, 2**64 - 1])
     def test_out_of_range_per_position_moduli(self, bad):
         moduli = np.array([3, bad, 2**31 - 1], dtype=np.uint64)
-        with pytest.raises(ValueError, match=rf"run count {bad} out of supported range"):
+        with pytest.raises(ValueError, match=rf"instance count {bad} out of supported range"):
             _checked_moduli(moduli)
         with pytest.raises(ValueError, match="out of supported range"):
             ReplicateStream(0, 0).indices(moduli)
@@ -254,10 +254,15 @@ def three_stratum_dataset():
 
 def stratum_blocks(d) -> dict[str, list[int]]:
     """Run indices of each stratum, read from the dataset's stratum layout:
-    the run table's rows of the stratum, without their -1 padding."""
-    table, sizes, starts = d.stratum_layout
+    the runs of the stratum's instances, from the instance layout."""
+    instances, _, sizes, starts = d.stratum_layout
+    runs, counts, firsts = d.instance_layout
     return {
-        label: [run for run in table[first : first + int(sizes[first])].ravel() if run >= 0]
+        label: [
+            run
+            for j in instances[first : first + int(sizes[first])]
+            for run in runs[firsts[j] : firsts[j] + counts[j]].tolist()
+        ]
         for label, first in zip(d.stratum_order, np.unique(starts))
     }
 
@@ -431,24 +436,14 @@ class TestInstanceDraws:
 
     @pytest.mark.parametrize("stratified", [False, True])
     def test_ragged_draws_gather_only_real_runs(self, stratified):
-        # One 200-seed instance and 999 one-seed instances, runs shuffled:
-        # a run table of 1000 x 200 entries for 1,199 runs.  Each draw
-        # equals the padded table's drawn rows without their -1 entries,
-        # bit for bit, and allocates far less than those rows.
-        runs = [RunKey("heavy", seed) for seed in range(200)]
-        runs += [RunKey(f"i{j:03d}", 0) for j in range(999)]
-        random.Random(30).shuffle(runs)
-        strata = {f"i{j:03d}": f"g{j % 3}" for j in range(999)} | {"heavy": "g1"}
-        d = build_dataset(["a"], runs, lambda s, rk: record(True), strata=strata)
-        assert d.run_table.shape == (1000, 200)
-        if stratified:
-            draw, (table, moduli, starts) = draw_stratified_replicate, d.stratum_layout
-        else:
-            draw, table, moduli, starts = draw_uniform_replicate, d.run_table, 1000, 0
+        # 1,199 runs, where a padded (instances x most runs) table would
+        # have 200,000 entries: each draw equals the oracle's, bit for bit,
+        # and allocates under a tenth of that table's 1.6 MB.
+        d = heavy_ragged_dataset()
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
         sizes = set()
         for i in range(40):
-            padded = table.take(starts + ReplicateStream(3, i).indices(moduli), axis=0).ravel()
-            want = padded[padded >= 0]
+            want = oracle_entries(d, 3, i, stratified)
             stream = ReplicateStream(3, i)
             tracemalloc.start()
             try:
@@ -457,9 +452,54 @@ class TestInstanceDraws:
             finally:
                 tracemalloc.stop()
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
-            assert peak < table.nbytes / 10, (i, peak)
+            assert peak < 160_000, (i, peak)
             sizes.add(len(got))
         assert min(sizes) == 1000 and max(sizes) >= 1199  # without and with "heavy"
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_ragged_draw_charge_is_a_draws_peak(self, monkeypatch, stratified):
+        # The memory preflight charges what one draw allocates: at least
+        # the median traced peak of 40 draws, and within one replicate's
+        # runs of it.
+        d = heavy_ragged_dataset()
+        charged = []
+
+        def spy(k, solvers, chain_keys, draw_entries):
+            charged.append(8 * draw_entries)
+
+        monkeypatch.setattr(resampling, "_check_memory", spy)
+        generate_score_matrix(d, config(replicates_k=1, stratified=stratified))
+        draw = draw_stratified_replicate if stratified else draw_uniform_replicate
+        ahead = _DrawnAhead(3, 40, d.stratum_layout[2] if stratified else len(d.instances))
+        peaks = []
+        for i in range(40):
+            ahead.at(i)  # any fill happens before tracing
+            tracemalloc.start()
+            try:
+                draw(d, ahead)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peak = sorted(peaks)[len(peaks) // 2]
+        assert 0 <= charged[0] - peak <= 8 * len(d.runs), (charged, peak)
+
+    def test_ragged_data_caches_no_padded_array(self):
+        # No array a ragged dataset caches has an entry per instance and
+        # per run of its largest instance.
+        d = heavy_ragged_dataset()
+        for stratified in (False, True):
+            generate_score_matrix(d, config(replicates_k=4, stratified=stratified))
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+
+        cached = [a for value in vars(d).values() for a in arrays(value)]
+        assert d.run_rows is None and {"instance_layout", "stratum_layout"} <= vars(d).keys()
+        assert all(a.size != 1000 * 200 for a in cached)
 
     @pytest.mark.parametrize("budget", [None, 16 * 8 * 3])
     @pytest.mark.parametrize("stratified", [False, True])
@@ -478,6 +518,16 @@ class TestInstanceDraws:
         for i in range(m.k):
             want = brute_scores(d, cfg.mechanism, oracle_entries(d, 14, i, stratified).tolist())
             assert m.scores[i].tolist() == [want[s] for s in d.solvers], i
+
+
+def heavy_ragged_dataset() -> Dataset:
+    """One 200-seed instance and 999 one-seed instances, runs shuffled,
+    in three strata."""
+    runs = [RunKey("heavy", seed) for seed in range(200)]
+    runs += [RunKey(f"i{j:03d}", 0) for j in range(999)]
+    random.Random(30).shuffle(runs)
+    strata = {f"i{j:03d}": f"g{j % 3}" for j in range(999)} | {"heavy": "g1"}
+    return build_dataset(["a"], runs, lambda s, rk: record(True), strata=strata)
 
 
 def seeded_dataset(seeds: dict[str, int]) -> Dataset:
@@ -512,12 +562,12 @@ def seeded_dataset(seeds: dict[str, int]) -> Dataset:
 
 
 def three_seed_dataset():
-    """10 instances of 3 seeds each: a run table without padding."""
+    """10 instances of 3 seeds each: one run row per instance."""
     return seeded_dataset({f"i{j:02d}": 3 for j in range(10)})
 
 
 def one_two_three_seed_dataset():
-    """10 instances of 1, 2 and 3 seeds: a padded run table."""
+    """10 instances of 1, 2 and 3 seeds: no run rows."""
     return seeded_dataset({f"i{j:02d}": 1 + j % 3 for j in range(10)})
 
 
@@ -1023,7 +1073,7 @@ class TestDrawnAheadChunks:
         monkeypatch.setattr(_DrawnAhead, "_fill", spy_fill)
         d = dataset()
         draw = draw_stratified_replicate if stratified else draw_uniform_replicate
-        moduli = d.stratum_layout[1] if stratified else len(d.run_table)
+        moduli = d.stratum_layout[2] if stratified else len(d.instances)
         ahead = _DrawnAhead(5, 14, moduli)
         for i in range(14):
             got = draw(d, ahead.at(i)).tolist()
@@ -1063,7 +1113,7 @@ class TestDrawnAheadChunks:
         d = two_seed_dataset()
         runs = [(f"i{j:02d}", seed) for j in range(12) for seed in range(3)]
         other = build_dataset(["a"], runs, lambda s, rk: record(True))
-        assert d.run_table.shape == (12, 2) and other.run_table.shape == (12, 3)
+        assert d.run_rows.shape == (12, 2) and other.run_rows.shape == (12, 3)
         ahead = _DrawnAhead(9, 5, 12)
         for i in range(5):
             got = draw_uniform_replicate(d, ahead.at(i))

@@ -544,7 +544,8 @@ class TestManyLimbRaggedData:
             [f"s{j:02d}" for j in range(60)], runs,
             lambda s, rk: record(True, 1.0, rng.uniform(0.5, 1.0)),
         )
-        assert (len(d.runs), d.run_table.size) == (43, 123)
+        counts = d.instance_layout[1]
+        assert (len(d.runs), len(counts) * counts.max()) == (43, 123)
         drawn = [0] * 41
         got = row_scores(d, "mean_metric", drawn)
         want = brute_scores(d, "mean_metric", runs_of_instances(d, drawn))
