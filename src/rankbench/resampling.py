@@ -285,28 +285,30 @@ def _rank_dtype(solvers: int) -> np.dtype:
     return np.dtype(next(fitting, np.int32))
 
 
-def _check_memory(k: int, solvers: int, chain_keys: int, draw_entries: int) -> None:
+def _check_memory(k: int, solvers: int, draw_entries: int) -> None:
     """Refuse a replicate count whose peak cannot fit in physical memory.
 
     The kept arrays are the k x S float64 scores and the k x S ranks, 1, 2
     or 4 bytes a cell by :func:`_rank_dtype`, so ``k * S * (8 + rank bytes)``.
     Every pass over them or over the replicate counts works in blocks of
-    :func:`block_rows` rows, and a block is ranked as soon as it is scored,
-    so a tiebreak key's totals live for one block only.  ``tracemalloc``
-    puts a block's workspace, beyond 8 bytes per block entry per tiebreak
-    key, at under 20 bytes per block entry while the block is counted and
-    summed (count block, limb products, scores) and under 17 while it is
-    ranked (the min-ranks sort, written straight into the kept ranks), so
-    three float64 blocks and one more per key are counted for it.  The
-    drawn-ahead chunk, at most ``block_rows(16)`` uint64 entries (128 KiB at
-    the default budget), lives beside that workspace and is counted twice,
-    which covers the raw words a fill adds, half a chunk.  One draw adds
-    the ``draw_entries`` int64 entries of the arrays it makes.  (A wide
-    input's count block and draw chunk may instead match its limb matrices
-    and its instance count, which are dataset-sized.)
+    :func:`block_rows` rows, and a block is ranked as soon as it is scored.
+    A count block and its one product with :attr:`Scorer.stack`, which
+    holds the totals of the mechanism, of every tiebreak key and of the
+    runs drawn, each fit one block, whatever the chain.  While a block is
+    summed, its workspace is the count block, the product and a mean's
+    scores; while it is ranked, the chain totals (at most the product)
+    and the min-ranks sort, 16 bytes per ranked entry, written straight
+    into the kept ranks.  So three float64 blocks are counted for it
+    (``tracemalloc``: 14 bytes per block entry on a 50 x 20 table).  The
+    drawn-ahead chunk, at most ``block_rows(16)`` uint64 entries (128 KiB
+    at the default budget), lives beside that workspace and is counted
+    twice, which covers the raw words a fill adds, half a chunk.  One draw
+    adds the ``draw_entries`` int64 entries of the arrays it makes.  (A
+    wide input's count block, product and draw chunk may instead match its
+    stacked limbs and its instance count, which are dataset-sized.)
     """
     kept = k * solvers * (8 + _rank_dtype(solvers).itemsize)
-    blocks = 8 * (3 + chain_keys) * block_rows(1)
+    blocks = 8 * 3 * block_rows(1)
     need = kept + blocks + 8 * 2 * block_rows(16) + 8 * draw_entries
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -327,8 +329,9 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     the number of runs it drew.  Each row's runs come from its public draw
     function, and the row is scored from how often each instance was
     drawn, over per-instance totals of the contributions
-    (:func:`~rankbench.scoring.instance_limbs`): exact sums, so the scores
-    are those of the runs.  Replicates are generated
+    (:attr:`~rankbench.scoring.Scorer.stack`, one product per block of
+    replicates): exact sums, so the scores are those of the runs.
+    Replicates are generated
     on one thread: ``threads`` is accepted for compatibility and changes
     neither the output nor the speed.  Scoring failures (a selected run
     without a contribution, a total beyond the float64 range) report the
@@ -343,11 +346,13 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     # One draw's int64 arrays: its positions and runs, none when a uniform
     # draw of one run per instance returns its positions; on ragged data
     # also its runs' offsets, its instances' run counts and spans and a
-    # stratified draw's instances.
-    draw_entries = instances + n if cfg.stratified or width != 1 else 0
+    # stratified draw's instances.  A draw brings at most I times the most
+    # runs of an instance, n when every instance has as many.
+    largest = instances * int(d.instance_layout[1].max())
+    draw_entries = instances + largest if cfg.stratified or width != 1 else 0
     if not width:
-        draw_entries += (3 if cfg.stratified else 2) * instances + n
-    _check_memory(k, len(d.solvers), len(cfg.tiebreak), draw_entries)
+        draw_entries += (3 if cfg.stratified else 2) * instances + largest
+    _check_memory(k, len(d.solvers), draw_entries)
     scorer = Scorer(d, cfg.mechanism, cfg.tiebreak)
     draw = draw_stratified_replicate if cfg.stratified else draw_uniform_replicate
     moduli = d.stratum_layout[2] if cfg.stratified else instances
@@ -359,13 +364,14 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     # A drawn instance brings its first run once, so the count of its first
     # run is its count: every W-th entry of a draw is a first run when
     # every instance has W runs, and on ragged data any entry may be one.
-    runs, run_counts, starts = d.instance_layout
+    runs, _, starts = d.instance_layout
     firsts = runs[starts]
 
     def fill_block(start: int, stop: int) -> list[np.ndarray]:
         """Write the block's scores and return its chain totals."""
-        # Block-local, so it is freed before min_ranks_rows' workspace.
-        counts = np.zeros((stop - start, instances), dtype=np.float64)
+        # Block-local, so it is freed before min_ranks_rows' workspace;
+        # every row is written.
+        counts = np.empty((stop - start, instances), dtype=np.float64)
         failures = []
         for i in range(start, stop):
             entries = draw(d, ahead.at(i))
@@ -376,12 +382,11 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
                 counts[i - start] = np.bincount(entries, minlength=n)
             else:
                 counts[i - start] = np.bincount(entries[:: width or 1], minlength=n)[firsts]
-        # Runs drawn per replicate, a mean's divisor: exact integers.
-        sizes = counts @ run_counts
-        # aggregate_from_counts is looked up in this module at every call,
-        # so a wrapper set on the module sees each one.
+        # One product per block, for the mechanism, every tiebreak key and
+        # the runs drawn.  aggregate_from_counts is looked up in this module
+        # at every call, so a wrapper set on the module sees each one.
         block_scores, block_chains, overflow = scorer.rows(
-            lambda limbs: aggregate_from_counts(limbs, counts), sizes[:, None]
+            lambda stack: aggregate_from_counts(stack, counts)
         )
         if overflow is not None:
             failures.append((start + overflow[0], overflow[1]))
@@ -391,12 +396,13 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         scores[start:stop] = block_scores
         return block_chains
 
-    # Counts and per-limb totals fit one block, except that a wide input
-    # gets as many rows as its limb matrices have, up to 256: every GEMM
-    # packs its limb again, which made 100 x 5000 5% slower at 52 rows, and
-    # the count block is then no larger than those limbs.
-    limb_rows = sum(len(limbs) for _, limbs in scorer.limbs) * len(d.solvers)
-    block = max(block_rows(max(instances, len(d.solvers))), min(limb_rows, 256))
+    # The count block and its product with the stack each fit one block,
+    # except that a wide input gets up to 256 rows, no more than the stack
+    # has rows or columns: each product packs the whole stack again, which
+    # made 100 x 5000 about 25% slower at 52 rows than at 201, and neither
+    # the count block nor the product is then larger than the stack.
+    rows = len(scorer.stack)
+    block = max(block_rows(max(instances, rows)), min(rows, instances, 256))
     for start in range(0, k, block):
         stop = min(start + block, k)
         # The chain totals are a temporary, freed once the block is ranked

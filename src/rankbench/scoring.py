@@ -10,9 +10,10 @@ contributions of its entries, so duplicated entries count twice.
 one path that scores rows: official scores, bootstrap replicates and
 leave-one-out all build it the same way and count instances, each drawn
 or kept instance bringing all of its runs.  Every total they rank is the
-exact sum of its run contributions rounded once
-(:func:`aggregate_from_counts`, :func:`drop_one_totals` over exact
-per-instance totals, :func:`instance_limbs`).
+exact sum of its run contributions rounded once: one
+:func:`aggregate_from_counts` or :func:`drop_one_totals` over the exact
+per-instance totals stacked in :attr:`Scorer.stack`, then
+:func:`combine_limbs`.
 """
 
 from __future__ import annotations
@@ -214,6 +215,10 @@ def run_contributions(d: Dataset, mechanism: Mechanism | str) -> np.ndarray:
 # depend on BLAS threads, blocking or the order of the runs.  The per-limb
 # totals are combined in one correctly rounded step (the final step of
 # math.fsum; Ogita, Rump & Oishi, "Accurate Sum and Dot Product", SISC 2005).
+# A Scorer stacks the limbs of the mechanism and of every tiebreak key with
+# a row of run counts, so one product per block of count rows gives all of
+# its totals, and BLAS packs the count block once (Goto & van de Geijn,
+# "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 2008).
 
 
 def split_limbs(matrix: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
@@ -277,18 +282,13 @@ def combine_limbs(totals: list[tuple[int, np.ndarray]]) -> np.ndarray:
     return np.where(tail & (error > 0) & (up - hi == 2 * error), up, hi)
 
 
-def aggregate_from_counts(
-    limbs: list[tuple[int, np.ndarray]], counts: np.ndarray
-) -> np.ndarray:
-    """Totals ``counts @ matrix.T`` of a :func:`split_limbs` matrix, exact
-    and correctly rounded.
-
-    ``counts`` is (rows, |R|) selection counts whose rows sum to at most
-    the ``n`` of the split; the result is (rows, matrix rows).  Each limb
-    product is exact, so the totals are identical under any BLAS thread
-    count, blocking or run order.
-    """
-    return combine_limbs([(exponent, counts @ limb.T) for exponent, limb in limbs])
+def aggregate_from_counts(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Exact totals ``stack @ counts.T``, (stack rows, count rows), of
+    integer-valued rows such as :attr:`Scorer.stack` over rows of selection
+    counts.  When each count row sums to at most the ``n`` of the split,
+    every total is an integer below ``2**53``, identical under any BLAS
+    thread count, blocking or run order."""
+    return stack @ counts.T
 
 
 def instance_limbs(
@@ -309,16 +309,13 @@ def instance_limbs(
     return [(exponent, np.add.reduceat(limb[:, order], starts, axis=1)) for exponent, limb in limbs]
 
 
-def drop_one_totals(limbs: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """(groups + 1, matrix rows) totals of :func:`instance_limbs` limbs over
-    all groups, then over all but each group.  A drop-one limb total is the
-    whole one minus the group's, which is exact, so each row is rounded
-    once."""
-    totals = []
-    for exponent, per_group in limbs:
-        whole = per_group.sum(axis=1)
-        totals.append((exponent, np.vstack([whole, whole - per_group.T])))
-    return combine_limbs(totals)
+def drop_one_totals(per_group: np.ndarray) -> np.ndarray:
+    """(rows, groups + 1) totals of integer-valued per-group rows, such as
+    :attr:`Scorer.stack`: over all groups, then over all but each group.
+    A drop-one total is the whole one minus the group's, both exact, so
+    it is exact too."""
+    whole = per_group.sum(axis=1, keepdims=True)
+    return np.hstack([whole, whole - per_group])
 
 
 def _non_finite_total(
@@ -343,12 +340,15 @@ class Scorer:
     """Scores rows of instance multisets of one competition.
 
     Built once per (dataset, mechanism, tiebreak chain), it holds the runs
-    with a NaN contribution and the ``(what, limbs)`` of the mechanism and
-    of each tiebreak key: the :func:`instance_limbs` totals over
-    :attr:`Dataset.instance_layout` of limbs split for ``I`` times the
-    most runs of an instance: ``I`` draws of the instance with the most
-    runs, the largest row an instance count can make, so every row of at
-    most ``I`` instances (repeats included) sums exactly.
+    with a NaN contribution and ``stack``, one (stacked rows, I) float64
+    matrix of every limb of the mechanism, then of each tiebreak key, S
+    rows a limb, and last a row of per-instance run counts.  The limbs are
+    the :func:`instance_limbs` totals over :attr:`Dataset.instance_layout`
+    of limbs split for ``I`` times the most runs of an instance: ``I``
+    draws of the instance with the most runs, the largest row an instance
+    count can make, so every row of at most ``I`` instances (repeats
+    included) sums exactly.  ``limbs`` holds the ``(what, limbs)`` of the
+    mechanism and of each key, each limb a row view of ``stack``.
     """
 
     def __init__(self, d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...]):
@@ -360,9 +360,16 @@ class Scorer:
         matrices = (contributions, *tiebreak_run_matrices(d, tiebreak))
         whats = (self.mechanism.name, *tiebreak)
         largest = len(d.instances) * int(d.instance_layout[1].max(initial=0))
+        split = [
+            instance_limbs(split_limbs(matrix, largest), d.instance_layout) for matrix in matrices
+        ]
+        limbs = [limb for key in split for _, limb in key]
+        self.stack = np.concatenate([*limbs, d.instance_layout[1][None, :]], dtype=np.float64)
+        self._limb_count = len(limbs)
+        views = iter(np.split(self.stack[:-1], self._limb_count))
         self.limbs = [
-            (what, instance_limbs(split_limbs(matrix, largest), d.instance_layout))
-            for what, matrix in zip(whats, matrices)
+            (what, [(exponent, next(views)) for exponent, _ in key])
+            for what, key in zip(whats, split)
         ]
 
     def missing(self, entries: np.ndarray) -> str | None:
@@ -379,21 +386,29 @@ class Scorer:
         explain = MECHANISMS[self.mechanism.name].explain_nan
         return f"{self.mechanism.name}: {explain(self.d.results[(solver, rk)], where, rk)}"
 
-    def rows(self, aggregate: Callable, sizes: int | np.ndarray) -> tuple:
-        """``(scores, chain totals, overflow)`` of the rows whose totals
-        ``aggregate(limbs)`` gives for each split matrix (for instance
-        :func:`aggregate_from_counts` of instance counts, or
-        :func:`drop_one_totals`), each row a multiset of ``sizes`` runs.
-        ``overflow`` is the smallest row with a total beyond the float64
-        range and its message (on one row the mechanism before the chain
-        keys), or None."""
-        totals = [aggregate(limbs) for _, limbs in self.limbs]
+    def rows(self, aggregate: Callable[[np.ndarray], np.ndarray]) -> tuple:
+        """``(scores, chain totals, overflow)`` of the rows whose exact
+        totals of every stacked row ``aggregate(stack)`` gives, as (stacked
+        rows, rows): for instance :func:`aggregate_from_counts` of instance
+        counts, or :func:`drop_one_totals`.  Each key's limb totals are
+        rounded once (:func:`combine_limbs`), in place, into a (rows, S)
+        array; a mean divides by the run-count row's totals, the runs of
+        each row.  ``overflow`` is the smallest row with a total beyond the
+        float64 range and its message (on one row the mechanism before the
+        chain keys), or None."""
+        totals = aggregate(self.stack)
+        pieces = iter(np.split(totals[:-1], self._limb_count))
+        keyed = [
+            combine_limbs([(exponent, next(pieces).T) for exponent, _ in limbs])
+            for _, limbs in self.limbs
+        ]
         found = [
             _non_finite_total(total, self.d.solvers, what)
-            for (what, _), total in zip(self.limbs, totals)
+            for (what, _), total in zip(self.limbs, keyed)
         ]
         overflow = min(filter(None, found), key=lambda row_message: row_message[0], default=None)
-        return MECHANISMS[self.mechanism.name].finish(totals[0], sizes), totals[1:], overflow
+        sizes = totals[-1][:, None]
+        return MECHANISMS[self.mechanism.name].finish(keyed[0], sizes), keyed[1:], overflow
 
 
 def compute_scores(d: Dataset, mechanism: Mechanism | str) -> dict[str, float]:
@@ -414,7 +429,7 @@ def compute_scores(d: Dataset, mechanism: Mechanism | str) -> dict[str, float]:
     values = np.zeros(len(d.solvers))  # no runs score +0.0 by every mechanism
     if n:
         ones = np.ones((1, len(d.instances)))
-        scores, _, overflow = scorer.rows(lambda limbs: aggregate_from_counts(limbs, ones), n)
+        scores, _, overflow = scorer.rows(lambda stack: aggregate_from_counts(stack, ones))
         if overflow is not None:
             raise ScoringError(overflow[1])
         values = scores[0]
@@ -545,7 +560,8 @@ def official_ranking(
     ones = np.ones((1, len(d.runs)))
     chain = []
     for key, spent in zip(tiebreak, tiebreak_run_matrices(d, tiebreak)):
-        totals = aggregate_from_counts(split_limbs(spent, len(d.runs)), ones)
+        limbs = split_limbs(spent, len(d.runs))
+        totals = combine_limbs([(e, aggregate_from_counts(limb, ones).T) for e, limb in limbs])
         found = _non_finite_total(totals, d.solvers, key)
         if found is not None:
             raise ScoringError(found[1])

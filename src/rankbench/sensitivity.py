@@ -90,8 +90,7 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
     message = scorer.missing(np.arange(n, dtype=np.int64))
     if message is not None:
         raise ScoringError(message)
-    sizes = n - np.concatenate(([0], d.instance_layout[1]))
-    scores, chains, overflow = scorer.rows(drop_one_totals, sizes[:, None])
+    scores, chains, overflow = scorer.rows(drop_one_totals)
     if overflow is not None:
         row, message = overflow
         prefix = f"without instance {d.instances[row - 1]!r}: " if row else ""

@@ -26,6 +26,7 @@ from rankbench.resampling import (
     write_matrix_csv,
 )
 from rankbench.scoring import (
+    Scorer,
     ScoringError,
     aggregate_from_counts,
     min_ranks_rows,
@@ -457,31 +458,49 @@ class TestInstanceDraws:
         assert min(sizes) == 1000 and max(sizes) >= 1199  # without and with "heavy"
 
     @pytest.mark.parametrize("stratified", [False, True])
-    def test_ragged_draw_charge_is_a_draws_peak(self, monkeypatch, stratified):
-        # The memory preflight charges what one draw allocates: at least
-        # the median traced peak of 40 draws, and within one replicate's
-        # runs of it.
+    def test_ragged_draw_charge_covers_the_largest_draw(self, monkeypatch, stratified):
+        # The memory preflight charges a draw of I instances of the most
+        # runs: at least the traced peak of 40 drawn replicates and of the
+        # largest draw the positions allow (every position on the 200-seed
+        # instance, or every position of its stratum), and, when a uniform
+        # draw can bring all 200,000 runs, within a few per-instance arrays
+        # of its peak.
         d = heavy_ragged_dataset()
         charged = []
 
-        def spy(k, solvers, chain_keys, draw_entries):
+        def spy(k, solvers, draw_entries):
             charged.append(8 * draw_entries)
 
         monkeypatch.setattr(resampling, "_check_memory", spy)
         generate_score_matrix(d, config(replicates_k=1, stratified=stratified))
         draw = draw_stratified_replicate if stratified else draw_uniform_replicate
-        ahead = _DrawnAhead(3, 40, d.stratum_layout[2] if stratified else len(d.instances))
+        moduli = d.stratum_layout[2] if stratified else len(d.instances)
+        heavy = d.instances.index("heavy")
+        if stratified:
+            order, _, _, starts = d.stratum_layout
+            at = int(np.flatnonzero(order == heavy)[0])
+            picks = np.where(starts == starts[at], at - starts[at], 0)
+        else:
+            picks = np.full(len(d.instances), heavy)
+
+        class Largest:
+            def indices(self, moduli):
+                return picks
+
+        ahead = _DrawnAhead(3, 40, moduli)
         peaks = []
-        for i in range(40):
-            ahead.at(i)  # any fill happens before tracing
+        for i in range(41):
+            stream = ahead.at(i) if i < 40 else Largest()  # any fill before tracing
             tracemalloc.start()
             try:
-                draw(d, ahead)
+                runs = draw(d, stream)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        peak = sorted(peaks)[len(peaks) // 2]
-        assert 0 <= charged[0] - peak <= 8 * len(d.runs), (charged, peak)
+        assert len(runs) == (200 * 334 + 666 if stratified else 200 * 1000)
+        assert max(peaks) <= charged[0], (charged, peaks[-1])
+        if not stratified:
+            assert charged[0] - peaks[-1] <= 8 * 4 * len(d.instances), (charged, peaks[-1])
 
     def test_ragged_data_caches_no_padded_array(self):
         # No array a ragged dataset caches has an entry per instance and
@@ -605,6 +624,71 @@ class TestInstanceCountScoring:
                         keys = [(*key, math.fsum(times[j, entries])) for j, key in enumerate(keys)]
                     assert m.replicate_ranks[i].tolist() == oracle_min_ranks(keys), (mechanism, i)
 
+    @pytest.mark.parametrize("budget", [None, 384])
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("dataset", [three_seed_dataset, one_two_three_seed_dataset])
+    @pytest.mark.parametrize("mechanism", ["par_k", "mean_metric"])
+    def test_stacked_totals_are_the_oracle_sums(
+        self, monkeypatch, mechanism, dataset, stratified, budget
+    ):
+        # Each count block's one product gives every total of its rows: the
+        # mechanism's (a mean divided by the runs drawn), the total_time
+        # chain's, each the math.fsum of the drawn runs' contributions bit
+        # for bit, and the runs drawn, exactly counts @ run counts.  Two limbs
+        # a key and 4 solvers make 17 stacked rows, more than the 10
+        # instances: a budget of 384 entries counts blocks of 22 replicates.
+        if budget is not None:
+            monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", budget)
+        d = dataset()
+        runs_drawn, chains = [], []
+
+        def spy_aggregate(stack, counts):
+            totals = aggregate_from_counts(stack, counts)
+            assert np.array_equal(totals[-1], counts @ d.instance_layout[1])
+            runs_drawn.extend(totals[-1].tolist())
+            return totals
+
+        def spy_ranks(scores, chain, **kwargs):
+            chains.extend(chain[0].tolist())
+            return min_ranks_rows(scores, chain, **kwargs)
+
+        monkeypatch.setattr(resampling, "aggregate_from_counts", spy_aggregate)
+        monkeypatch.setattr(resampling, "min_ranks_rows", spy_ranks)
+        cfg = config(
+            mechanism, replicates_k=45, master_seed=19, stratified=stratified,
+            tiebreak=("total_time",),
+        )
+        m = generate_score_matrix(d, cfg)
+        assert len(Scorer(d, mechanism, cfg.tiebreak).stack) == 17
+        (times,) = tiebreak_run_matrices(d, ("total_time",))
+        for i in range(m.k):
+            entries = oracle_entries(d, 19, i, stratified)
+            want = brute_scores(d, mechanism, entries.tolist())
+            assert [x.hex() for x in m.scores[i]] == [want[s].hex() for s in d.solvers], i
+            fsums = [math.fsum(times[j, entries]) for j in range(len(d.solvers))]
+            assert [x.hex() for x in chains[i]] == [x.hex() for x in fsums], i
+            assert runs_drawn[i] == len(entries), i
+
+    @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
+    def test_one_product_per_count_block(self, monkeypatch, tiebreak):
+        # The mechanism, the chain and the runs drawn share one product of
+        # one stack per count block, which is sized by the larger of the
+        # 10 instances and the 9 or 17 stacked rows: with a budget of 384
+        # entries, blocks of 38 or 22 replicates.
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 384)
+        d = three_seed_dataset()
+        blocks, stacks = [], set()
+
+        def spy(stack, counts):
+            blocks.append(len(counts))
+            stacks.add(id(stack))
+            return aggregate_from_counts(stack, counts)
+
+        monkeypatch.setattr(resampling, "aggregate_from_counts", spy)
+        generate_score_matrix(d, config("par_k", replicates_k=100, tiebreak=tiebreak))
+        assert blocks == ([22, 22, 22, 22, 12] if tiebreak else [38, 38, 24])
+        assert len(stacks) == 1
+
 
 def favoured_pair_dataset(rng: np.random.Generator, instances: int, seeds: int) -> Dataset:
     """Two solvers with equal solve rates: each instance favours one of
@@ -701,17 +785,17 @@ class TestGenerateScoreMatrix:
         assert generate_score_matrix(d, config(replicates_k=1000)).k == 1000
 
     def test_memory_preflight_charges_no_array_per_tiebreak_key(self, monkeypatch):
-        # A tiebreak key's totals live one block at a time: the 1000 x 2 cells
-        # need one float64 block of 1,000 entries more than without a key, not
-        # a 16,000-byte array.
+        # A tiebreak key's totals are rows of the block's one product: the
+        # 1000 x 2 cells need what they need without a key, not a 16,000-byte
+        # array or a block more.
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
         d = success_table_dataset({"A": [True, False], "B": [True, True]})
         cfg = config(replicates_k=1000, tiebreak=("total_time",))
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 50_991}
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 42_991}
         monkeypatch.setattr(resampling.os, "sysconf", pages.__getitem__)
         with pytest.raises(ValueError, match="physical memory"):
             generate_score_matrix(d, cfg)
-        pages["SC_PHYS_PAGES"] = 50_992
+        pages["SC_PHYS_PAGES"] = 42_992
         assert generate_score_matrix(d, cfg).k == 1000
 
     def test_memory_preflight_charges_the_gathered_runs(self, monkeypatch):
@@ -760,7 +844,11 @@ class TestGenerateScoreMatrix:
             m = generate_score_matrix(d, cfg)
         finally:
             tracemalloc.stop()
-        assert len(per_entry) == 2 and max(per_entry) < 17, per_entry
+        # A count block's product has a row per limb of par_k and of the
+        # chain, per solver, and one more: 3 blocks without the chain, 5 with.
+        rows = len(Scorer(d, "par_k", tiebreak).stack)
+        blocks = math.ceil(cfg.replicates_k / scoring.block_rows(max(len(d.instances), rows)))
+        assert len(per_entry) == blocks and max(per_entry) < 17, per_entry
         assert m.replicate_ranks.dtype == np.int8
 
     @pytest.mark.parametrize("tiebreak", [(), ("total_time",)])
@@ -785,11 +873,44 @@ class TestGenerateScoreMatrix:
 
         peak_beyond_kept(1)  # one-time allocations and cached dataset layouts
         # One replicate needs the dataset-sized arrays (contributions, limbs,
-        # one draw); 20,000 x 50 cells need at most the float64 blocks
-        # _check_memory charges: three, and one more per tiebreak key.
+        # one draw); 20,000 x 50 cells need at most three float64 blocks and
+        # one more per tiebreak key, and in fact no more than the three
+        # _check_memory charges whatever the chain: a key's totals are rows
+        # of the block's one product.
         block = scoring._BLOCK_ENTRY_BUDGET
         growth = peak_beyond_kept(20_000) - peak_beyond_kept(1)
         assert growth <= 8 * (3 + len(tiebreak)) * block, growth / block
+        assert growth <= 8 * 3 * block, growth / block
+
+    @pytest.mark.parametrize("solvers, instances, block", [(4, 100, 17), (40, 10, 10)])
+    def test_wide_input_count_blocks_are_no_larger_than_the_stack(
+        self, monkeypatch, solvers, instances, block
+    ):
+        # With a budget of 1,000 entries, the stacks of par_k and total_time
+        # (two limbs each: 17 x 100 and 161 x 10) are larger than a block,
+        # which would hold 10 or 6 rows; a count block then gets as many rows
+        # as the stack has, no more than its columns, so neither the count
+        # block nor its product is larger than the stack.
+        monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 1_000)
+        rng = random.Random(8)
+        names = [f"s{i:02d}" for i in range(solvers)]
+        d = success_table_dataset(
+            {s: [rng.random() < 0.6 for _ in range(instances)] for s in names},
+            times={s: [round(rng.uniform(1, 99), 2) for _ in range(instances)] for s in names},
+        )
+        cfg = config("par_k", replicates_k=60, tiebreak=("total_time",))
+        shapes, sizes = [], []
+
+        def spy(stack, counts):
+            shapes.append(counts.shape)
+            product = aggregate_from_counts(stack, counts)
+            sizes.append((counts.size, product.size, stack.size))
+            return product
+
+        monkeypatch.setattr(resampling, "aggregate_from_counts", spy)
+        generate_score_matrix(d, cfg)
+        assert shapes[0] == (block, instances) and len(shapes) == math.ceil(60 / block)
+        assert all(max(counts, product) <= stack for counts, product, stack in sizes)
 
     def test_tiebreak_key_workspace_does_not_grow_with_k(self):
         # The table of test_workspace_is_a_few_blocks.
@@ -892,9 +1013,9 @@ class TestGenerateScoreMatrix:
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 3 * len(runs))
         blocks = []
 
-        def spy(limbs, counts):
+        def spy(stack, counts):
             blocks.append(len(counts))
-            return aggregate_from_counts(limbs, counts)
+            return aggregate_from_counts(stack, counts)
 
         monkeypatch.setattr(resampling, "aggregate_from_counts", spy)
 
@@ -1031,9 +1152,9 @@ class TestDrawnAheadChunks:
             fills.append(first)
             fill(self, first)
 
-        def spy_aggregate(limbs, counts):
+        def spy_aggregate(stack, counts):
             blocks.append(len(counts))
-            return aggregate_from_counts(limbs, counts)
+            return aggregate_from_counts(stack, counts)
 
         monkeypatch.setattr(_DrawnAhead, "_fill", spy_fill)
         monkeypatch.setattr(resampling, "aggregate_from_counts", spy_aggregate)
@@ -1135,9 +1256,9 @@ class TestDrawnAheadChunks:
         monkeypatch.setattr(scoring, "_BLOCK_ENTRY_BUDGET", 16 * 16 * 4)
         blocks = []
 
-        def spy(limbs, counts):
+        def spy(stack, counts):
             blocks.append(len(counts))
-            return aggregate_from_counts(limbs, counts)
+            return aggregate_from_counts(stack, counts)
 
         monkeypatch.setattr(resampling, "aggregate_from_counts", spy)
 

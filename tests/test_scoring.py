@@ -17,7 +17,9 @@ from rankbench.scoring import (
     ScoringError,
     UnknownMechanismError,
     aggregate_from_counts,
+    combine_limbs,
     compute_scores,
+    instance_limbs,
     min_ranks_rows,
     official_ranking,
     run_contributions,
@@ -279,9 +281,8 @@ def row_scores(d, mechanism, drawn):
     """The :class:`Scorer` row that draws the instances ``drawn`` (indices
     into ``d.instances``, repeats counted), as ``{solver: score}``."""
     counts = np.bincount(drawn, minlength=len(d.instances))[None, :].astype(np.float64)
-    size = int(counts[0] @ d.instance_layout[1])
     scores, _, overflow = Scorer(d, mechanism, ()).rows(
-        lambda limbs: aggregate_from_counts(limbs, counts), size
+        lambda stack: aggregate_from_counts(stack, counts)
     )
     assert overflow is None
     return dict(zip(d.solvers, scores[0].tolist()))
@@ -455,7 +456,7 @@ class TestExactAggregation:
             assert np.all(np.abs(limb) < 2.0 ** (53 - n.bit_length()))
         for (i, j), value in np.ndenumerate(matrix):
             assert math.fsum(np.ldexp(limb[i, j], e) for e, limb in limbs) == value
-        got = aggregate_from_counts(limbs, counts)
+        got = stacked_totals(limbs, counts)
         assert got.shape == (5, matrix.shape[0])
         for (row, i), total in np.ndenumerate(got):
             multiset = np.repeat(matrix[i], counts[row].astype(int))
@@ -471,15 +472,41 @@ class TestExactAggregation:
                 exponents = rng.integers(-200, 200, size=(3, 8))
                 matrix = np.ldexp(rng.uniform(-1, 1, size=(3, 8)), exponents)
             counts = rng.integers(0, 4, size=(4, 8)).astype(np.float64)
-            got = aggregate_from_counts(split_limbs(matrix, 32), counts)
+            got = stacked_totals(split_limbs(matrix, 32), counts)
             for (row, i), total in np.ndenumerate(got):
                 assert total == math.fsum(np.repeat(matrix[i], counts[row].astype(int)))
+
+    def test_scorer_limbs_are_row_views_of_one_stack(self):
+        # The instance totals of every limb of the mechanism and of each
+        # tiebreak key, then the run counts, are the rows of one matrix, and
+        # each key's limbs are views of its rows.
+        d = float_dataset(38)
+        scorer = Scorer(d, "par_k", ("total_time",))
+        assert [what for what, _ in scorer.limbs] == ["par_k", "total_time"]
+        limbs = [limb for _, key in scorer.limbs for _, limb in key]
+        assert all(np.shares_memory(limb, scorer.stack) for limb in limbs)
+        matrices = [run_contributions(d, "par_k"), *tiebreak_run_matrices(d, ("total_time",))]
+        want = [
+            limb
+            for matrix in matrices
+            for _, limb in instance_limbs(split_limbs(matrix, 2 * 150), d.instance_layout)
+        ]
+        assert np.array_equal(scorer.stack, np.vstack([*want, d.instance_layout[1]]))
 
     def test_limb_count_follows_the_data(self):
         integers = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 12.0]])
         assert len(split_limbs(integers, 1000)) == 1
         times = np.round(np.random.default_rng(36).uniform(1, 5000, (4, 1000)), 2)
         assert len(split_limbs(np.where(times > 2500, 50000.0, times), 1000)) == 2
+
+
+def stacked_totals(limbs, counts):
+    """(count rows, matrix rows) totals of :func:`split_limbs` limbs from
+    one product of their stack, the limb totals rounded once, as
+    :meth:`Scorer.rows` forms them."""
+    totals = aggregate_from_counts(np.concatenate([limb for _, limb in limbs]), counts)
+    pieces = np.split(totals, len(limbs))
+    return combine_limbs([(exponent, piece.T) for (exponent, _), piece in zip(limbs, pieces)])
 
 
 def hexes(scores, solvers):
