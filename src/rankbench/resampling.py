@@ -321,6 +321,19 @@ def _check_memory(k: int, solvers: int, draw_entries: int) -> None:
         )
 
 
+def _largest_draw(d: Dataset, stratified: bool) -> int:
+    """The most runs one replicate can draw: every position on the
+    instance with the most runs, of all instances or, stratified, of the
+    position's stratum (n when every instance has as many runs)."""
+    counts = d.instance_layout[1]
+    if not stratified:
+        return len(d.instances) * int(counts.max())
+    order, _, _, starts = d.stratum_layout
+    firsts = np.flatnonzero(np.diff(starts, prepend=-1))  # each stratum's first position
+    most = np.maximum.reduceat(counts[order], firsts)
+    return int(most @ np.diff(firsts, append=len(order)))
+
+
 def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> ScoreMatrix:
     """Score ``cfg.replicates_k`` bootstrap replicates of the competition.
 
@@ -346,9 +359,8 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     # One draw's int64 arrays: its positions and runs, none when a uniform
     # draw of one run per instance returns its positions; on ragged data
     # also its runs' offsets, its instances' run counts and spans and a
-    # stratified draw's instances.  A draw brings at most I times the most
-    # runs of an instance, n when every instance has as many.
-    largest = instances * int(d.instance_layout[1].max())
+    # stratified draw's instances.
+    largest = _largest_draw(d, cfg.stratified)
     draw_entries = instances + largest if cfg.stratified or width != 1 else 0
     if not width:
         draw_entries += (3 if cfg.stratified else 2) * instances + largest

@@ -347,8 +347,8 @@ class Scorer:
     of limbs split for ``I`` times the most runs of an instance: ``I``
     draws of the instance with the most runs, the largest row an instance
     count can make, so every row of at most ``I`` instances (repeats
-    included) sums exactly.  ``limbs`` holds the ``(what, limbs)`` of the
-    mechanism and of each key, each limb a row view of ``stack``.
+    included) sums exactly.  ``keys`` holds the ``(what, exponents)`` of
+    the mechanism and of each key, one exponent per limb of ``stack``.
     """
 
     def __init__(self, d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...]):
@@ -365,12 +365,7 @@ class Scorer:
         ]
         limbs = [limb for key in split for _, limb in key]
         self.stack = np.concatenate([*limbs, d.instance_layout[1][None, :]], dtype=np.float64)
-        self._limb_count = len(limbs)
-        views = iter(np.split(self.stack[:-1], self._limb_count))
-        self.limbs = [
-            (what, [(exponent, next(views)) for exponent, _ in key])
-            for what, key in zip(whats, split)
-        ]
+        self.keys = [(what, [exponent for exponent, _ in key]) for what, key in zip(whats, split)]
 
     def missing(self, entries: np.ndarray) -> str | None:
         """Message for the first NaN contribution that ``entries`` selects,
@@ -397,14 +392,15 @@ class Scorer:
         float64 range and its message (on one row the mechanism before the
         chain keys), or None."""
         totals = aggregate(self.stack)
-        pieces = iter(np.split(totals[:-1], self._limb_count))
+        solvers = len(self.d.solvers)
+        pieces = (totals[j : j + solvers].T for j in range(0, len(totals) - 1, solvers))
         keyed = [
-            combine_limbs([(exponent, next(pieces).T) for exponent, _ in limbs])
-            for _, limbs in self.limbs
+            combine_limbs([(exponent, next(pieces)) for exponent in exponents])
+            for _, exponents in self.keys
         ]
         found = [
             _non_finite_total(total, self.d.solvers, what)
-            for (what, _), total in zip(self.limbs, keyed)
+            for (what, _), total in zip(self.keys, keyed)
         ]
         overflow = min(filter(None, found), key=lambda row_message: row_message[0], default=None)
         sizes = totals[-1][:, None]

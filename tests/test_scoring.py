@@ -476,21 +476,19 @@ class TestExactAggregation:
             for (row, i), total in np.ndenumerate(got):
                 assert total == math.fsum(np.repeat(matrix[i], counts[row].astype(int)))
 
-    def test_scorer_limbs_are_row_views_of_one_stack(self):
+    def test_scorer_stacks_every_limb_and_the_run_counts(self):
         # The instance totals of every limb of the mechanism and of each
         # tiebreak key, then the run counts, are the rows of one matrix, and
-        # each key's limbs are views of its rows.
+        # each key keeps the exponents of its limbs.
         d = float_dataset(38)
         scorer = Scorer(d, "par_k", ("total_time",))
-        assert [what for what, _ in scorer.limbs] == ["par_k", "total_time"]
-        limbs = [limb for _, key in scorer.limbs for _, limb in key]
-        assert all(np.shares_memory(limb, scorer.stack) for limb in limbs)
         matrices = [run_contributions(d, "par_k"), *tiebreak_run_matrices(d, ("total_time",))]
-        want = [
-            limb
-            for matrix in matrices
-            for _, limb in instance_limbs(split_limbs(matrix, 2 * 150), d.instance_layout)
+        split = [instance_limbs(split_limbs(m, 2 * 150), d.instance_layout) for m in matrices]
+        assert scorer.keys == [
+            (what, [exponent for exponent, _ in key])
+            for what, key in zip(["par_k", "total_time"], split)
         ]
+        want = [limb for key in split for _, limb in key]
         assert np.array_equal(scorer.stack, np.vstack([*want, d.instance_layout[1]]))
 
     def test_limb_count_follows_the_data(self):
@@ -534,8 +532,8 @@ class TestManyLimbRaggedData:
             strata=strata, cutoff=10.0,
         )
         assert set(d.instance_layout[1].tolist()) == {1, 2, 3}  # ragged
-        (_, limbs), = Scorer(d, "mean_metric", ()).limbs
-        assert len(limbs) == 31
+        (_, exponents), = Scorer(d, "mean_metric", ()).keys
+        assert len(exponents) == 31
         assert hexes(compute_scores(d, "mean_metric"), d.solvers) == hexes(
             brute_scores(d, "mean_metric"), d.solvers
         )
