@@ -36,7 +36,6 @@ from .scoring import (
     OfficialRanking,
     ScoringError,
     UnknownMechanismError,
-    compute_scores,
     official_ranking,
 )
 from .sensitivity import SensitivityReport, leave_one_out_analysis
@@ -74,7 +73,6 @@ __all__ = [
     "UnknownMechanismError",
     "bootstrap_p",
     "build_report",
-    "compute_scores",
     "default_stratified",
     "draw_stratified_replicate",
     "draw_uniform_replicate",

@@ -22,7 +22,7 @@ from .model import (
 )
 from .report import build_report, canonical_json, emit_csv, emit_json, emit_plot_data
 from .resampling import generate_score_matrix, write_matrix_csv
-from .scoring import MECHANISMS, ScoringError, compute_scores, official_ranking
+from .scoring import MECHANISMS, ScoringError, official_ranking
 from .sensitivity import aggregate_json_obj, leave_one_out_analysis, write_flags_csv
 
 __all__ = ["main", "run_cli"]
@@ -203,15 +203,14 @@ def _cmd_sensitivity(ns: argparse.Namespace) -> int:
 def _cmd_score(ns: argparse.Namespace) -> int:
     d = load_dataset(ns.input, config=ns.config)
     mech = _mechanism(ns)
-    scores = compute_scores(d, mech)
-    official = official_ranking(scores, d, _tiebreak(ns))
+    official = official_ranking(d, mech, _tiebreak(ns))
     obj = {
         "mechanism": mech.id,
         "ranking": [
-            {"solver": s, "rank": official.ranks[s], "score": scores[s]}
+            {"solver": s, "rank": official.ranks[s], "score": official.scores[s]}
             for s in official.order
         ],
-        "scores": scores,
+        "scores": official.scores,
     }
     text = canonical_json(obj)
     if ns.output:

@@ -22,7 +22,7 @@ from .ranking import (
     tied_pair_count,
 )
 from .resampling import ScoreMatrix
-from .scoring import OfficialRanking, compute_scores, official_ranking, resolve_mechanism
+from .scoring import OfficialRanking, official_ranking, resolve_mechanism
 from .sensitivity import FLAG_NAMES, SensitivityReport
 from .stats import column_quantiles, percentile_ci
 
@@ -108,8 +108,7 @@ def build_report(
     if m.solver_order != d.solvers:
         raise ValueError("score matrix solver order does not match the dataset")
 
-    scores = compute_scores(d, mech)
-    official = official_ranking(scores, d, cfg.tiebreak)
+    official = official_ranking(d, mech, cfg.tiebreak)
     wins = empirical_win_fractions(m)
     robust = robust_ranking(m, cfg.alpha)
 
@@ -124,7 +123,7 @@ def build_report(
         ci = percentile_ci(m.scores[:, j], cfg.alpha)
         solvers[s] = {
             "official_rank": official.ranks[s],
-            "official_score": scores[s],
+            "official_score": official.scores[s],
             "median_score": median[j],
             "ci_lower": ci.lower,
             "ci_upper": ci.upper,
@@ -153,7 +152,7 @@ def build_report(
             "cutoff_seconds": None if math.isinf(d.cutoff) else d.cutoff,
         },
         "official": [
-            {"solver": s, "rank": official.ranks[s], "score": scores[s]}
+            {"solver": s, "rank": official.ranks[s], "score": official.scores[s]}
             for s in official.order
         ],
         "solvers": solvers,

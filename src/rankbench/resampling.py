@@ -297,15 +297,17 @@ def _check_memory(k: int, solvers: int, draw_entries: int) -> None:
     runs drawn, each fit one block, whatever the chain.  While a block is
     summed, its workspace is the count block, the product and a mean's
     scores; while it is ranked, the chain totals (at most the product)
-    and the min-ranks sort, 16 bytes per ranked entry, written straight
-    into the kept ranks.  So three float64 blocks are counted for it
-    (``tracemalloc``: 14 bytes per block entry on a 50 x 20 table).  The
-    drawn-ahead chunk, at most ``block_rows(16)`` uint64 entries (128 KiB
-    at the default budget), lives beside that workspace and is counted
-    twice, which covers the raw words a fill adds, half a chunk.  One draw
-    adds the ``draw_entries`` int64 entries of the arrays it makes.  (A
-    wide input's count block, product and draw chunk may instead match its
-    stacked limbs and its instance count, which are dataset-sized.)
+    and the min-ranks sort, about 16 bytes per ranked entry plus up to
+    about 150 KB of index-iterator buffers (see :func:`min_ranks_rows`),
+    written straight into the kept ranks.  So three float64 blocks are
+    counted for it (``tracemalloc``: 14 bytes per block entry on a 50 x 20
+    table).  The drawn-ahead chunk, at most ``block_rows(16)`` uint64
+    entries (128 KiB at the default budget), lives beside that workspace
+    and is counted twice, which covers the raw words a fill adds, half a
+    chunk.  One draw adds the ``draw_entries`` int64 entries of the arrays
+    it makes.  (A wide input's count block, product and draw chunk may
+    instead match its stacked limbs and its instance count, which are
+    dataset-sized.)
     """
     kept = k * solvers * (8 + _rank_dtype(solvers).itemsize)
     blocks = 8 * 3 * block_rows(1)
@@ -398,7 +400,7 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
         # the runs drawn.  aggregate_from_counts is looked up in this module
         # at every call, so a wrapper set on the module sees each one.
         block_scores, block_chains, overflow = scorer.rows(
-            lambda stack: aggregate_from_counts(stack, counts)
+            aggregate_from_counts(scorer.stack, counts)
         )
         if overflow is not None:
             failures.append((start + overflow[0], overflow[1]))

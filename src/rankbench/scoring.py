@@ -10,7 +10,7 @@ contributions of its entries, so duplicated entries count twice.
 one path that scores rows: official scores, bootstrap replicates and
 leave-one-out all build it the same way and count instances, each drawn
 or kept instance bringing all of its runs.  Every total they rank is the
-exact sum of its run contributions rounded once: one
+exact sum of its run contributions rounded once: the whole sum,
 :func:`aggregate_from_counts` or :func:`drop_one_totals` over the exact
 per-instance totals stacked in :attr:`Scorer.stack`, then
 :func:`combine_limbs`.
@@ -35,7 +35,6 @@ __all__ = [
     "UnknownMechanismError",
     "aggregate_from_counts",
     "combine_limbs",
-    "compute_scores",
     "drop_one_totals",
     "instance_limbs",
     "min_ranks_rows",
@@ -381,17 +380,17 @@ class Scorer:
         explain = MECHANISMS[self.mechanism.name].explain_nan
         return f"{self.mechanism.name}: {explain(self.d.results[(solver, rk)], where, rk)}"
 
-    def rows(self, aggregate: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    def rows(self, totals: np.ndarray) -> tuple:
         """``(scores, chain totals, overflow)`` of the rows whose exact
-        totals of every stacked row ``aggregate(stack)`` gives, as (stacked
-        rows, rows): for instance :func:`aggregate_from_counts` of instance
-        counts, or :func:`drop_one_totals`.  Each key's limb totals are
-        rounded once (:func:`combine_limbs`), in place, into a (rows, S)
-        array; a mean divides by the run-count row's totals, the runs of
-        each row.  ``overflow`` is the smallest row with a total beyond the
-        float64 range and its message (on one row the mechanism before the
-        chain keys), or None."""
-        totals = aggregate(self.stack)
+        totals of every stacked row are the columns of ``totals``, (stacked
+        rows, rows): for instance :func:`aggregate_from_counts` of
+        :attr:`stack` and instance counts, or :func:`drop_one_totals` of
+        :attr:`stack`.  Each key's limb totals are rounded once
+        (:func:`combine_limbs`), in place, into a (rows, S) array; a mean
+        divides by the run-count row's totals, the runs of each row.
+        ``overflow`` is the smallest row with a total beyond the float64
+        range and its message (on one row the mechanism before the chain
+        keys), or None."""
         solvers = len(self.d.solvers)
         pieces = (totals[j : j + solvers].T for j in range(0, len(totals) - 1, solvers))
         keyed = [
@@ -406,30 +405,22 @@ class Scorer:
         sizes = totals[-1][:, None]
         return MECHANISMS[self.mechanism.name].finish(keyed[0], sizes), keyed[1:], overflow
 
-
-def compute_scores(d: Dataset, mechanism: Mechanism | str) -> dict[str, float]:
-    """Score every solver over every run of ``d``, as ``{solver: score}``;
-    higher is better.
-
-    The scores are the :class:`Scorer` row that counts each instance once.
-    Raises :class:`ScoringError` when the mechanism needs data the dataset
-    does not carry (quality, reference entry, or a finite cutoff for
-    par_k), naming the first offending run, or when a total is beyond the
-    float64 range.
-    """
-    n = len(d.runs)
-    scorer = Scorer(d, mechanism, ())
-    message = scorer.missing(np.arange(n))
-    if message is not None:
-        raise ScoringError(message)
-    values = np.zeros(len(d.solvers))  # no runs score +0.0 by every mechanism
-    if n:
-        ones = np.ones((1, len(d.instances)))
-        scores, _, overflow = scorer.rows(lambda stack: aggregate_from_counts(stack, ones))
+    def whole(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Scores and chain totals, (S,) each, of the row that counts every
+        instance once, summed exactly, as :func:`drop_one_totals` sums it.
+        Raises :class:`ScoringError` when the mechanism needs data the
+        dataset does not carry, naming the first offending run, or when a
+        total is beyond the float64 range."""
+        message = self.missing(np.arange(len(self.d.runs)))
+        if message is not None:
+            raise ScoringError(message)
+        if not self.d.runs:  # no runs score +0.0 by every mechanism and key
+            zeros = np.zeros(len(self.d.solvers))
+            return zeros, [zeros] * (len(self.keys) - 1)
+        scores, chains, overflow = self.rows(self.stack.sum(axis=1, keepdims=True))
         if overflow is not None:
             raise ScoringError(overflow[1])
-        values = scores[0]
-    return {s: float(v) for s, v in zip(d.solvers, values)}
+        return scores[0], [chain[0] for chain in chains]
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +482,12 @@ def min_ranks_rows(
     is better; ranks depend only on equality classes of (score, chain),
     never on solver ids.  Rows are ranked in blocks of :func:`block_rows`
     rows, written straight into the result, so the workspace beyond the
-    ranks is one block's sort order, gathered keys and tie-block starts
-    (``tracemalloc``: at most 16 bytes per block entry), whatever k.
+    ranks is one block's sort order, gathered keys and tie-block starts,
+    whatever k: about 16 bytes per block entry, plus up to about 150 KB of
+    NumPy index-iterator buffers for ``take_along_axis`` and
+    ``put_along_axis``, which a short block feels most (``tracemalloc``:
+    38.3, 30.2, 17.3 and 16.05 bytes per entry on 10, 100, 810 and 2,595
+    rows of 50 solvers).
     """
     k, s = scores.shape
     ranks = np.empty((k, s), dtype=np.int32) if out is None else out
@@ -527,41 +522,39 @@ class OfficialRanking:
     ``ranks`` are competition min-ranks ("1224"): solvers tied on score and
     the whole tiebreak chain share the smallest position of their tie block.
     The final solver_id key orders the listing only and never affects ranks.
+    ``scores`` holds each solver's score, higher is better.
     """
 
     order: tuple[str, ...]
     ranks: dict[str, int]
+    scores: dict[str, float]
 
     @classmethod
     def from_row(
-        cls, solvers: tuple[str, ...], order: np.ndarray, ranks: np.ndarray
+        cls, solvers: tuple[str, ...], order: np.ndarray, ranks: np.ndarray, scores: np.ndarray
     ) -> "OfficialRanking":
-        """One row of :func:`ranking_rows` as solver ids."""
+        """One row of :func:`ranking_rows` and its scores as solver ids."""
         return cls(
             order=tuple(solvers[i] for i in order),
             ranks={solvers[i]: int(ranks[i]) for i in order},
+            scores=dict(zip(solvers, scores.tolist())),
         )
 
 
 def official_ranking(
-    scores: dict[str, float], d: Dataset, tiebreak: tuple[str, ...] = ()
+    d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...] = ()
 ) -> OfficialRanking:
-    """Rank solvers by their ``{solver: score}`` with min-rank ties.
+    """Score every solver over every run of ``d`` and rank them with
+    min-rank ties; higher scores are better.
 
-    The listing is sorted by score descending, then by the tiebreak chain
+    The scores and chain totals are the :meth:`Scorer.whole` row.  The
+    listing is sorted by score descending, then by the tiebreak chain
     (currently ``total_time``: total cpu_time over successful runs,
     ascending), then solver_id ascending.  Ranks ignore the solver_id step:
-    solvers equal on score and the whole chain share a rank.
+    solvers equal on score and the whole chain share a rank.  Raises
+    :class:`ScoringError` as :meth:`Scorer.whole` does, and ValueError for
+    an unknown tiebreak key.
     """
-    ones = np.ones((1, len(d.runs)))
-    chain = []
-    for key, spent in zip(tiebreak, tiebreak_run_matrices(d, tiebreak)):
-        limbs = split_limbs(spent, len(d.runs))
-        totals = combine_limbs([(e, aggregate_from_counts(limb, ones).T) for e, limb in limbs])
-        found = _non_finite_total(totals, d.solvers, key)
-        if found is not None:
-            raise ScoringError(found[1])
-        chain.append(totals[0])
-    row = np.array([[scores[s] for s in d.solvers]], dtype=np.float64)
-    orders, ranks = ranking_rows(d.solvers, row, chain)
-    return OfficialRanking.from_row(d.solvers, orders[0], ranks[0])
+    scores, chain = Scorer(d, mechanism, tiebreak).whole()
+    orders, ranks = ranking_rows(d.solvers, scores[None, :], chain)
+    return OfficialRanking.from_row(d.solvers, orders[0], ranks[0], scores)

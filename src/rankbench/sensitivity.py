@@ -90,7 +90,7 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
     message = scorer.missing(np.arange(n, dtype=np.int64))
     if message is not None:
         raise ScoringError(message)
-    scores, chains, overflow = scorer.rows(drop_one_totals)
+    scores, chains, overflow = scorer.rows(drop_one_totals(scorer.stack))
     if overflow is not None:
         row, message = overflow
         prefix = f"without instance {d.instances[row - 1]!r}: " if row else ""
@@ -115,7 +115,7 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
         for j, instance in enumerate(d.instances)
     }
     return SensitivityReport(
-        baseline=OfficialRanking.from_row(d.solvers, base, ranks[0]),
+        baseline=OfficialRanking.from_row(d.solvers, base, ranks[0], scores[0]),
         flags=flags,
         counts={name: int(col.sum()) for name, col in columns.items()},
         depths={"top10": depth10, "top3": depth3},

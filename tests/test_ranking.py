@@ -45,9 +45,10 @@ def grouping(*member_lists) -> RobustRanking:
 
 
 def official(*order, ranks=None) -> OfficialRanking:
+    ranks = ranks or {s: i for i, s in enumerate(order, start=1)}
+    # Scores that agree with the ranks: a better rank scores higher.
     return OfficialRanking(
-        order=tuple(order),
-        ranks=ranks or {s: i for i, s in enumerate(order, start=1)},
+        order=tuple(order), ranks=ranks, scores={s: -float(r) for s, r in ranks.items()}
     )
 
 

@@ -18,7 +18,6 @@ from rankbench.scoring import (
     UnknownMechanismError,
     aggregate_from_counts,
     combine_limbs,
-    compute_scores,
     instance_limbs,
     min_ranks_rows,
     official_ranking,
@@ -55,7 +54,7 @@ class TestSolvedCount:
             }[(s, rk.instance_id)],
             cutoff=1000.0,
         )
-        sv = compute_scores(d, "solved_count")
+        sv = official_ranking(d, "solved_count").scores
         assert sv == {"A": 1.0, "B": 2.0}
 
     def test_all_statuses_but_success_score_zero(self):
@@ -66,7 +65,7 @@ class TestSolvedCount:
             lambda s, rk: RunRecord(bad[int(s[1:])], 1.0, None),
             cutoff=10.0,
         )
-        assert set(compute_scores(d, "solved_count").values()) == {0.0}
+        assert set(official_ranking(d, "solved_count").scores.values()) == {0.0}
 
 
 class TestOptimalCount:
@@ -77,7 +76,7 @@ class TestOptimalCount:
             lambda s, rk: record(True, 1.0, optimal=(s == "A" and rk.instance_id == "i1")),
             cutoff=10.0,
         )
-        assert compute_scores(d, "optimal_count") == {"A": 1.0, "B": 0.0}
+        assert official_ranking(d, "optimal_count").scores == {"A": 1.0, "B": 0.0}
 
 
 class TestParK:
@@ -88,7 +87,7 @@ class TestParK:
             lambda s, rk: record(s == "A" or rk.instance_id == "i1", cpu_time=30.0),
             cutoff=100.0,
         )
-        sv = compute_scores(d, Mechanism("par_k", par_penalty=10))
+        sv = official_ranking(d, Mechanism("par_k", par_penalty=10)).scores
         # A: (30 + 30) / 2 = 30; B: (30 + 10*100) / 2 = 515; negated
         assert sv == {"A": -30.0, "B": -515.0}
 
@@ -98,24 +97,24 @@ class TestParK:
             lambda s, rk: record(True, 1.0 if s == "fast" else 90.0),
             cutoff=100.0,
         )
-        sv = compute_scores(d, "par_k")
+        sv = official_ranking(d, "par_k").scores
         assert sv["fast"] > sv["slow"]
 
     def test_requires_finite_cutoff(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True))
         with pytest.raises(ScoringError, match="cutoff"):
-            compute_scores(d, "par_k")
+            official_ranking(d, "par_k")
 
     def test_over_cutoff_success_is_penalized(self):
         d = build_dataset(
             ["A", "B"], [("i1", 0)], lambda s, rk: record(True, 200.0), cutoff=100.0
         )
-        assert compute_scores(d, Mechanism("par_k", 2)) == {"A": -200.0, "B": -200.0}
+        assert official_ranking(d, Mechanism("par_k", 2)).scores == {"A": -200.0, "B": -200.0}
 
     def test_penalty_below_one_rejected(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True), cutoff=10.0)
         with pytest.raises(ScoringError, match="penalty"):
-            compute_scores(d, Mechanism("par_k", par_penalty=0))
+            official_ranking(d, Mechanism("par_k", par_penalty=0))
 
 
 class TestIpcQuality:
@@ -129,11 +128,11 @@ class TestIpcQuality:
         )
 
     def test_ratio_of_best_known(self):
-        sv = compute_scores(self.make(quality_a=8.0), "ipc_quality")
+        sv = official_ranking(self.make(quality_a=8.0), "ipc_quality").scores
         assert sv == {"A": 0.75, "B": 0.0}
 
     def test_unsolved_contributes_zero(self):
-        assert compute_scores(self.make(8.0), "ipc_quality")["B"] == 0.0
+        assert official_ranking(self.make(8.0), "ipc_quality").scores["B"] == 0.0
 
     def test_missing_quality_on_success_is_an_error(self):
         d = build_dataset(
@@ -141,11 +140,11 @@ class TestIpcQuality:
             cutoff=10.0, reference={RunKey("i1", 0): ReferenceEntry(6.0, None)},
         )
         with pytest.raises(ScoringError, match="no quality value"):
-            compute_scores(d, "ipc_quality")
+            official_ranking(d, "ipc_quality")
 
     def test_zero_quality_is_an_error(self):
         with pytest.raises(ScoringError, match="quality 0"):
-            compute_scores(self.make(quality_a=0.0), "ipc_quality")
+            official_ranking(self.make(quality_a=0.0), "ipc_quality")
 
     def test_missing_reference_is_an_error(self):
         d = build_dataset(
@@ -153,13 +152,13 @@ class TestIpcQuality:
             cutoff=10.0,
         )
         with pytest.raises(ScoringError, match="best_known_quality"):
-            compute_scores(d, "ipc_quality")
+            official_ranking(d, "ipc_quality")
 
     def test_overflowing_ratio_is_an_error_naming_the_run(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ScoringError, match="solver 'A' on run i1@0 has a non-finite"):
-                compute_scores(self.make(quality_a=1e-320), "ipc_quality")
+                official_ranking(self.make(quality_a=1e-320), "ipc_quality")
 
     @staticmethod
     def huge_ratio_dataset(runs, huge_for):
@@ -186,12 +185,12 @@ class TestIpcQuality:
             with pytest.raises(
                 ScoringError, match="ipc_quality: the total of solver 'B' is beyond the float64"
             ):
-                compute_scores(d, "ipc_quality")
+                official_ranking(d, "ipc_quality")
 
     def test_overflowing_replicate_total_names_the_replicate(self):
         # One huge ratio scores fine; a replicate drawing i1 twice overflows.
         d = self.huge_ratio_dataset([("i1", 0), ("i2", 0), ("i3", 0)], huge_for={"i1"})
-        assert compute_scores(d, "ipc_quality")["B"] == 1e308 / 0.9
+        assert official_ranking(d, "ipc_quality").scores["B"] == 1e308 / 0.9
         expected = next(
             i for i in range(100)
             if draw_uniform_replicate(d, ReplicateStream(2, i)).tolist().count(0) >= 2
@@ -218,29 +217,29 @@ class TestIpcAgile:
         )
 
     def test_reference_time_scores_one(self):
-        assert compute_scores(self.make(50.0, 50.0), "ipc_agile")["A"] == 1.0
+        assert official_ranking(self.make(50.0, 50.0), "ipc_agile").scores["A"] == 1.0
 
     def test_ten_times_slower_scores_half(self):
-        assert compute_scores(self.make(500.0, 50.0), "ipc_agile")["A"] == 0.5
+        assert official_ranking(self.make(500.0, 50.0), "ipc_agile").scores["A"] == 0.5
 
     def test_faster_than_reference_clamps_to_one(self):
-        assert compute_scores(self.make(5.0, 50.0), "ipc_agile")["A"] == 1.0
+        assert official_ranking(self.make(5.0, 50.0), "ipc_agile").scores["A"] == 1.0
         # more than 10x faster: log10 of the raw ratio is below -1
-        assert compute_scores(self.make(1.0, 100.0), "ipc_agile")["A"] == 1.0
+        assert official_ranking(self.make(1.0, 100.0), "ipc_agile").scores["A"] == 1.0
 
     def test_sub_second_times_floor_at_one(self):
         # both sides floored to 1s: ratio 1, score 1
-        assert compute_scores(self.make(0.01, 0.5), "ipc_agile")["A"] == 1.0
+        assert official_ranking(self.make(0.01, 0.5), "ipc_agile").scores["A"] == 1.0
 
     def test_unsolved_scores_zero(self):
-        assert compute_scores(self.make(50.0, 50.0), "ipc_agile")["B"] == 0.0
+        assert official_ranking(self.make(50.0, 50.0), "ipc_agile").scores["B"] == 0.0
 
     def test_missing_reference_time_is_an_error(self):
         d = build_dataset(
             ["A", "B"], [("i1", 0)], lambda s, rk: record(True, 1.0), cutoff=10.0
         )
         with pytest.raises(ScoringError, match="reference_time"):
-            compute_scores(d, "ipc_agile")
+            official_ranking(d, "ipc_agile")
 
 
 class TestMeanMetric:
@@ -251,7 +250,7 @@ class TestMeanMetric:
             lambda s, rk: record(True, 1.0, quality=4.0 if s == "A" else 10.0),
             cutoff=10.0,
         )
-        assert compute_scores(d, "mean_metric") == {"A": 4.0, "B": 10.0}
+        assert official_ranking(d, "mean_metric").scores == {"A": 4.0, "B": 10.0}
 
     def test_unsolved_runs_still_need_quality(self):
         d = build_dataset(
@@ -260,20 +259,20 @@ class TestMeanMetric:
             cutoff=10.0,
         )
         with pytest.raises(ScoringError, match="'B'"):
-            compute_scores(d, "mean_metric")
+            official_ranking(d, "mean_metric")
 
 
 class TestMechanismDispatch:
     def test_unknown_mechanism(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True))
         with pytest.raises(UnknownMechanismError):
-            compute_scores(d, "elo")
+            official_ranking(d, "elo")
 
     def test_string_and_object_agree(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True), cutoff=9.0)
         assert (
-            compute_scores(d, "solved_count")
-            == compute_scores(d, Mechanism("solved_count"))
+            official_ranking(d, "solved_count").scores
+            == official_ranking(d, Mechanism("solved_count")).scores
         )
 
 
@@ -281,9 +280,8 @@ def row_scores(d, mechanism, drawn):
     """The :class:`Scorer` row that draws the instances ``drawn`` (indices
     into ``d.instances``, repeats counted), as ``{solver: score}``."""
     counts = np.bincount(drawn, minlength=len(d.instances))[None, :].astype(np.float64)
-    scores, _, overflow = Scorer(d, mechanism, ()).rows(
-        lambda stack: aggregate_from_counts(stack, counts)
-    )
+    scorer = Scorer(d, mechanism, ())
+    scores, _, overflow = scorer.rows(aggregate_from_counts(scorer.stack, counts))
     assert overflow is None
     return dict(zip(d.solvers, scores[0].tolist()))
 
@@ -310,9 +308,12 @@ class TestMultisets:
     @pytest.mark.parametrize("mechanism", list(scoring.MECHANISMS))
     def test_empty_multiset_scores_zero(self, mechanism):
         d = build_dataset(["A", "B"], [], lambda s, rk: record(True), cutoff=1000.0)
-        scores = compute_scores(d, mechanism)
-        assert scores == {"A": 0.0, "B": 0.0}
-        assert all(math.copysign(1.0, v) == 1.0 for v in scores.values())  # +0.0, not -0.0
+        for tiebreak in ((), ("total_time",)):
+            ranking = official_ranking(d, mechanism, tiebreak)
+            assert ranking.scores == {"A": 0.0, "B": 0.0}
+            # +0.0, not -0.0
+            assert all(math.copysign(1.0, v) == 1.0 for v in ranking.scores.values())
+            assert ranking.ranks == {"A": 1, "B": 1}
 
     def test_error_names_first_offender_in_multiset_order(self):
         d = build_dataset(
@@ -406,7 +407,7 @@ class TestExactAggregation:
         everything = list(range(instances))
         repeats = [rng.randrange(instances) for _ in range(instances)]
         for mech in FLOAT_MECHANISMS:
-            assert compute_scores(d, mech) == brute_scores(d, mech), mech
+            assert official_ranking(d, mech).scores == brute_scores(d, mech), mech
             for drawn in (everything, repeats):
                 got = row_scores(d, mech, drawn)
                 assert got == brute_scores(d, mech, runs_of_instances(d, drawn)), mech
@@ -424,10 +425,9 @@ class TestExactAggregation:
             reference=d.reference,
         )
         for mech in FLOAT_MECHANISMS:
-            a, b = compute_scores(d, mech), compute_scores(shuffled, mech)
-            assert [x.hex() for x in a.values()] == [x.hex() for x in b.values()]
-            ranked = [official_ranking(sv, data, ("total_time",)) for sv, data in
-                      ((a, d), (b, shuffled))]
+            ranked = [official_ranking(data, mech, ("total_time",)) for data in (d, shuffled)]
+            a, b = (ranking.scores.values() for ranking in ranked)
+            assert [x.hex() for x in a] == [x.hex() for x in b]
             assert ranked[0] == ranked[1]
             cfg = config(mech, tiebreak=("total_time",))
             loo = [leave_one_out_analysis(data, cfg) for data in (d, shuffled)]
@@ -534,7 +534,7 @@ class TestManyLimbRaggedData:
         assert set(d.instance_layout[1].tolist()) == {1, 2, 3}  # ragged
         (_, exponents), = Scorer(d, "mean_metric", ()).keys
         assert len(exponents) == 31
-        assert hexes(compute_scores(d, "mean_metric"), d.solvers) == hexes(
+        assert hexes(official_ranking(d, "mean_metric").scores, d.solvers) == hexes(
             brute_scores(d, "mean_metric"), d.solvers
         )
         for stratified in (False, True):
@@ -580,8 +580,7 @@ class TestManyLimbRaggedData:
 class TestOfficialRanking:
     def test_min_ranks_and_listing(self):
         d = success_table_dataset({"C": [True], "A": [True], "B": [False]})
-        sv = compute_scores(d, "solved_count")
-        ranking = official_ranking(sv, d)
+        ranking = official_ranking(d, "solved_count")
         # C and A tie at 1; listing is alphabetical among ties
         assert ranking.order == ("A", "C", "B")
         assert ranking.ranks == {"A": 1, "C": 1, "B": 3}
@@ -595,13 +594,53 @@ class TestOfficialRanking:
             ),
             cutoff=100.0,
         )
-        sv = compute_scores(d, "solved_count")
-        with_tb = official_ranking(sv, d, tiebreak=("total_time",))
+        with_tb = official_ranking(d, "solved_count", tiebreak=("total_time",))
         assert with_tb.order == ("B", "A", "C")
         assert with_tb.ranks == {"B": 1, "A": 2, "C": 3}
-        without = official_ranking(sv, d)
+        without = official_ranking(d, "solved_count")
         assert without.order == ("A", "B", "C")
         assert without.ranks == {"A": 1, "B": 1, "C": 3}
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["two_seeds", "ragged"])
+    def test_total_time_over_instance_totals_matches_the_oracle(self, ragged):
+        # Every solver solves the same runs, so solved_count ties them all
+        # and only total_time orders them; its totals come from per-instance
+        # sums, not the identity layout of one-seed data.  s1 has s0's solved
+        # times on other runs, an equal exact total; s2 and s3 nudge one of
+        # s0's times, which may or may not move the rounded total.
+        rng = random.Random(71)
+        if ragged:  # one instance re-run 40 times beside 30 one-run ones
+            runs = [RunKey("big", seed) for seed in range(40)]
+            runs += [RunKey(f"i{j:02d}", 0) for j in range(30)]
+        else:
+            runs = [RunKey(f"i{j:02d}", seed) for j in range(30) for seed in range(2)]
+        solved = {rk: rng.random() < 0.7 for rk in runs}
+        base = {rk: rng.uniform(0.1, 99.0) * 10.0 ** rng.randint(-15, 0) for rk in runs}
+        done = [rk for rk in runs if solved[rk]]
+        biggest, smallest = max(done, key=base.get), min(done, key=base.get)
+        times = {
+            "s0": base,
+            "s1": {**base, **dict(zip(done, rng.sample([base[rk] for rk in done], len(done))))},
+            "s2": {**base, biggest: math.nextafter(base[biggest], math.inf)},
+            "s3": {**base, smallest: 2 * base[smallest]},
+            "s4": {rk: rng.uniform(0.1, 99.0) for rk in runs},
+        }
+        table = {s: {rk: record(solved[rk], t[rk]) for rk in runs} for s, t in times.items()}
+        d = build_dataset(list(table), runs, lambda s, rk: table[s][rk], cutoff=100.0)
+        assert len(d.instances) == (31 if ragged else 30)
+        spent = {
+            s: (math.fsum(rec.cpu_time for rec in records.values() if rec.status.is_success),)
+            for s, records in table.items()
+        }
+        want = brute_scores(d, "solved_count")
+        assert len(set(want.values())) == 1
+
+        ranking = official_ranking(d, "solved_count", ("total_time",))
+        assert hexes(ranking.scores, d.solvers) == hexes(want, d.solvers)
+        assert list(ranking.order) == oracle_official_order(want, spent)
+        keys = [(-want[s], *spent[s]) for s in d.solvers]
+        assert ranking.ranks == dict(zip(d.solvers, oracle_min_ranks(keys)))
+        assert ranking.ranks["s0"] == ranking.ranks["s1"]
 
     def test_tiebreak_ignores_unsuccessful_and_over_cutoff_runs(self):
         d = build_dataset(
@@ -622,19 +661,17 @@ class TestOfficialRanking:
             {"A": [True, True], "B": [True, True]}, cutoff=math.inf,
             times={"A": [1.0, 1.0], "B": [1e308, 1e308]},
         )
-        sv = compute_scores(d, "solved_count")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
                 ScoringError, match="total_time: the total of solver 'B' is beyond the float64"
             ):
-                official_ranking(sv, d, tiebreak=("total_time",))
+                official_ranking(d, "solved_count", tiebreak=("total_time",))
 
     def test_unknown_tiebreak_key(self):
         d = success_table_dataset({"A": [True], "B": [True]})
-        sv = compute_scores(d, "solved_count")
         with pytest.raises(ValueError, match="tiebreak"):
-            official_ranking(sv, d, tiebreak=("wallclock",))
+            official_ranking(d, "solved_count", tiebreak=("wallclock",))
 
     def test_listing_matches_sort_oracle_on_random_scores(self):
         rng = random.Random(7)
@@ -642,9 +679,8 @@ class TestOfficialRanking:
             names = [f"s{i}" for i in range(rng.randint(2, 9))]
             table = {s: [rng.random() < 0.5 for _ in range(6)] for s in names}
             d = success_table_dataset(table)
-            sv = compute_scores(d, "solved_count")
-            ranking = official_ranking(sv, d)
-            assert list(ranking.order) == oracle_official_order(sv)
+            ranking = official_ranking(d, "solved_count")
+            assert list(ranking.order) == oracle_official_order(ranking.scores)
 
 
 class TestMinRanksRows:

@@ -9,7 +9,7 @@ import pytest
 
 import rankbench.sensitivity as sensitivity
 from rankbench.model import Mechanism, RunKey
-from rankbench.scoring import ScoringError, compute_scores, official_ranking
+from rankbench.scoring import ScoringError, official_ranking
 from rankbench.sensitivity import (
     FLAG_NAMES,
     aggregate_json_obj,
@@ -143,11 +143,10 @@ class TestLeaveOneOut:
         d = self.five_solver_dataset()
         cfg = config("mean_metric")
         rep = leave_one_out_analysis(d, cfg)
-        from rankbench.scoring import compute_scores
-
-        direct = official_ranking(compute_scores(d, cfg.mechanism), d, cfg.tiebreak)
+        direct = official_ranking(d, cfg.mechanism, cfg.tiebreak)
         assert rep.baseline.order == direct.order
         assert rep.baseline.ranks == direct.ranks
+        assert rep.baseline.scores == direct.scores
 
     def test_tiebreak_chain_recomputed_on_kept_runs(self):
         # equal solved counts; the time tiebreak flips when i1 is dropped
@@ -220,7 +219,7 @@ class TestLeaveOneOut:
             [(instance, 0) for instance in quality],
             lambda s, rk: record(True, quality=quality[rk.instance_id] if s == "b" else 1.0),
         )
-        assert compute_scores(d, "mean_metric")["b"] == 1e308 / 3
+        assert official_ranking(d, "mean_metric").scores["b"] == 1e308 / 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
