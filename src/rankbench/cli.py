@@ -206,10 +206,7 @@ def _cmd_score(ns: argparse.Namespace) -> int:
     official = official_ranking(d, mech, _tiebreak(ns))
     obj = {
         "mechanism": mech.id,
-        "ranking": [
-            {"solver": s, "rank": official.ranks[s], "score": official.scores[s]}
-            for s in official.order
-        ],
+        "ranking": official.as_rows(),
         "scores": official.scores,
     }
     text = canonical_json(obj)

@@ -330,8 +330,9 @@ class AnalysisConfig:
 
 
 def default_stratified(d: Dataset) -> bool:
-    """Stratify by default exactly when the dataset declares >= 2 strata."""
-    return len(set(d.strata.values())) >= 2
+    """Stratify by default exactly when the runs' instances fall into >= 2
+    strata, the default stratum included (:attr:`Dataset.stratum_order`)."""
+    return len(d.stratum_order) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +587,18 @@ def _not_utf8(where: str, exc: UnicodeDecodeError) -> ParseError:
 
 
 def _read_json(path: Path):
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        # The last of a repeated key would win silently; the input is ambiguous.
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(key for j, key in enumerate(keys) if key in keys[:j])
+            raise ParseError(f"{path}: duplicate key {key!r}")
+        return obj
+
     data = path.read_bytes()
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique)
     except UnicodeDecodeError as exc:
         raise _not_utf8(str(path), exc) from None
     except json.JSONDecodeError as exc:

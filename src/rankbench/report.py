@@ -151,10 +151,7 @@ def build_report(
             "strata": len(d.stratum_order),
             "cutoff_seconds": None if math.isinf(d.cutoff) else d.cutoff,
         },
-        "official": [
-            {"solver": s, "rank": official.ranks[s], "score": official.scores[s]}
-            for s in official.order
-        ],
+        "official": official.as_rows(),
         "solvers": solvers,
         "win_fractions": wins,
         "groups": [

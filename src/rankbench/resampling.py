@@ -346,11 +346,10 @@ def generate_score_matrix(d: Dataset, cfg: AnalysisConfig, threads: int = 1) -> 
     drawn, over per-instance totals of the contributions
     (:attr:`~rankbench.scoring.Scorer.stack`, one product per block of
     replicates): exact sums, so the scores are those of the runs.
-    Replicates are generated
-    on one thread: ``threads`` is accepted for compatibility and changes
-    neither the output nor the speed.  Scoring failures (a selected run
-    without a contribution, a total beyond the float64 range) report the
-    smallest failing replicate index.
+    Replicates are generated on one thread: ``threads`` is accepted for
+    compatibility and changes neither the output nor the speed.  Scoring
+    failures (a selected run without a contribution, a total beyond the
+    float64 range) report the smallest failing replicate index.
     """
     n = len(d.runs)
     if n < 1:

@@ -405,22 +405,23 @@ class Scorer:
         sizes = totals[-1][:, None]
         return MECHANISMS[self.mechanism.name].finish(keyed[0], sizes), keyed[1:], overflow
 
-    def whole(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Scores and chain totals, (S,) each, of the row that counts every
-        instance once, summed exactly, as :func:`drop_one_totals` sums it.
-        Raises :class:`ScoringError` when the mechanism needs data the
-        dataset does not carry, naming the first offending run, or when a
-        total is beyond the float64 range."""
+    def ranked(self, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(listings, ranks, scores)``, (rows, S) each, of whole-dataset
+        rows: ``totals`` is ``stack.sum(axis=1, keepdims=True)`` (every
+        instance once) or :func:`drop_one_totals` of :attr:`stack`.  Each
+        row keeps a subset of the runs, so one check of every run covers
+        all.  Raises :class:`ScoringError` naming the first run the
+        mechanism lacks data for, or the smallest row with a total beyond
+        the float64 range, row ``j + 1`` as the one without instance ``j``."""
         message = self.missing(np.arange(len(self.d.runs)))
         if message is not None:
             raise ScoringError(message)
-        if not self.d.runs:  # no runs score +0.0 by every mechanism and key
-            zeros = np.zeros(len(self.d.solvers))
-            return zeros, [zeros] * (len(self.keys) - 1)
-        scores, chains, overflow = self.rows(self.stack.sum(axis=1, keepdims=True))
+        scores, chains, overflow = self.rows(totals)
         if overflow is not None:
-            raise ScoringError(overflow[1])
-        return scores[0], [chain[0] for chain in chains]
+            row, message = overflow
+            prefix = f"without instance {self.d.instances[row - 1]!r}: " if row else ""
+            raise ScoringError(prefix + message)
+        return (*ranking_rows(self.d.solvers, scores, chains), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +541,10 @@ class OfficialRanking:
             scores=dict(zip(solvers, scores.tolist())),
         )
 
+    def as_rows(self) -> list[dict]:
+        """The listing as ``{"solver", "rank", "score"}`` rows, in order."""
+        return [{"solver": s, "rank": self.ranks[s], "score": self.scores[s]} for s in self.order]
+
 
 def official_ranking(
     d: Dataset, mechanism: Mechanism | str, tiebreak: tuple[str, ...] = ()
@@ -547,14 +552,17 @@ def official_ranking(
     """Score every solver over every run of ``d`` and rank them with
     min-rank ties; higher scores are better.
 
-    The scores and chain totals are the :meth:`Scorer.whole` row.  The
-    listing is sorted by score descending, then by the tiebreak chain
+    The listing is the :meth:`Scorer.ranked` row that counts every
+    instance once, sorted by score descending, then by the tiebreak chain
     (currently ``total_time``: total cpu_time over successful runs,
     ascending), then solver_id ascending.  Ranks ignore the solver_id step:
     solvers equal on score and the whole chain share a rank.  Raises
-    :class:`ScoringError` as :meth:`Scorer.whole` does, and ValueError for
+    :class:`ScoringError` as :meth:`Scorer.ranked` does, and ValueError for
     an unknown tiebreak key.
     """
-    scores, chain = Scorer(d, mechanism, tiebreak).whole()
-    orders, ranks = ranking_rows(d.solvers, scores[None, :], chain)
-    return OfficialRanking.from_row(d.solvers, orders[0], ranks[0], scores)
+    scorer = Scorer(d, mechanism, tiebreak)
+    if not d.runs:  # no runs score +0.0 by every mechanism and key: one tie
+        order = tuple(sorted(d.solvers))
+        return OfficialRanking(order, dict.fromkeys(order, 1), dict.fromkeys(d.solvers, 0.0))
+    listings, ranks, scores = scorer.ranked(scorer.stack.sum(axis=1, keepdims=True))
+    return OfficialRanking.from_row(d.solvers, listings[0], ranks[0], scores[0])

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import AnalysisConfig, Dataset, write_csv
-from .scoring import OfficialRanking, Scorer, ScoringError, drop_one_totals, ranking_rows
+from .scoring import OfficialRanking, Scorer, drop_one_totals
 
 __all__ = [
     "InstanceFlags",
@@ -77,26 +77,16 @@ def leave_one_out_analysis(d: Dataset, cfg: AnalysisConfig) -> SensitivityReport
     """Remove each instance in turn and compare the re-scored listing.
 
     Row 0 scores every run (the baseline); row ``j + 1`` drops instance
-    ``j``.  Every row is rounded once, exactly as the official scores are
-    (:func:`~rankbench.scoring.drop_one_totals`); all rows are ranked in
-    one call.
+    ``j``.  The rows are :func:`~rankbench.scoring.drop_one_totals`,
+    checked, rounded once and ranked in the one
+    :meth:`~rankbench.scoring.Scorer.ranked` pass the official listing
+    takes.
     """
     if len(d.instances) < 2:
         raise ValueError("leave-one-out analysis needs at least 2 instances")
 
-    n = len(d.runs)
     scorer = Scorer(d, cfg.mechanism, cfg.tiebreak)
-    # Every kept set is a subset of these runs, so one check covers them all.
-    message = scorer.missing(np.arange(n, dtype=np.int64))
-    if message is not None:
-        raise ScoringError(message)
-    scores, chains, overflow = scorer.rows(drop_one_totals(scorer.stack))
-    if overflow is not None:
-        row, message = overflow
-        prefix = f"without instance {d.instances[row - 1]!r}: " if row else ""
-        raise ScoringError(prefix + message)
-
-    listings, ranks = ranking_rows(d.solvers, scores, chains)
+    listings, ranks, scores = scorer.ranked(drop_one_totals(scorer.stack))
     base, variants = listings[0], listings[1:]
     depth10 = min(10, len(d.solvers))
     depth3 = min(3, len(d.solvers))

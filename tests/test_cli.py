@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism, environment."""
 
 import csv
+import importlib
 import json
 import os
 import random
@@ -204,6 +205,13 @@ class TestExitCodes:
     def test_zero_replicates_is_usage_error(self, tmp_path, runs_csv, capsys):
         code = run_cli(analyze_args(runs_csv, tmp_path / "r.json", replicates="0"))
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_unsigned_bits_is_usage_error(self, tmp_path, runs_csv, capsys, seed):
+        code = run_cli(analyze_args(runs_csv, tmp_path / "r.json", seed=seed))
+        assert code == 2
+        assert f"seed must fit in 64 unsigned bits, got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli(["frobnicate"]) == 2
@@ -419,3 +427,22 @@ class TestInstalledScript:
         proc = subprocess.run(["rankbench"], capture_output=True, text=True)
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
+
+
+class TestConsoleScriptDeclaration:
+    """The console script ``pyproject.toml`` declares, resolved in process,
+    so the entry-point wiring is checked where no script is installed."""
+
+    def test_declared_target_is_main_and_needs_a_command(self, monkeypatch, capsys):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"rankbench": "rankbench.cli:main"}
+        module, _, name = scripts["rankbench"].partition(":")
+        main = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["rankbench"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

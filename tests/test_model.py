@@ -38,8 +38,9 @@ def write_csv(tmp_path, body, name="runs.csv", header=CSV_HEADER):
 
 
 def write_json(tmp_path, obj, name="data.json"):
+    """Write ``obj`` as JSON; a str is written as it is, raw JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
     return path
 
 
@@ -208,6 +209,11 @@ class TestConfig:
              "unknown field 'bogus' in reference entry for 'i1@0'"),
             ({"reference": {"i1@0": {"reference_time": 3, "best_known": 2}}},
              "unknown field 'best_known' in reference entry for 'i1@0'"),
+            ([{"cutoff_seconds": 5}], "config must be a JSON object$"),
+            # Each of these loaded, the last of the repeated keys winning.
+            ('{"cutoff_seconds": 5, "cutoff_seconds": 9}', "duplicate key 'cutoff_seconds'$"),
+            ('{"reference": {"i1@0": {"reference_time": 3, "reference_time": 4}}}',
+             "duplicate key 'reference_time'$"),
         ],
     )
     def test_config_errors(self, tmp_path, doc, fragment):
@@ -427,6 +433,11 @@ class TestJsonDataset:
              r"results\[0\]: quality '3' is a string, not a number$"),
             ({"results": [{**ROW, "quality": ""}]},
              r"results\[0\]: quality '' is a string, not a number$"),
+            ({"results": [5]}, r"results\[0\] must be an object$"),
+            ('{"results": [', r"invalid JSON: Expecting value: line 1 column 14 \(char 13\)$"),
+            # This loaded as solver "B".
+            ('{"results": [{"solver": "A", "solver": "B", "instance": "i1", "seed": 0, '
+             '"status": "solved", "cpu_time": 1.0}]}', "duplicate key 'solver'$"),
         ],
     )
     def test_malformed_structure_rejected(self, tmp_path, doc, fragment):
@@ -446,6 +457,11 @@ class TestJsonDataset:
 
 
 class TestDatasetArrays:
+    def test_column_shape_must_match_solvers_and_runs(self):
+        message = "status has shape (2, 1), expected (1, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(("A",), (RunKey("i1", 0),), [[0], [0]], [[1.0]], [[math.nan]])
+
     def test_columns_are_read_only(self, tmp_path):
         d = load_dataset(write_csv(tmp_path, BASIC_CSV))
         for column in (d.status, d.cpu_time, d.quality):
@@ -575,6 +591,22 @@ class TestDefaultStratified:
 
     def test_no_strata_off(self):
         d = build_dataset(["A", "B"], [("i1", 0)], lambda s, rk: record(True))
+        assert default_stratified(d) is False
+
+    def test_unlabelled_instances_are_the_default_stratum(self):
+        d = build_dataset(
+            ["A", "B"], [("i0", 0), ("i1", 0), ("i2", 0)], lambda s, rk: record(True),
+            strata={"i0": "x"},
+        )
+        assert d.stratum_order == ("x", "default")
+        assert default_stratified(d) is True
+
+    def test_labels_of_instances_without_runs_do_not_count(self):
+        d = build_dataset(
+            ["A", "B"], [("i0", 0), ("i1", 0)], lambda s, rk: record(True),
+            strata={"i0": "x", "i1": "x", "gone": "y"},
+        )
+        assert d.stratum_order == ("x",)
         assert default_stratified(d) is False
 
 

@@ -317,6 +317,11 @@ class TestDrawUniform:
 
 
 class TestDrawStratified:
+    def test_empty_dataset_rejected(self):
+        d = build_dataset(["A", "B"], [], lambda s, rk: record(True))
+        with pytest.raises(ValueError, match="^dataset has no runs to resample$"):
+            draw_stratified_replicate(d, ReplicateStream(0, 0))
+
     def test_per_stratum_counts_preserved(self):
         d = three_stratum_dataset()
         sizes = {"A": 1, "B": 2, "C": 3}
@@ -723,6 +728,12 @@ def test_multi_seed_true_null_is_rejected_at_about_alpha():
 
 
 class TestGenerateScoreMatrix:
+    def test_empty_dataset_rejected(self):
+        d = build_dataset(["A", "B"], [], lambda s, rk: record(True))
+        for stratified in (False, True):
+            with pytest.raises(ValueError, match="^dataset has no runs to resample$"):
+                generate_score_matrix(d, config(replicates_k=5, stratified=stratified))
+
     def test_identical_solvers_tie_at_rank_one(self):
         d = success_table_dataset({"A": [True, False], "B": [True, False]})
         m = generate_score_matrix(d, config(replicates_k=1))

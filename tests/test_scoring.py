@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import rankbench.scoring as scoring
-import rankbench.sensitivity as sensitivity
 from rankbench.model import Dataset, Mechanism, ReferenceEntry, RunKey, RunRecord, RunStatus
 from rankbench.resampling import ReplicateStream, draw_uniform_replicate, generate_score_matrix
 from rankbench.scoring import (
@@ -544,13 +543,13 @@ class TestManyLimbRaggedData:
                 want = brute_scores(d, "mean_metric", oracle_replicate(d, 62, i, stratified))
                 assert [x.hex() for x in m.scores[i]] == hexes(want, d.solvers), (stratified, i)
 
-        seen, ranking_rows = [], sensitivity.ranking_rows
+        seen, ranking_rows = [], scoring.ranking_rows
 
         def capture(solvers, scores, chains):
             seen.append(scores)
             return ranking_rows(solvers, scores, chains)
 
-        monkeypatch.setattr(sensitivity, "ranking_rows", capture)
+        monkeypatch.setattr(scoring, "ranking_rows", capture)
         leave_one_out_analysis(d, config("mean_metric"))
         (scores,) = seen
         assert len(scores) == 31

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-import rankbench.sensitivity as sensitivity
+import rankbench.scoring as scoring
 from rankbench.model import Mechanism, RunKey
 from rankbench.scoring import ScoringError, official_ranking
 from rankbench.sensitivity import (
@@ -173,13 +173,13 @@ class TestLeaveOneOut:
             ),
             cutoff=100.0,
         )
-        seen, ranking_rows = [], sensitivity.ranking_rows
+        seen, ranking_rows = [], scoring.ranking_rows
 
         def capture(solvers, scores, chains):
             seen.append((scores, chains))
             return ranking_rows(solvers, scores, chains)
 
-        monkeypatch.setattr(sensitivity, "ranking_rows", capture)
+        monkeypatch.setattr(scoring, "ranking_rows", capture)
         for mech in (Mechanism("par_k", 10), Mechanism("mean_metric")):
             seen.clear()
             leave_one_out_analysis(d, config(mech, tiebreak=("total_time",)))
